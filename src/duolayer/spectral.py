@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .graph import Topology, lifted_laplacian
-from .linalg import Spectrum, as_matrix, eig, rank, solve_least_squares
+from .linalg import Spectrum, as_matrix, eig, solve_least_squares
 
 # Relative tolerance for the spectral verdicts.
 VERDICT_RTOL = 1e-8
@@ -51,9 +50,13 @@ class SpectralVerdict:
 
     real_ok:         max Re(lambda) < rtol * scale
     imag_ok:         max |Im(lambda)| < rtol * scale
-    nondefective_ok: rank(M) == rank(M @ M)
+    nondefective_ok: the kernel certificate of linalg.eig holds, i.e.
+                     spectrum.rank == spectrum.rank_squared
 
-    scale is 1 + ||M||_2, so the assertions are relative to the matrix size.
+    scale is 1 + ||M||_2 = 1 + spectrum.sigma_max, so the first two
+    assertions are relative to the matrix size.  to_dict() also reports the
+    certificate's kernel_gap, kernel_margin and kernel_bound, so a verdict
+    that sits near a cutoff shows.
     """
 
     spectrum: Spectrum
@@ -75,6 +78,10 @@ class SpectralVerdict:
             ],
             "rank": self.spectrum.rank,
             "rank_squared": self.spectrum.rank_squared,
+            "sigma_max": self.spectrum.sigma_max,
+            "kernel_gap": self.spectrum.kernel_gap,
+            "kernel_margin": self.spectrum.kernel_margin,
+            "kernel_bound": self.spectrum.kernel_bound,
             "scale": self.scale,
             "max_real": self.max_real,
             "max_imag": self.max_imag,
@@ -89,7 +96,7 @@ def spectrum_verdict(m, rtol: float = VERDICT_RTOL) -> SpectralVerdict:
     """Run the three spectral assertions on an arbitrary square matrix."""
     m = as_matrix(m)
     sp = eig(m)
-    scale = 1.0 + (float(np.linalg.norm(m, 2)) if m.size else 0.0)
+    scale = 1.0 + sp.sigma_max
     max_real = float(np.max(sp.eigenvalues.real)) if m.size else 0.0
     max_imag = float(np.max(np.abs(sp.eigenvalues.imag))) if m.size else 0.0
     return SpectralVerdict(
@@ -169,6 +176,17 @@ class CompactSystem:
         return np.concatenate([self.a_stack.T @ self.b_stack, -self.b_stack])
 
 
+def _block_diag(blocks: list) -> np.ndarray:
+    """Block-diagonal matrix with the given 2-D blocks along its diagonal."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    row = col = 0
+    for b in blocks:
+        out[row : row + b.shape[0], col : col + b.shape[1]] = b
+        row += b.shape[0]
+        col += b.shape[1]
+    return out
+
+
 def assemble_compact(part, topo: Topology) -> CompactSystem:
     """Assemble the stacked drift matrix and companions for a partition.
 
@@ -181,15 +199,14 @@ def assemble_compact(part, topo: Topology) -> CompactSystem:
             f"partition ({part.cluster_count} clusters, {part.agent_counts}) does "
             f"not match topology ({topo.cluster_count} clusters, {topo.agent_counts})"
         )
-    cluster_stacks = [block_diag(*part.blocks[i]) for i in range(part.cluster_count)]
-    a_stack = block_diag(*cluster_stacks)
+    a_stack = _block_diag([block for row in part.blocks for block in row])
     b_stack = np.concatenate([off for row in part.offsets for off in row])
     if part.scheme == "row":
         lifts = [
             lifted_laplacian(topo.agent_graphs[i], part.cluster_rows[i])
             for i in range(part.cluster_count)
         ]
-        agent_lap = block_diag(*lifts)
+        agent_lap = _block_diag(lifts)
         cluster_lap = lifted_laplacian(topo.cluster_graph, part.total_cols)
         x_damping, z_lap = cluster_lap, agent_lap
     else:
@@ -197,7 +214,7 @@ def assemble_compact(part, topo: Topology) -> CompactSystem:
             lifted_laplacian(topo.agent_graphs[i], part.cluster_cols[i])
             for i in range(part.cluster_count)
         ]
-        agent_lap = block_diag(*lifts)
+        agent_lap = _block_diag(lifts)
         cluster_lap = lifted_laplacian(topo.cluster_graph, part.total_rows)
         x_damping, z_lap = agent_lap, cluster_lap
     drift = np.block(

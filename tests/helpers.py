@@ -1,12 +1,12 @@
 """Shared random generators for the test suite.
 
 The saddle-triple generator rejects draws whose singular-value ladders have
-entries inside the rank decision band: the non-defectiveness check compares
-numerical ranks of M and M @ M at the 1e-10 relative cutoff, and squaring a
-matrix can push a genuinely nonzero singular value into that band, where the
-comparison measures roundoff instead of structure.  Rejection keeps every
-accepted draw two decades clear on both sides (about 0.3% of draws are
-redrawn).
+entries near the 1e-10 relative rank cutoff, for M (between 1e-12 and 1e-6)
+and for M @ M (between 1e-12 and 1e-8), so every accepted draw has an
+unambiguous numerical rank (about 0.3% of draws are redrawn).  The M @ M
+band dates from a non-defectiveness check that compared the ranks of M and
+M @ M; it is kept so that the accepted draws, and every test seeded from
+them, stay the same.
 """
 
 import numpy as np

@@ -136,7 +136,7 @@ def test_criterion_2_spectral_guarantees():
             failures.append(f"drift {trial} ({scheme}): {verdict.to_dict()}")
     defective = spectrum_verdict(np.array([[0.0, 1.0], [0.0, 0.0]]))
     if defective.nondefective_ok or not (defective.real_ok and defective.imag_ok):
-        failures.append("defective counterexample not flagged by the rank test")
+        failures.append("defective counterexample not flagged by the kernel certificate")
     elapsed = time.perf_counter() - started
     ok = not failures and elapsed < 30.0
     report(2, ok, "real, non-positive, non-defective spectra on 200 matrices")

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from duolayer import Spectrum, as_matrix, as_vector, eig, kron, rank, solve_least_squares
+from helpers import random_orthogonal
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 
@@ -106,6 +107,22 @@ def test_eig_detects_defective_kernel():
     assert sp.rank == 1
     assert sp.rank_squared == 0
     assert sp.rank != sp.rank_squared
+
+
+def test_eig_hidden_nilpotent_block_is_defective():
+    # one nilpotent Jordan block of size 3 beside three zeros, under a
+    # well-conditioned similarity; seeds 0, 1 and 3 leave the shifted copy
+    # exactly singular, and 2 and 5 leave more cosines uncertified than the
+    # rank, so rank_squared stops at 0
+    n = 6
+    d = np.zeros((n, n))
+    d[0, 1] = d[1, 2] = 1.0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        s = (random_orthogonal(rng, n) * np.exp(rng.uniform(-0.7, 0.7, size=n))) @ random_orthogonal(rng, n)
+        sp = eig(s @ d @ np.linalg.inv(s))
+        assert sp.rank == 2
+        assert 0 <= sp.rank_squared < sp.rank
 
 
 @settings(max_examples=25)

@@ -1,5 +1,9 @@
+import json
+import time
+
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from duolayer import (
     CompactSystem,
@@ -14,12 +18,13 @@ from duolayer import (
     check_saddle_spectrum,
     equilibrium_certificate,
     kernel_offset,
+    lifted_laplacian,
     partition_columns,
     partition_rows,
     spectrum_verdict,
 )
-from duolayer.cli import random_instance
-from helpers import random_saddle_blocks
+from duolayer.cli import random_composition, random_connected_graph, random_instance
+from helpers import random_orthogonal, random_saddle_blocks
 
 
 def path(n):
@@ -116,6 +121,97 @@ def test_verdict_to_dict_round_trips_to_json_types():
     assert d["passed"] is True
     assert d["eigenvalues"] == [[-1.0, 0.0], [0.0, 0.0]]
     assert d["rank"] == 1 and d["rank_squared"] == 1
+    assert d["sigma_max"] == 1.0 and d["kernel_gap"] == 1.0
+    assert d["kernel_margin"] == 1.0 and d["kernel_bound"] == 0.0
+    assert json.loads(json.dumps(d)) == d
+
+
+@pytest.mark.parametrize("seed", [1234, 1954, 4455])
+@pytest.mark.parametrize("scheme", ["row", "column"])
+def test_square_uniform_instances_pass(seed, scheme):
+    # square uniform A puts genuine singular values of Q near 1e-5 relative;
+    # a rank test on Q @ Q squared them under the 1e-10 cutoff and called
+    # these non-defective drifts defective
+    inst, part = random_instance(np.random.default_rng(seed), scheme, 40)
+    verdict = check_drift_spectrum(assemble_compact(part, inst.topology))
+    sp = verdict.spectrum
+    assert verdict.passed, verdict.to_dict()
+    assert sp.rank == sp.rank_squared
+    assert sp.kernel_gap < 1e-4
+    assert sp.kernel_margin > 1e3 * sp.kernel_bound
+
+
+def test_dim_1600_row_instance_passes_within_budget():
+    # m = n = 100, 8 clusters x 8 agents: kernel of dimension 100 and a
+    # smallest nonzero singular value 1.7e-5 relative to the largest
+    rng = np.random.default_rng(0)
+    a = rng.uniform(-1.0, 1.0, size=(100, 100))
+    topo = Topology(
+        cluster_graph=random_connected_graph(rng, 8),
+        agent_graphs=tuple(random_connected_graph(rng, 8) for _ in range(8)),
+    )
+    layout = Layout(
+        scheme="row",
+        cluster_sizes=random_composition(rng, 100, 8),
+        agent_sizes=[random_composition(rng, 100, 8) for _ in range(8)],
+    )
+    inst = ProblemInstance(a=a, b=a @ rng.uniform(-1.0, 1.0, 100), topology=topo, layout=layout)
+    cs = assemble_compact(partition_rows(inst), topo)
+    assert cs.dim == 1600
+    started = time.perf_counter()
+    verdict = check_drift_spectrum(cs)
+    elapsed = time.perf_counter() - started
+    assert verdict.passed, {k: v for k, v in verdict.to_dict().items() if k != "eigenvalues"}
+    assert verdict.spectrum.rank == verdict.spectrum.rank_squared == 1500
+    # about 3.7 s on a 2-vCPU host
+    assert elapsed < 15.0, f"took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("extra_zeros", [0, 1])
+@pytest.mark.parametrize("jordan", [2, 3])
+def test_hidden_jordan_block_fails_and_semisimple_twin_passes(jordan, extra_zeros):
+    n = 30
+    zeros = jordan + extra_zeros
+    # 20 draws each; (2, 1) at seed 18 leaves M - mu I exactly singular
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        stable = -np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=n - zeros))
+        semisimple = np.diag(np.concatenate([stable, np.zeros(zeros)]))
+        defective = semisimple.copy()
+        for i in range(n - zeros, n - zeros + jordan - 1):
+            defective[i, i + 1] = 1.0
+        # well-conditioned similarity: condition number below e^1.4
+        s = (random_orthogonal(rng, n) * np.exp(rng.uniform(-0.7, 0.7, size=n))) @ random_orthogonal(rng, n)
+        s_inv = np.linalg.inv(s)
+        bad = spectrum_verdict(s @ defective @ s_inv)
+        assert not bad.nondefective_ok and not bad.passed, seed
+        assert bad.spectrum.rank == n - 1 - extra_zeros
+        assert bad.spectrum.rank_squared < bad.spectrum.rank
+        good = spectrum_verdict(s @ semisimple @ s_inv)
+        assert good.passed, (seed, good.to_dict())
+        assert good.spectrum.rank == good.spectrum.rank_squared == n - zeros
+
+
+def test_block_stacking_matches_scipy_block_diag():
+    rng = np.random.default_rng(17)
+    for scheme in ("row", "column"):
+        inst, part = random_instance(rng, scheme, 8, max_agents=3)
+        topo = inst.topology
+        cs = assemble_compact(part, topo)
+        a_stack = block_diag(*[block for row in part.blocks for block in row])
+        widths = part.cluster_rows if scheme == "row" else part.cluster_cols
+        agent_lap = block_diag(
+            *[lifted_laplacian(g, w) for g, w in zip(topo.agent_graphs, widths)]
+        )
+        x_damping, z_lap = (
+            (cs.cluster_laplacian, agent_lap) if scheme == "row" else (agent_lap, cs.cluster_laplacian)
+        )
+        drift = np.block(
+            [[-a_stack.T @ a_stack - x_damping, a_stack.T @ z_lap], [a_stack, -z_lap]]
+        )
+        assert np.array_equal(cs.a_stack, a_stack)
+        assert np.array_equal(cs.agent_laplacian, agent_lap)
+        assert np.array_equal(cs.drift_matrix, drift)
 
 
 def test_saddle_blocks_validation():
