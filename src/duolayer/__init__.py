@@ -49,7 +49,6 @@ from .spectral import (
     check_drift_spectrum,
     check_saddle_spectrum,
     equilibrium_certificate,
-    kernel_offset,
     spectrum_verdict,
 )
 from .simulator import (
@@ -109,7 +108,6 @@ __all__ = [
     "check_drift_spectrum",
     "check_saddle_spectrum",
     "equilibrium_certificate",
-    "kernel_offset",
     "spectrum_verdict",
     "InsufficientSamplesError",
     "NonFiniteStateError",

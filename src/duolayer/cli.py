@@ -33,6 +33,7 @@ from .simulator import (
     SimConfig,
     SimResult,
     _fit_line,
+    fit_convergence_rate,
     integrate,
 )
 from .spectral import assemble_compact, check_drift_spectrum
@@ -330,12 +331,14 @@ def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) 
     )
     converged = result.stop_reason == "stationary"
     try:
-        from .simulator import fit_convergence_rate
-
         slope, r_squared = fit_convergence_rate(result.trajectory)
     except InsufficientSamplesError:
         slope, r_squared = None, None
     verdict = check_drift_spectrum(assemble_compact(part, topo))
+    # V decays like exp(-2 lambda_min t), lambda_min the slowest nonzero mode
+    sp = verdict.spectrum
+    nonzero = np.sort(np.abs(sp.eigenvalues))[sp.eigenvalues.size - sp.rank :]
+    predicted_slope = -2.0 * float(nonzero[0]) if nonzero.size else None
     summary = {
         "scheme": part.scheme,
         "converged": converged,
@@ -355,6 +358,7 @@ def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) 
         "v_initial": float(result.trajectory.samples[0].v),
         "v_final": float(result.trajectory.samples[-1].v),
         "slope": slope,
+        "predicted_slope": predicted_slope,
         "r_squared": r_squared,
         "spectrum": verdict.to_dict(),
         "final_state": {

@@ -84,15 +84,21 @@ class Spectrum:
     rank == rank_squared exactly when the zero eigenvalue (if present) is
     certified non-defective, which is what the stability argument
     downstream needs.
+
+    spectral.check_drift_spectrum builds a Spectrum without this
+    certificate: its rank counts eigenvalues above RANK_RTOL times the
+    spectral radius, rank_squared equals rank because the checked saddle
+    structure rules out a defective zero eigenvalue, and sigma_max and the
+    three kernel fields are None.
     """
 
     eigenvalues: np.ndarray  # complex, sorted by (real, imag)
     rank: int
     rank_squared: int
-    sigma_max: float
-    kernel_gap: float
-    kernel_margin: float
-    kernel_bound: float
+    sigma_max: float | None
+    kernel_gap: float | None
+    kernel_margin: float | None
+    kernel_bound: float | None
 
 
 def _kernel_basis(shifted: np.ndarray, k: int) -> np.ndarray:

@@ -15,7 +15,7 @@ slice out of a neighboring cluster's stacked state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -139,6 +139,12 @@ def _check_topology(layout: Layout, topo: Topology) -> None:
             )
 
 
+def _read_only(*arrays) -> tuple:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def _offset_sum_ok(total: np.ndarray, target: np.ndarray) -> bool:
     scale = 1.0 + float(np.max(np.abs(target), initial=0.0))
     return bool(np.max(np.abs(total - target), initial=0.0) <= 1e-12 * scale)
@@ -180,11 +186,19 @@ class RowPartition:
     def z_dim(self) -> int:
         return sum(c * m for c, m in zip(self.agent_counts, self.cluster_rows))
 
-    def reassemble(self) -> tuple:
-        """Recover (A, b); exact by construction for default offsets."""
+    @cached_property
+    def _reassembled(self) -> tuple:
         a = np.vstack([np.hstack(row) for row in self.blocks])
         b = np.concatenate([reduce(np.add, row) for row in self.offsets])
-        return a, b
+        return _read_only(a, b)
+
+    def reassemble(self) -> tuple:
+        """Recover (A, b); exact by construction for default offsets.
+
+        Built on the first call; every call returns the same read-only
+        arrays.
+        """
+        return self._reassembled
 
 
 @dataclass(frozen=True)
@@ -227,11 +241,19 @@ class ColumnPartition:
         """The cluster-level offset b_i, reassembled from its agents' rows."""
         return np.concatenate(self.offsets[i])
 
-    def reassemble(self) -> tuple:
-        """Recover (A, b); A exact, b exact for default shares."""
+    @cached_property
+    def _reassembled(self) -> tuple:
         a = np.hstack([np.vstack(row) for row in self.blocks])
         b = reduce(np.add, [self.cluster_share(i) for i in range(self.cluster_count)])
-        return a, b
+        return _read_only(a, b)
+
+    def reassemble(self) -> tuple:
+        """Recover (A, b); A exact, b exact for default shares.
+
+        Built on the first call; every call returns the same read-only
+        arrays.
+        """
+        return self._reassembled
 
 
 def partition_rows(inst: ProblemInstance, b_offsets=None) -> RowPartition:

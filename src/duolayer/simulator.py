@@ -16,6 +16,7 @@ from .dynamics import (
     DerivativePlan,
     NetworkState,
     ResidualReport,
+    flat_slices,
     residuals,
     stack_state,
     unstack_state,
@@ -113,20 +114,14 @@ class SimResult:
 
 def zero_state(part) -> NetworkState:
     """All-zeros state matching the partition's shapes."""
-    _, _, _, dim = _layout(part)
+    _, _, _, dim = flat_slices(part)
     return unstack_state(part, np.zeros(dim))
 
 
 def random_state(part, rng: np.random.Generator, amplitude: float = 1.0) -> NetworkState:
     """Uniform [-amplitude, amplitude] state matching the partition's shapes."""
-    _, _, _, dim = _layout(part)
+    _, _, _, dim = flat_slices(part)
     return unstack_state(part, rng.uniform(-amplitude, amplitude, size=dim))
-
-
-def _layout(part):
-    from .dynamics import flat_slices
-
-    return flat_slices(part)
 
 
 def closeness_metric(s: NetworkState, x_star, part) -> float:

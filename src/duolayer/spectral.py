@@ -7,9 +7,29 @@ Both schemes collapse to a linear flow d/dt [x; z] = Q [x; z] + f with
 
 where Ah block-diagonally stacks every agent block, La stacks the lifted
 agent-layer Laplacians, Lc is the lifted cluster-layer Laplacian, and
-f = [Ah.T bh; -bh] for the stacked offsets bh.  Matrices of this shape have
-real, nonpositive eigenvalues with a non-defective kernel, which is what
-check_saddle_spectrum / check_drift_spectrum certify numerically.
+f = [Ah.T bh; -bh] for the stacked offsets bh.  Matrices of this shape,
+[[-C.T C - P, C.T D], [C, -D]] with P and D symmetric positive
+semi-definite, have real, nonpositive eigenvalues with a non-defective
+kernel.
+
+Two routes lead to a verdict:
+
+* check_drift_spectrum (structured route) checks on the assembled Q itself
+  that it has that shape, then reads the spectrum off one symmetric
+  eigensolve.  With D = U diag(lam) U.T, Q is similar to a block-triangular
+  matrix whose diagonal blocks are a zero block (one column per kernel
+  vector of D) and S = [[Q11, B.T], [B, -diag(lam+)]], B = lam+^1/2 U+.T C,
+  which is symmetric negative semi-definite: Q is self-adjoint in a
+  weighted inner product (Benzi & Simoncini, Numer. Math. 2006).  Every
+  kernel vector of S has P x = 0 and C x in range D, so the zero eigenvalue
+  is non-defective by the theorem once the structure holds, not by a rank
+  cutoff.
+* spectrum_verdict and check_saddle_spectrum (generic route) treat their
+  input as an arbitrary square matrix: linalg.eig's general eigensolve plus
+  its one-SVD kernel certificate.  This route stays as the independent
+  reference the structured one is tested against, and it is the only one
+  that can judge matrices without the saddle structure, such as defective
+  or rotating ones.
 """
 
 from __future__ import annotations
@@ -19,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Topology, lifted_laplacian
-from .linalg import Spectrum, as_matrix, eig, solve_least_squares
+from .linalg import RANK_RTOL, Spectrum, as_matrix, eig, solve_least_squares
 
 # Relative tolerance for the spectral verdicts.
 VERDICT_RTOL = 1e-8
@@ -50,13 +70,19 @@ class SpectralVerdict:
 
     real_ok:         max Re(lambda) < rtol * scale
     imag_ok:         max |Im(lambda)| < rtol * scale
-    nondefective_ok: the kernel certificate of linalg.eig holds, i.e.
+    nondefective_ok: the zero eigenvalue is non-defective, i.e.
                      spectrum.rank == spectrum.rank_squared
 
-    scale is 1 + ||M||_2 = 1 + spectrum.sigma_max, so the first two
-    assertions are relative to the matrix size.  to_dict() also reports the
-    certificate's kernel_gap, kernel_margin and kernel_bound, so a verdict
-    that sits near a cutoff shows.
+    The first two assertions are relative to the matrix size.  On the
+    generic route (spectrum_verdict, check_saddle_spectrum) scale is
+    1 + ||M||_2 = 1 + spectrum.sigma_max, nondefective_ok is linalg.eig's
+    kernel certificate, to_dict() reports its kernel_gap, kernel_margin and
+    kernel_bound so a verdict near a cutoff shows, and structure_residual is
+    None.  On the structured route (check_drift_spectrum) scale is 1 + rho
+    with rho the spectral radius, nondefective_ok follows from the checked
+    structure, the four kernel fields are None because that route does not
+    compute them, and structure_residual is the largest block-identity
+    residual relative to its tolerance (at most 1, or the check raises).
     """
 
     spectrum: Spectrum
@@ -66,6 +92,7 @@ class SpectralVerdict:
     real_ok: bool
     imag_ok: bool
     nondefective_ok: bool
+    structure_residual: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -82,6 +109,7 @@ class SpectralVerdict:
             "kernel_gap": self.spectrum.kernel_gap,
             "kernel_margin": self.spectrum.kernel_margin,
             "kernel_bound": self.spectrum.kernel_bound,
+            "structure_residual": self.structure_residual,
             "scale": self.scale,
             "max_real": self.max_real,
             "max_imag": self.max_imag,
@@ -230,15 +258,102 @@ def assemble_compact(part, topo: Topology) -> CompactSystem:
     )
 
 
-def check_drift_spectrum(cs: CompactSystem, rtol: float = VERDICT_RTOL) -> SpectralVerdict:
-    """Certify the drift matrix after re-validating its Laplacian blocks.
+def _max_abs(m: np.ndarray) -> float:
+    """Largest absolute entry of a non-empty m, without an |m|-sized temporary."""
+    return float(max(m.max(), -m.min()))
 
-    A corrupted (non-symmetric or indefinite) Laplacian raises instead of
-    producing a misleading verdict.
+
+def _structure_check(name: str, residual: float, tol: float) -> float:
+    """residual / tol, or ValueError naming the check when it fails."""
+    if not residual <= tol:
+        raise ValueError(
+            f"drift matrix fails the saddle structure check {name}: "
+            f"residual {residual:.3e} > tolerance {tol:.3e}"
+        )
+    return residual / tol
+
+
+def _structured_verdict(q: np.ndarray, dim_x: int, rtol: float) -> SpectralVerdict:
+    """The verdict on Q = [[Q11, Q12], [Q21, Q22]] from its saddle structure.
+
+    Checks Q22 = -D with D symmetric PSD, Q12 = -Q21.T Q22 and
+    P = -(Q11 + Q21.T Q21) symmetric PSD, all relative to PSD_RTOL, then
+    takes the eigenvalues of Q as those of S (see the module docstring) plus
+    one zero per kernel vector of D.  Only the lower triangle of S is built,
+    in one zeroed buffer, since eigvalsh reads nothing else.
+    """
+    q11, q12 = q[:dim_x, :dim_x], q[:dim_x, dim_x:]
+    q21, q22 = q[dim_x:, :dim_x], q[dim_x:, dim_x:]
+    scale22 = 1.0 + _max_abs(q22)
+    sym22 = _structure_check("Q22 symmetric", _max_abs(q22 - q22.T), PSD_RTOL * scale22)
+    coupling = q21.T @ q22
+    coupling += q12
+    coupled = _structure_check(
+        "Q12 = -Q21.T Q22",
+        _max_abs(coupling),
+        PSD_RTOL * (1.0 + _max_abs(q21)) * scale22,
+    )
+    del coupling
+    p = q21.T @ q21
+    p += q11
+    p *= -1.0
+    sym_p = _structure_check(
+        "P = -(Q11 + Q21.T Q21) symmetric", _max_abs(p - p.T), PSD_RTOL * (1.0 + _max_abs(q11))
+    )
+    low_p = float(np.linalg.eigvalsh(p)[0])
+    _structure_check("P positive semi-definite", -low_p, PSD_RTOL * (1.0 + _max_abs(p)))
+    del p
+    lam, u = np.linalg.eigh(q22)
+    lam = -lam  # the eigenvalues of D = -Q22, in descending order
+    _structure_check("D = -Q22 positive semi-definite", -float(lam[-1]), PSD_RTOL * scale22)
+    kept = int(np.count_nonzero(lam > RANK_RTOL * max(float(lam[0]), 0.0)))
+    s = np.zeros((dim_x + kept, dim_x + kept))
+    s[:dim_x, :dim_x] = q11
+    lower = s[dim_x:, :dim_x]
+    np.matmul(u[:, :kept].T, q21, out=lower)
+    lower *= np.sqrt(lam[:kept])[:, None]
+    del u, lower
+    diag = np.arange(dim_x, dim_x + kept)
+    s[diag, diag] = -lam[:kept]
+    values = np.linalg.eigvalsh(s)
+    del s
+    rho = float(max(-values[0], values[-1]))
+    rank = int(np.count_nonzero(np.abs(values) > RANK_RTOL * rho))
+    eigenvalues = np.sort(np.concatenate([values, np.zeros(q22.shape[0] - kept)]))
+    scale = 1.0 + rho
+    max_real = float(eigenvalues[-1])
+    return SpectralVerdict(
+        spectrum=Spectrum(
+            eigenvalues=eigenvalues.astype(complex),
+            rank=rank,
+            rank_squared=rank,
+            sigma_max=None,
+            kernel_gap=None,
+            kernel_margin=None,
+            kernel_bound=None,
+        ),
+        scale=scale,
+        max_real=max_real,
+        max_imag=0.0,
+        real_ok=max_real < rtol * scale,
+        imag_ok=True,
+        nondefective_ok=True,
+        structure_residual=max(sym22, coupled, sym_p),
+    )
+
+
+def check_drift_spectrum(cs: CompactSystem, rtol: float = VERDICT_RTOL) -> SpectralVerdict:
+    """Certify the drift matrix on the structured route.
+
+    Re-validates the Laplacian blocks, then checks the saddle structure on
+    the assembled drift matrix itself (see _structured_verdict).  A
+    corrupted Laplacian or drift matrix (non-symmetric, indefinite or
+    inconsistently coupled) raises ValueError instead of producing a
+    misleading verdict.
     """
     _require_sym_psd(cs.agent_laplacian, "agent laplacian")
     _require_sym_psd(cs.cluster_laplacian, "cluster laplacian")
-    return spectrum_verdict(cs.drift_matrix, rtol)
+    return _structured_verdict(as_matrix(cs.drift_matrix), cs.dim_x, rtol)
 
 
 def equilibrium_certificate(cs: CompactSystem, part) -> tuple:
@@ -277,19 +392,3 @@ def equilibrium_certificate(cs: CompactSystem, part) -> tuple:
         )
     return x_hat, z_hat
 
-
-def kernel_offset(cs: CompactSystem, reached: np.ndarray, certificate: np.ndarray) -> np.ndarray:
-    """Difference between a settled flat state and a certificate.
-
-    Stationary points of the flow differ by kernel elements of the drift
-    matrix, so for a converged run this difference should be annihilated by
-    the drift matrix; the caller can check ||Q @ offset||.
-    """
-    reached = np.asarray(reached, dtype=float)
-    certificate = np.asarray(certificate, dtype=float)
-    if reached.shape != (cs.dim,) or certificate.shape != (cs.dim,):
-        raise ValueError(
-            f"flat states must have shape ({cs.dim},), got "
-            f"{reached.shape} and {certificate.shape}"
-        )
-    return reached - certificate

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +166,18 @@ def test_run_both_schemes_via_override(tmp_path):
         assert summary["scheme"] == scheme
         assert summary["residuals"]["overall"] < 1e-6
         assert summary["spectrum"]["passed"]
+
+
+@pytest.mark.parametrize("scheme", ["row", "column"])
+@pytest.mark.parametrize("name", ["three_cluster_5x5", "identity_pair"])
+def test_fitted_slope_matches_predicted_slope(tmp_path, name, scheme):
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
+    out = tmp_path / "artifacts"
+    assert main(["run", str(scenario), "--out", str(out), "--scheme", scheme]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    predicted = summary["predicted_slope"]
+    assert predicted < 0.0
+    assert abs(summary["slope"] - predicted) < 0.02 * abs(predicted), summary["slope"]
 
 
 def test_run_parse_errors(tmp_path, capsys):

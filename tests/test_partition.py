@@ -118,6 +118,22 @@ def test_column_reassembly_is_bit_exact(b, clusters):
     assert b_back.tobytes() == b.tobytes()
 
 
+def test_reassembly_is_computed_once_and_read_only():
+    a = np.arange(12.0).reshape(4, 3)
+    parts = [
+        partition_rows(row_instance(a, np.ones(4), [2, 2], [[1, 2], [3]])),
+        partition_columns(col_instance(a, np.ones(4), [2, 1], [[1, 3], [4]])),
+    ]
+    for part in parts:
+        a_back, b_back = part.reassemble()
+        again = part.reassemble()
+        assert again[0] is a_back and again[1] is b_back
+        assert not a_back.flags.writeable and not b_back.flags.writeable
+        assert np.array_equal(a_back, a)
+        with pytest.raises(ValueError):
+            a_back[0, 0] = 1.0
+
+
 def test_selection_cuts_own_slice_from_stacked_state():
     a = np.arange(12.0).reshape(3, 4)
     part = partition_rows(row_instance(a, np.ones(3), [3], [[2, 2]]))
