@@ -273,15 +273,22 @@ def _structure_check(name: str, residual: float, tol: float) -> float:
     return residual / tol
 
 
-def _structured_verdict(q: np.ndarray, dim_x: int, rtol: float) -> SpectralVerdict:
-    """The verdict on Q = [[Q11, Q12], [Q21, Q22]] from its saddle structure.
+def check_drift_spectrum(cs: CompactSystem, rtol: float = VERDICT_RTOL) -> SpectralVerdict:
+    """Certify the drift matrix Q on the structured route.
 
-    Checks Q22 = -D with D symmetric PSD, Q12 = -Q21.T Q22 and
-    P = -(Q11 + Q21.T Q21) symmetric PSD, all relative to PSD_RTOL, then
-    takes the eigenvalues of Q as those of S (see the module docstring) plus
-    one zero per kernel vector of D.  Only the lower triangle of S is built,
-    in one zeroed buffer, since eigvalsh reads nothing else.
+    Re-validates the Laplacian blocks, then checks on the assembled
+    Q = [[Q11, Q12], [Q21, Q22]] itself that Q22 = -D with D symmetric PSD,
+    Q12 = -Q21.T Q22 and P = -(Q11 + Q21.T Q21) symmetric PSD, all relative
+    to PSD_RTOL.  A corrupted Laplacian or drift matrix raises ValueError
+    instead of producing a misleading verdict.  The eigenvalues of Q are
+    those of S (see the module docstring) plus one zero per kernel vector of
+    D.  Only the lower triangle of S is built, in one zeroed buffer, since
+    eigvalsh reads nothing else.
     """
+    _require_sym_psd(cs.agent_laplacian, "agent laplacian")
+    _require_sym_psd(cs.cluster_laplacian, "cluster laplacian")
+    q = as_matrix(cs.drift_matrix)
+    dim_x = cs.dim_x
     q11, q12 = q[:dim_x, :dim_x], q[:dim_x, dim_x:]
     q21, q22 = q[dim_x:, :dim_x], q[dim_x:, dim_x:]
     scale22 = 1.0 + _max_abs(q22)
@@ -340,20 +347,6 @@ def _structured_verdict(q: np.ndarray, dim_x: int, rtol: float) -> SpectralVerdi
         nondefective_ok=True,
         structure_residual=max(sym22, coupled, sym_p),
     )
-
-
-def check_drift_spectrum(cs: CompactSystem, rtol: float = VERDICT_RTOL) -> SpectralVerdict:
-    """Certify the drift matrix on the structured route.
-
-    Re-validates the Laplacian blocks, then checks the saddle structure on
-    the assembled drift matrix itself (see _structured_verdict).  A
-    corrupted Laplacian or drift matrix (non-symmetric, indefinite or
-    inconsistently coupled) raises ValueError instead of producing a
-    misleading verdict.
-    """
-    _require_sym_psd(cs.agent_laplacian, "agent laplacian")
-    _require_sym_psd(cs.cluster_laplacian, "cluster laplacian")
-    return _structured_verdict(as_matrix(cs.drift_matrix), cs.dim_x, rtol)
 
 
 def equilibrium_certificate(cs: CompactSystem, part) -> tuple:
