@@ -32,11 +32,9 @@ from .dynamics import (
     NetworkState,
     ResidualReport,
     ShapeMismatchError,
-    StateDerivative,
-    agent_update_col,
-    agent_update_row,
     reassembled_solution,
     residuals,
+    sample_residuals,
     stack_state,
     unstack_state,
 )
@@ -93,11 +91,9 @@ __all__ = [
     "NetworkState",
     "ResidualReport",
     "ShapeMismatchError",
-    "StateDerivative",
-    "agent_update_col",
-    "agent_update_row",
     "reassembled_solution",
     "residuals",
+    "sample_residuals",
     "stack_state",
     "unstack_state",
     "CompactSystem",

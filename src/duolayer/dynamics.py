@@ -28,7 +28,7 @@ from functools import reduce
 import numpy as np
 
 from .graph import Topology
-from .partition import ColumnPartition, RowPartition, TopologyMismatchError
+from .partition import TopologyMismatchError
 
 
 class ShapeMismatchError(ValueError):
@@ -52,18 +52,6 @@ class NetworkState:
     def __post_init__(self):
         object.__setattr__(self, "x", _nested_arrays(self.x))
         object.__setattr__(self, "z", _nested_arrays(self.z))
-
-
-@dataclass(frozen=True)
-class StateDerivative:
-    """Time derivatives mirroring the shapes of a NetworkState."""
-
-    dx: tuple
-    dz: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "dx", _nested_arrays(self.dx))
-        object.__setattr__(self, "dz", _nested_arrays(self.dz))
 
 
 def _state_sizes(part) -> tuple:
@@ -151,13 +139,6 @@ def unstack_state(part, y: np.ndarray, time: float = 0.0) -> NetworkState:
     x = [[y[sl].copy() for sl in row] for row in x_slices]
     z = [[y[sl].copy() for sl in row] for row in z_slices]
     return NetworkState(x=x, z=z, time=time)
-
-
-def _unstack_derivative(part, dy: np.ndarray) -> StateDerivative:
-    x_slices, z_slices, _, _ = flat_slices(part)
-    dx = [[dy[sl].copy() for sl in row] for row in x_slices]
-    dz = [[dy[sl].copy() for sl in row] for row in z_slices]
-    return StateDerivative(dx=dx, dz=dz)
 
 
 def _check_counts(part, topo: Topology) -> None:
@@ -280,24 +261,6 @@ class DerivativePlan:
         return self.matrix @ y + self.shift
 
 
-def agent_update_row(part: RowPartition, topo: Topology, s: NetworkState) -> StateDerivative:
-    """One derivative evaluation of the row-scheme update law."""
-    if part.scheme != "row":
-        raise ShapeMismatchError("agent_update_row needs a row partition")
-    check_state_shapes(part, s)
-    plan = DerivativePlan(part, topo)
-    return _unstack_derivative(part, plan.evaluate(stack_state(part, s)))
-
-
-def agent_update_col(part: ColumnPartition, topo: Topology, s: NetworkState) -> StateDerivative:
-    """One derivative evaluation of the column-scheme update law."""
-    if part.scheme != "column":
-        raise ShapeMismatchError("agent_update_col needs a column partition")
-    check_state_shapes(part, s)
-    plan = DerivativePlan(part, topo)
-    return _unstack_derivative(part, plan.evaluate(stack_state(part, s)))
-
-
 def reassembled_solution(part, state: NetworkState) -> np.ndarray:
     """Collapse per-agent states into one n-vector.
 
@@ -323,7 +286,8 @@ class ResidualReport:
     consensus holds the pairwise distances between clusters' stacked states.
     Column scheme: consensus[i] = max pairwise distance inside cluster i;
     conservation is the single norm ||sum_i (A_i xbar_i - b_i)|| built from
-    cluster agent-averages.  overall = ||A x - b|| for the reassembled x.
+    cluster agent-averages, which is the same quantity as overall.
+    overall = ||A x - b|| for the reassembled x.
     """
 
     scheme: str
@@ -340,50 +304,64 @@ class ResidualReport:
         return max(self.consensus) if self.consensus else 0.0
 
 
-def residuals(part, topo: Topology, s: NetworkState) -> ResidualReport:
-    """Conservation, consensus, and overall residual norms of a state."""
-    _check_counts(part, topo)
-    check_state_shapes(part, s)
+def sample_residuals(part, ys: np.ndarray) -> tuple:
+    """Residual norms of a block of stacked [x; z] states, one row each.
+
+    ys has shape (S, dim).  Returns (conservation, consensus, overall) with
+    shapes (S, k), (S, p) and (S,), in the order ResidualReport lists them:
+    row scheme k = clusters and p = cluster pairs (i < l, row-major); column
+    scheme k = 1 and p = clusters.  Under the column scheme conservation is
+    ||A xbar - b|| for the concatenated agent-averages xbar, which is the
+    same quantity as overall, so its single column is overall itself.
+    """
+    ys = np.asarray(ys, dtype=float)
+    _, _, dim_x, dim = flat_slices(part)
+    if ys.ndim != 2 or ys.shape[1] != dim:
+        raise ShapeMismatchError(f"stacked states have shape {ys.shape}, expected (S, {dim})")
+    count = ys.shape[0]
+    xs = ys[:, :dim_x]
     a_full, b_full = part.reassemble()
-    solution = reassembled_solution(part, s)
-    overall = float(np.linalg.norm(a_full @ solution - b_full))
     if part.scheme == "row":
-        conservation = []
-        for i in range(part.cluster_count):
-            terms = [
-                part.blocks[i][j] @ s.x[i][j] - part.offsets[i][j]
-                for j in range(part.agent_counts[i])
-            ]
-            conservation.append(float(np.linalg.norm(reduce(np.add, terms))))
-        stacked = [np.concatenate(s.x[i]) for i in range(part.cluster_count)]
-        consensus = [
-            float(np.linalg.norm(stacked[i] - stacked[k]))
-            for i in range(len(stacked))
-            for k in range(i + 1, len(stacked))
-        ]
-        return ResidualReport(
-            scheme="row",
-            conservation=tuple(conservation),
-            consensus=tuple(consensus),
-            overall=overall,
-        )
-    consensus = []
-    for i in range(part.cluster_count):
-        pair = [
-            float(np.linalg.norm(s.x[i][j] - s.x[i][k]))
-            for j in range(part.agent_counts[i])
-            for k in range(j + 1, part.agent_counts[i])
-        ]
-        consensus.append(max(pair) if pair else 0.0)
-    terms = []
-    for i in range(part.cluster_count):
-        a_i = np.vstack(part.blocks[i])
-        mean_i = reduce(np.add, s.x[i]) / part.agent_counts[i]
-        terms.append(a_i @ mean_i - part.cluster_share(i))
-    conservation = (float(np.linalg.norm(reduce(np.add, terms))),)
+        clusters = part.cluster_count
+        xc = xs.reshape(count, clusters, part.total_cols)
+        bounds = np.cumsum((0,) + part.cluster_rows)
+        conservation = np.empty((count, clusters))
+        # b_full's band i is reduce(np.add, part.offsets[i]), bit for bit
+        for i in range(clusters):
+            lo, hi = bounds[i], bounds[i + 1]
+            band = xc[:, i] @ a_full[lo:hi].T - b_full[lo:hi]
+            conservation[:, i] = np.linalg.norm(band, axis=1)
+        first, second = np.triu_indices(clusters, 1)
+        consensus = np.linalg.norm(xc[:, first] - xc[:, second], axis=2)
+        solution = xc.sum(axis=1) / clusters
+        overall = np.linalg.norm(solution @ a_full.T - b_full, axis=1)
+        return conservation, consensus, overall
+    means = []
+    consensus = np.empty((count, part.cluster_count))
+    pos = 0
+    for i, (n_i, agents) in enumerate(zip(part.cluster_cols, part.agent_counts)):
+        xi = xs[:, pos : pos + agents * n_i].reshape(count, agents, n_i)
+        pos += agents * n_i
+        first, second = np.triu_indices(agents, 1)
+        gaps = np.linalg.norm(xi[:, first] - xi[:, second], axis=2)
+        consensus[:, i] = np.max(gaps, axis=1, initial=0.0)
+        means.append(xi.sum(axis=1) / agents)
+    solution = np.concatenate(means, axis=1)
+    overall = np.linalg.norm(solution @ a_full.T - b_full, axis=1)
+    return overall[:, None], consensus, overall
+
+
+def residuals(part, topo: Topology, s: NetworkState) -> ResidualReport:
+    """Conservation, consensus, and overall residual norms of a state.
+
+    One sample_residuals row; under the column scheme the single
+    conservation entry equals overall.
+    """
+    _check_counts(part, topo)
+    conservation, consensus, overall = sample_residuals(part, stack_state(part, s)[None])
     return ResidualReport(
-        scheme="column",
-        conservation=conservation,
-        consensus=tuple(consensus),
-        overall=overall,
+        scheme=part.scheme,
+        conservation=tuple(conservation[0].tolist()),
+        consensus=tuple(consensus[0].tolist()),
+        overall=float(overall[0]),
     )

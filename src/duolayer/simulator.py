@@ -3,6 +3,10 @@
 The integrator propagates exclusively through the per-agent update law (one
 DerivativePlan built once per run); the independently assembled drift form
 is never consulted, so trajectories exercise the agent-level code path.
+Recorded samples are copied from the flat [x; z] state into a buffer of
+RECORD_BATCH rows and evaluated a batch at a time (V by one einsum, the
+residuals by one sample_residuals call), so recording never unstacks a
+state and its memory stays bounded by the buffer, whatever the run length.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .dynamics import (
     NetworkState,
     ResidualReport,
     flat_slices,
-    residuals,
+    sample_residuals,
     stack_state,
     unstack_state,
 )
@@ -26,6 +30,9 @@ from .linalg import as_vector, solve_least_squares
 
 # Samples with V below this floor are excluded from rate fitting.
 V_FLOOR = 1e-14
+# Recorded samples evaluated together; bounds the recording buffer to
+# RECORD_BATCH flat states.
+RECORD_BATCH = 64
 
 
 class NonFiniteStateError(RuntimeError):
@@ -124,32 +131,36 @@ def random_state(part, rng: np.random.Generator, amplitude: float = 1.0) -> Netw
     return unstack_state(part, rng.uniform(-amplitude, amplitude, size=dim))
 
 
-def closeness_metric(s: NetworkState, x_star, part) -> float:
-    """Half squared distance of the solution states to a reference solution.
+def _tiled_reference(part, x_star) -> np.ndarray:
+    """x_star laid out like the x block of the flat state.
 
-    Row scheme: sums over the clusters' stacked states against the full
-    x_star.  Column scheme: sums over every agent against its cluster's slice
-    of x_star.
+    Row scheme: one copy of x_star per cluster.  Column scheme: each
+    cluster's slice of x_star, once per agent of that cluster.
     """
     x_star = as_vector(x_star)
     if x_star.shape[0] != part.total_cols:
         raise ValueError(
             f"reference has {x_star.shape[0]} entries, expected {part.total_cols}"
         )
-    total = 0.0
     if part.scheme == "row":
-        for i in range(part.cluster_count):
-            diff = np.concatenate(s.x[i]) - x_star
-            total += float(diff @ diff)
-    else:
-        start = 0
-        for i, n_i in enumerate(part.cluster_cols):
-            ref = x_star[start : start + n_i]
-            start += n_i
-            for x_ij in s.x[i]:
-                diff = x_ij - ref
-                total += float(diff @ diff)
-    return 0.5 * total
+        return np.tile(x_star, part.cluster_count)
+    pieces, start = [], 0
+    for n_i, agents in zip(part.cluster_cols, part.agent_counts):
+        pieces.append(np.tile(x_star[start : start + n_i], agents))
+        start += n_i
+    return np.concatenate(pieces)
+
+
+def closeness_metric(s: NetworkState, x_star, part) -> float:
+    """Half squared distance of the solution states to a reference solution.
+
+    Row scheme: sums over the clusters' stacked states against the full
+    x_star.  Column scheme: sums over every agent against its cluster's slice
+    of x_star.  Both are 0.5 * ||x - tiled x_star||^2 over the x block.
+    """
+    tiled = _tiled_reference(part, x_star)
+    diff = stack_state(part, s)[: tiled.shape[0]] - tiled
+    return 0.5 * float(diff @ diff)
 
 
 def _step_from_matrix(matrix: np.ndarray) -> float:
@@ -178,7 +189,10 @@ def integrate(
     Stops at max_time or as soon as the derivative max-norm falls below
     stationarity_tol.  V is measured against x_reference when given, else
     against the minimum-norm least-squares solution of the reassembled
-    system.
+    system.  Samples are evaluated from the flat state in batches of
+    RECORD_BATCH, so recording memory stays bounded; a non-finite V raises
+    NonFiniteStateError with the time of the first such sample, also when
+    the state itself overflows later in the same batch.
     """
     plan = DerivativePlan(part, topo)
     h = cfg.step_size if cfg.step_size is not None else _step_from_matrix(plan.matrix)
@@ -194,23 +208,43 @@ def integrate(
         ref = solve_least_squares(*part.reassemble())
     else:
         ref = as_vector(x_reference)
+    tiled = _tiled_reference(part, ref)
+    dim_x = tiled.shape[0]
 
     y = stack_state(part, state0)
     samples = []
+    pending = np.empty((RECORD_BATCH, plan.dim))
+    times = []
+
+    def flush() -> None:
+        block = pending[: len(times)]
+        diff = block[:, :dim_x] - tiled
+        vs = 0.5 * np.einsum("ij,ij->i", diff, diff)
+        finite = np.isfinite(vs)
+        if not finite.all():
+            raise NonFiniteStateError(times[int(np.argmin(finite))])
+        conservation, consensus, overall = sample_residuals(part, block)
+        for k, t_k in enumerate(times):
+            samples.append(
+                TrajectorySample(
+                    time=t_k,
+                    v=float(vs[k]),
+                    residuals=ResidualReport(
+                        scheme=part.scheme,
+                        conservation=tuple(conservation[k].tolist()),
+                        consensus=tuple(consensus[k].tolist()),
+                        overall=float(overall[k]),
+                    ),
+                    state=unstack_state(part, block[k], time=t_k) if cfg.record_states else None,
+                )
+            )
+        times.clear()
 
     def record(t: float, vec: np.ndarray) -> None:
-        snap = unstack_state(part, vec, time=t)
-        v = closeness_metric(snap, ref, part)
-        if not math.isfinite(v):
-            raise NonFiniteStateError(t)
-        samples.append(
-            TrajectorySample(
-                time=t,
-                v=v,
-                residuals=residuals(part, topo, snap),
-                state=snap if cfg.record_states else None,
-            )
-        )
+        pending[len(times)] = vec
+        times.append(t)
+        if len(times) == RECORD_BATCH:
+            flush()
 
     t = 0.0
     steps = 0
@@ -234,12 +268,15 @@ def integrate(
             steps += 1
             t = steps * h
             if not np.all(np.isfinite(y)):
+                # an earlier sample's V may already have overflowed
+                flush()
                 raise NonFiniteStateError(t)
             d = plan.evaluate(y)
             if steps % cfg.record_every == 0:
                 record(t, y)
-        if not samples or samples[-1].time < t:
+        if steps % cfg.record_every:
             record(t, y)
+        flush()
     return SimResult(
         trajectory=Trajectory(tuple(samples)),
         final_state=unstack_state(part, y, time=t),

@@ -59,7 +59,14 @@ def _require_sym_psd(m: np.ndarray, name: str) -> None:
     if m.size and float(np.max(np.abs(m - m.T))) > PSD_RTOL * scale:
         raise ValueError(f"{name} is not symmetric within tolerance")
     if m.size:
-        low = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
+        sym = 0.5 * (m + m.T)
+        # Gershgorin: lambda_min >= min_i (sym_ii - sum_{j != i} |sym_ij|),
+        # which already settles diagonally dominant matrices like Laplacians
+        diag = np.diag(sym)
+        radius = np.sum(np.abs(sym), axis=1) - np.abs(diag)
+        if float(np.min(diag - radius)) >= -PSD_RTOL * scale:
+            return
+        low = float(np.linalg.eigvalsh(sym)[0])
         if low < -PSD_RTOL * scale:
             raise ValueError(f"{name} is not positive semi-definite within tolerance")
 

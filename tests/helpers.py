@@ -1,4 +1,4 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and reference oracles for the test suite.
 
 The saddle-triple generator rejects draws whose singular-value ladders have
 entries near the 1e-10 relative rank cutoff, for M (between 1e-12 and 1e-6)
@@ -7,11 +7,16 @@ unambiguous numerical rank (about 0.3% of draws are redrawn).  The M @ M
 band dates from a non-defectiveness check that compared the ranks of M and
 M @ M; it is kept so that the accepted draws, and every test seeded from
 them, stay the same.
+
+The residual and closeness oracles loop over agents and pairs one at a
+time; the package's stacked implementations are checked against them.
 """
+
+from functools import reduce
 
 import numpy as np
 
-from duolayer import SaddleBlocks
+from duolayer import ResidualReport, SaddleBlocks, reassembled_solution
 
 
 def random_orthogonal(rng, n):
@@ -53,3 +58,68 @@ def random_saddle_blocks(rng, max_dim=5):
         m = np.block([[-c.T @ c - p, c.T @ d], [c, -d]])
         if _clean_gap(m, 1e-12, 1e-6) and _clean_gap(m @ m, 1e-12, 1e-8):
             return SaddleBlocks(coupling=c, primal_damping=p, dual_damping=d)
+
+
+def oracle_residuals(part, s):
+    """ResidualReport of a NetworkState, one agent and one pair at a time."""
+    a_full, b_full = part.reassemble()
+    solution = reassembled_solution(part, s)
+    overall = float(np.linalg.norm(a_full @ solution - b_full))
+    if part.scheme == "row":
+        conservation = []
+        for i in range(part.cluster_count):
+            terms = [
+                part.blocks[i][j] @ s.x[i][j] - part.offsets[i][j]
+                for j in range(part.agent_counts[i])
+            ]
+            conservation.append(float(np.linalg.norm(reduce(np.add, terms))))
+        stacked = [np.concatenate(s.x[i]) for i in range(part.cluster_count)]
+        consensus = [
+            float(np.linalg.norm(stacked[i] - stacked[k]))
+            for i in range(len(stacked))
+            for k in range(i + 1, len(stacked))
+        ]
+        return ResidualReport(
+            scheme="row",
+            conservation=tuple(conservation),
+            consensus=tuple(consensus),
+            overall=overall,
+        )
+    consensus = []
+    for i in range(part.cluster_count):
+        pair = [
+            float(np.linalg.norm(s.x[i][j] - s.x[i][k]))
+            for j in range(part.agent_counts[i])
+            for k in range(j + 1, part.agent_counts[i])
+        ]
+        consensus.append(max(pair) if pair else 0.0)
+    terms = []
+    for i in range(part.cluster_count):
+        a_i = np.vstack(part.blocks[i])
+        mean_i = reduce(np.add, s.x[i]) / part.agent_counts[i]
+        terms.append(a_i @ mean_i - part.cluster_share(i))
+    conservation = (float(np.linalg.norm(reduce(np.add, terms))),)
+    return ResidualReport(
+        scheme="column",
+        conservation=conservation,
+        consensus=tuple(consensus),
+        overall=overall,
+    )
+
+
+def oracle_closeness(s, x_star, part):
+    """V of a NetworkState, one cluster (row) or one agent (column) at a time."""
+    total = 0.0
+    if part.scheme == "row":
+        for i in range(part.cluster_count):
+            diff = np.concatenate(s.x[i]) - x_star
+            total += float(diff @ diff)
+    else:
+        start = 0
+        for i, n_i in enumerate(part.cluster_cols):
+            ref = x_star[start : start + n_i]
+            start += n_i
+            for x_ij in s.x[i]:
+                diff = x_ij - ref
+                total += float(diff @ diff)
+    return 0.5 * total

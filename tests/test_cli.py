@@ -180,6 +180,17 @@ def test_fitted_slope_matches_predicted_slope(tmp_path, name, scheme):
     assert abs(summary["slope"] - predicted) < 0.02 * abs(predicted), summary["slope"]
 
 
+@pytest.mark.parametrize("scheme, steps", [("row", 5288), ("column", 5466)])
+def test_bundled_scenario_step_anchors(tmp_path, scheme, steps):
+    # the benchmark pins these counts; a change to them is a change in results
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "three_cluster_5x5.json"
+    out = tmp_path / "artifacts"
+    assert main(["run", str(scenario), "--out", str(out), "--scheme", scheme]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stop_reason"] == "stationary"
+    assert summary["steps"] == steps
+
+
 def test_run_parse_errors(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", str(missing)]) == EXIT_PARSE

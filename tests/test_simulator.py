@@ -26,6 +26,8 @@ from duolayer import (
     zero_state,
 )
 from duolayer.cli import random_instance
+from duolayer.simulator import RECORD_BATCH
+from helpers import oracle_closeness, oracle_residuals
 
 
 def path(n):
@@ -208,6 +210,54 @@ def test_recording_spacing_and_states():
     assert np.allclose(np.diff(times), 0.05)
     assert all(s.state is not None for s in res.trajectory.samples)
     assert all(s.residuals is not None for s in res.trajectory.samples)
+
+
+def test_batched_samples_match_oracles_on_stored_states():
+    rng = np.random.default_rng(37)
+    for scheme in ("row", "column"):
+        inst, part = random_instance(rng, scheme, 5)
+        cfg = SimConfig(
+            step_size=0.01,
+            max_time=2.65,
+            stationarity_tol=1e-300,
+            record_every=2,
+            init_mode="random",
+            record_states=True,
+        )
+        res = integrate(part, inst.topology, cfg)
+        samples = res.trajectory.samples
+        assert len(samples) > 2 * RECORD_BATCH
+        steps = list(range(0, res.steps + 1, 2))
+        if res.steps % 2:
+            steps.append(res.steps)
+        assert [s.time for s in samples] == [k * 0.01 for k in steps]
+        tol = 1e-12 * (1.0 + np.linalg.norm(inst.b))
+        for s in samples:
+            assert s.state.time == s.time
+            want = oracle_residuals(part, s.state)
+            assert np.allclose(s.residuals.conservation, want.conservation, rtol=0.0, atol=tol)
+            assert np.allclose(s.residuals.consensus, want.consensus, rtol=0.0, atol=tol)
+            assert abs(s.residuals.overall - want.overall) <= tol
+            v = oracle_closeness(s.state, res.reference, part)
+            assert abs(s.v - v) <= 1e-14 * v + 1e-300
+        assert stack_state(part, samples[-1].state).tobytes() == stack_state(
+            part, res.final_state
+        ).tobytes()
+
+
+def test_non_finite_v_reports_first_overflowing_sample():
+    part, topo = single_agent()
+    start = unstack_state(part, np.full(2, 1e200))
+    cfg = SimConfig(step_size=0.01, max_time=1.0, stationarity_tol=1e-300)
+    with pytest.raises(NonFiniteStateError) as info:
+        integrate(part, topo, cfg, initial_state=start)
+    assert info.value.time == 0.0
+    # diverging: V overflows at the t=400 sample, which is still pending in
+    # its batch when the state itself overflows at t=620
+    cfg = SimConfig(step_size=10.0, max_time=1e5, stationarity_tol=1e-300)
+    with pytest.raises(NonFiniteStateError) as info:
+        integrate(part, topo, cfg)
+    assert info.value.time == 400.0
 
 
 def test_closeness_metric_row_hand_value():

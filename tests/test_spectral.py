@@ -286,6 +286,21 @@ def test_saddle_blocks_validation():
         )
 
 
+def test_psd_check_outside_gershgorin_discs():
+    # PSD but not diagonally dominant: settled by the eigenvalue fallback
+    SaddleBlocks(
+        coupling=[[1.0, 0.0]],
+        primal_damping=[[1.0, 2.0], [2.0, 4.0]],  # eigenvalues 0 and 5
+        dual_damping=[[1.0]],
+    )
+    with pytest.raises(ValueError, match="positive semi-definite"):
+        SaddleBlocks(
+            coupling=[[1.0, 0.0]],
+            primal_damping=[[1.0, 2.0], [2.0, 1.0]],  # eigenvalues -1 and 3
+            dual_damping=[[1.0]],
+        )
+
+
 def test_random_saddle_blocks_pass_and_symmetrize():
     rng = np.random.default_rng(8)
     for _ in range(20):
