@@ -7,7 +7,7 @@ every cluster owns a band of columns, its agents agree among themselves, and
 conservation holds globally across clusters.
 """
 
-from .linalg import Spectrum, as_matrix, as_vector, eig, kron, rank, solve_least_squares
+from .linalg import Spectrum, as_matrix, as_vector, eig, solve_least_squares
 from .graph import (
     DisconnectedGraphError,
     Graph,
@@ -25,18 +25,14 @@ from .partition import (
     TopologyMismatchError,
     partition_columns,
     partition_rows,
-    selection_matrices,
 )
 from .dynamics import (
     DerivativePlan,
-    NetworkState,
     ResidualReport,
     ShapeMismatchError,
     reassembled_solution,
     residuals,
     sample_residuals,
-    stack_state,
-    unstack_state,
 )
 from .spectral import (
     CompactSystem,
@@ -56,12 +52,9 @@ from .simulator import (
     SimResult,
     Trajectory,
     TrajectorySample,
-    auto_step_size,
     closeness_metric,
     fit_convergence_rate,
     integrate,
-    random_state,
-    zero_state,
 )
 
 __all__ = [
@@ -69,8 +62,6 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "eig",
-    "kron",
-    "rank",
     "solve_least_squares",
     "DisconnectedGraphError",
     "Graph",
@@ -86,16 +77,12 @@ __all__ = [
     "TopologyMismatchError",
     "partition_columns",
     "partition_rows",
-    "selection_matrices",
     "DerivativePlan",
-    "NetworkState",
     "ResidualReport",
     "ShapeMismatchError",
     "reassembled_solution",
     "residuals",
     "sample_residuals",
-    "stack_state",
-    "unstack_state",
     "CompactSystem",
     "InconsistentSystemError",
     "SaddleBlocks",
@@ -111,12 +98,9 @@ __all__ = [
     "SimResult",
     "Trajectory",
     "TrajectorySample",
-    "auto_step_size",
     "closeness_metric",
     "fit_convergence_rate",
     "integrate",
-    "random_state",
-    "zero_state",
 ]
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import reassembled_solution, residuals
+from .dynamics import flat_slices, reassembled_solution, residuals
 from .graph import DisconnectedGraphError, Graph, Topology, build_graph
 from .partition import (
     ColumnPartition,
@@ -339,6 +339,8 @@ def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) 
     sp = verdict.spectrum
     nonzero = np.sort(np.abs(sp.eigenvalues))[sp.eigenvalues.size - sp.rank :]
     predicted_slope = -2.0 * float(nonzero[0]) if nonzero.size else None
+    y = result.final_state
+    x_slices, z_slices, _, _ = flat_slices(part)
     summary = {
         "scheme": part.scheme,
         "converged": converged,
@@ -346,7 +348,7 @@ def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) 
         "stop_reason": result.stop_reason,
         "step_size": result.step_size,
         "steps": result.steps,
-        "final_time": result.final_state.time,
+        "final_time": result.final_time,
         "residuals": {
             "conservation": list(final_rr.conservation),
             "consensus": list(final_rr.consensus),
@@ -362,8 +364,8 @@ def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) 
         "r_squared": r_squared,
         "spectrum": verdict.to_dict(),
         "final_state": {
-            "x": [[list(map(float, v)) for v in row] for row in result.final_state.x],
-            "z": [[list(map(float, v)) for v in row] for row in result.final_state.z],
+            "x": [[y[sl].tolist() for sl in row] for row in x_slices],
+            "z": [[y[sl].tolist() for sl in row] for row in z_slices],
         },
     }
     with (out_dir / "summary.json").open("w") as fh:

@@ -14,10 +14,11 @@ Column scheme, agent j of cluster i (block A_ij is m_ij x n_i):
 
 N_ij are the agent's in-cluster neighbors, N_i the cluster's neighbors, X_l /
 Z_l a neighboring cluster's stacked solution / coordination state (relayed by
-the cluster layer, never computed on).  Self-differences vanish, so the sums
-run over strict neighbors.  Every agent reads only its own block, its own
-states, in-cluster neighbor states, and the stacked states of neighboring
-clusters; nothing else can change its derivative.
+the cluster layer, never computed on), and E_ij cuts agent j's own band out
+of it.  Self-differences vanish, so the sums run over strict neighbors.
+Every agent reads only its own block, its own states, in-cluster neighbor
+states, and the stacked states of neighboring clusters; nothing else can
+change its derivative.
 """
 
 from __future__ import annotations
@@ -28,30 +29,12 @@ from functools import reduce
 import numpy as np
 
 from .graph import Topology
+from .linalg import as_vector
 from .partition import TopologyMismatchError
 
 
 class ShapeMismatchError(ValueError):
     """State shapes do not match the partition's block sizes."""
-
-
-def _nested_arrays(rows) -> tuple:
-    return tuple(
-        tuple(np.asarray(v, dtype=float) for v in row) for row in rows
-    )
-
-
-@dataclass(frozen=True)
-class NetworkState:
-    """Per-agent solution states x[i][j] and coordination states z[i][j]."""
-
-    x: tuple
-    z: tuple
-    time: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _nested_arrays(self.x))
-        object.__setattr__(self, "z", _nested_arrays(self.z))
 
 
 def _state_sizes(part) -> tuple:
@@ -69,33 +52,12 @@ def _state_sizes(part) -> tuple:
     return xs, zs
 
 
-def check_state_shapes(part, state: NetworkState) -> None:
-    xs, zs = _state_sizes(part)
-    if len(state.x) != len(xs) or len(state.z) != len(zs):
-        raise ShapeMismatchError(
-            f"state has {len(state.x)} clusters, partition has {len(xs)}"
-        )
-    for i, (xrow, zrow) in enumerate(zip(xs, zs)):
-        if len(state.x[i]) != len(xrow) or len(state.z[i]) != len(zrow):
-            raise ShapeMismatchError(f"cluster {i}: agent count mismatch")
-        for j, (nx, nz) in enumerate(zip(xrow, zrow)):
-            if state.x[i][j].shape != (nx,):
-                raise ShapeMismatchError(
-                    f"agent ({i},{j}): x has shape {state.x[i][j].shape}, "
-                    f"expected ({nx},)"
-                )
-            if state.z[i][j].shape != (nz,):
-                raise ShapeMismatchError(
-                    f"agent ({i},{j}): z has shape {state.z[i][j].shape}, "
-                    f"expected ({nz},)"
-                )
-
-
 def flat_slices(part) -> tuple:
-    """Slices of the stacked vector [x; z] for every agent, plus dimensions.
+    """Slices of the flat state [x; z] for every agent, plus dimensions.
 
-    The x block stacks clusters in order, agents in order within a cluster;
-    the z block repeats that order.  This matches the stacked drift form.
+    The flat vector is the package's one state representation.  The x block
+    stacks clusters in order, agents in order within a cluster; the z block
+    repeats that order.  This matches the stacked drift form.
     """
     xs, zs = _state_sizes(part)
     x_slices, pos = [], 0
@@ -116,29 +78,36 @@ def flat_slices(part) -> tuple:
     return tuple(x_slices), tuple(z_slices), dim_x, pos
 
 
-def stack_state(part, state: NetworkState) -> np.ndarray:
-    """Stack a NetworkState into the flat [x; z] layout."""
-    check_state_shapes(part, state)
-    x_slices, z_slices, _, dim = flat_slices(part)
-    y = np.empty(dim)
-    for i, row in enumerate(x_slices):
-        for j, sl in enumerate(row):
-            y[sl] = state.x[i][j]
-    for i, row in enumerate(z_slices):
-        for j, sl in enumerate(row):
-            y[sl] = state.z[i][j]
+def as_flat_state(part, y) -> np.ndarray:
+    """y as a float (dim,) flat [x; z] state of the partition.
+
+    Raises ShapeMismatchError for any other shape.
+    """
+    y = np.asarray(y, dtype=float)
+    dim = part.x_dim + part.z_dim
+    if y.shape != (dim,):
+        raise ShapeMismatchError(f"flat state has shape {y.shape}, expected ({dim},)")
     return y
 
 
-def unstack_state(part, y: np.ndarray, time: float = 0.0) -> NetworkState:
-    """Rebuild a NetworkState from the flat [x; z] layout."""
-    x_slices, z_slices, _, dim = flat_slices(part)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (dim,):
-        raise ShapeMismatchError(f"flat state has shape {y.shape}, expected ({dim},)")
-    x = [[y[sl].copy() for sl in row] for row in x_slices]
-    z = [[y[sl].copy() for sl in row] for row in z_slices]
-    return NetworkState(x=x, z=z, time=time)
+def tiled_reference(part, x_star) -> np.ndarray:
+    """x_star laid out like the x block of the flat state.
+
+    Row scheme: one copy of x_star per cluster.  Column scheme: each
+    cluster's slice of x_star, once per agent of that cluster.
+    """
+    x_star = as_vector(x_star)
+    if x_star.shape[0] != part.total_cols:
+        raise ValueError(
+            f"reference has {x_star.shape[0]} entries, expected {part.total_cols}"
+        )
+    if part.scheme == "row":
+        return np.tile(x_star, part.cluster_count)
+    pieces, start = [], 0
+    for n_i, agents in zip(part.cluster_cols, part.agent_counts):
+        pieces.append(np.tile(x_star[start : start + n_i], agents))
+        start += n_i
+    return np.concatenate(pieces)
 
 
 def _check_counts(part, topo: Topology) -> None:
@@ -261,26 +230,25 @@ class DerivativePlan:
         return self.matrix @ y + self.shift
 
 
-def reassembled_solution(part, state: NetworkState) -> np.ndarray:
-    """Collapse per-agent states into one n-vector.
+def reassembled_solution(part, y) -> np.ndarray:
+    """Collapse the flat state y into one n-vector.
 
     Row scheme: average of the clusters' stacked solution states.  Column
-    scheme: concatenation of each cluster's agent-average.
+    scheme: concatenation of each cluster's agent-average.  Both sum left to
+    right, one cluster or agent at a time.
     """
-    check_state_shapes(part, state)
+    y = as_flat_state(part, y)
+    x_slices, _, dim_x, _ = flat_slices(part)
     if part.scheme == "row":
-        stacked = [np.concatenate(state.x[i]) for i in range(part.cluster_count)]
+        stacked = y[:dim_x].reshape(part.cluster_count, part.total_cols)
         return reduce(np.add, stacked) / part.cluster_count
-    means = [
-        reduce(np.add, state.x[i]) / len(state.x[i])
-        for i in range(part.cluster_count)
-    ]
+    means = [reduce(np.add, [y[sl] for sl in row]) / len(row) for row in x_slices]
     return np.concatenate(means)
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Constraint residuals of one network state.
+    """Constraint residuals of one flat state.
 
     Row scheme: conservation[i] = ||sum_j (A_ij x_ij - b_ij)|| per cluster;
     consensus holds the pairwise distances between clusters' stacked states.
@@ -351,14 +319,14 @@ def sample_residuals(part, ys: np.ndarray) -> tuple:
     return overall[:, None], consensus, overall
 
 
-def residuals(part, topo: Topology, s: NetworkState) -> ResidualReport:
-    """Conservation, consensus, and overall residual norms of a state.
+def residuals(part, topo: Topology, y) -> ResidualReport:
+    """Conservation, consensus, and overall residual norms of the flat state y.
 
     One sample_residuals row; under the column scheme the single
     conservation entry equals overall.
     """
     _check_counts(part, topo)
-    conservation, consensus, overall = sample_residuals(part, stack_state(part, s)[None])
+    conservation, consensus, overall = sample_residuals(part, as_flat_state(part, y)[None])
     return ResidualReport(
         scheme=part.scheme,
         conservation=tuple(conservation[0].tolist()),

@@ -8,10 +8,9 @@ may assume it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-
-from .linalg import kron
 
 
 class DisconnectedGraphError(ValueError):
@@ -41,8 +40,17 @@ class Graph:
                 "edges is not connected"
             )
 
+    @cached_property
+    def _adjacency(self) -> tuple:
+        """Sorted strict neighbors of every node, built once."""
+        adj = [[] for _ in range(self.node_count)]
+        for a, b in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+
     def _connected(self) -> bool:
-        adj = self.adjacency_lists()
+        adj = self._adjacency
         seen = {0}
         frontier = [0]
         while frontier:
@@ -55,18 +63,11 @@ class Graph:
             frontier = nxt
         return len(seen) == self.node_count
 
-    def adjacency_lists(self) -> list:
-        adj = [[] for _ in range(self.node_count)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return [sorted(nbrs) for nbrs in adj]
-
     def adjacent(self, i: int) -> tuple:
         """Strict neighbors of node i, sorted."""
         if not 0 <= i < self.node_count:
             raise ValueError(f"node {i} out of range")
-        return tuple(self.adjacency_lists()[i])
+        return self._adjacency[i]
 
     def neighborhood(self, i: int) -> tuple:
         """Neighbors of node i including i itself, sorted."""
@@ -106,7 +107,7 @@ def lifted_laplacian(g: Graph, block_dim: int) -> np.ndarray:
     """Laplacian acting blockwise on stacked block_dim-vectors: L (x) I."""
     if block_dim < 1:
         raise ValueError("block_dim must be >= 1")
-    return kron(laplacian(g), np.eye(block_dim))
+    return np.kron(laplacian(g), np.eye(block_dim))
 
 
 @dataclass(frozen=True)

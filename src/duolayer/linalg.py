@@ -44,24 +44,11 @@ def as_vector(values) -> np.ndarray:
     return v
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def _count_above(sigma: np.ndarray, rtol: float) -> int:
     """Singular values (in descending order) above rtol * sigma_max."""
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigma > rtol * sigma[0]))
-
-
-def rank(m, rtol: float = RANK_RTOL) -> int:
-    """Numerical rank: singular values above rtol * sigma_max."""
-    m = as_matrix(m)
-    if m.size == 0:
-        return 0
-    return _count_above(np.linalg.svd(m, compute_uv=False), rtol)
 
 
 @dataclass(frozen=True)

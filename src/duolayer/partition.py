@@ -7,9 +7,9 @@ the "column" scheme cluster i owns a band of columns and its agents split the
 rows, so every agent holds an (m_ij x n_i) block and the offset rows that go
 with it; the cluster-level shares satisfy sum_i b_i = b.
 
-Selection matrices are contiguous identity bands: stacking a cluster's
-selections restores the identity, which is what lets an agent cut its own
-slice out of a neighboring cluster's stacked state.
+Agent blocks cover contiguous column (row scheme) or row (column scheme)
+ranges in order, so an agent's slice of a neighboring cluster's stacked
+state is the same contiguous range.
 """
 
 from __future__ import annotations
@@ -88,28 +88,6 @@ class ProblemInstance:
             )
 
 
-def selection_matrices(sizes, total: int) -> list:
-    """Contiguous row bands of I_total, one band per entry of sizes.
-
-    Stacking the returned matrices reproduces the identity, and
-    sum_j E_j.T @ E_j = I_total.
-    """
-    sizes = [int(s) for s in sizes]
-    if any(s < 1 for s in sizes):
-        raise LayoutMismatchError("selection sizes must be >= 1")
-    if sum(sizes) != total:
-        raise LayoutMismatchError(
-            f"selection sizes {sizes} sum to {sum(sizes)}, expected {total}"
-        )
-    eye = np.eye(total)
-    out = []
-    start = 0
-    for s in sizes:
-        out.append(eye[start : start + s].copy())
-        start += s
-    return out
-
-
 def _equal_shares(v: np.ndarray, parts: int) -> list:
     """Split v into `parts` near-equal shares that sum back to v bit-exactly.
 
@@ -158,7 +136,6 @@ class RowPartition:
     agent_cols: tuple  # n_ij, one tuple per cluster
     blocks: tuple  # A_ij with shape (m_i, n_ij)
     offsets: tuple  # b_ij with shape (m_i,)
-    selections: tuple  # E_ij with shape (n_ij, n)
 
     scheme = "row"
 
@@ -209,7 +186,6 @@ class ColumnPartition:
     agent_rows: tuple  # m_ij, one tuple per cluster
     blocks: tuple  # A_ij with shape (m_ij, n_i)
     offsets: tuple  # b_ij with shape (m_ij,)
-    selections: tuple  # E_ij with shape (m_ij, m)
 
     scheme = "column"
 
@@ -280,25 +256,25 @@ def partition_rows(inst: ProblemInstance, b_offsets=None) -> RowPartition:
     if b_offsets is not None and len(b_offsets) != len(layout.cluster_sizes):
         raise LayoutMismatchError("b_offsets must list one entry per cluster")
 
-    blocks, offsets, selections = [], [], []
+    blocks, offsets = [], []
     row_start = 0
     for i, m_i in enumerate(layout.cluster_sizes):
         a_i = inst.a[row_start : row_start + m_i]
         b_i = inst.b[row_start : row_start + m_i]
         row_start += m_i
-        sel_i = selection_matrices(layout.agent_sizes[i], n)
+        agents = len(layout.agent_sizes[i])
         col_start = 0
         blk_i = []
         for n_ij in layout.agent_sizes[i]:
             blk_i.append(a_i[:, col_start : col_start + n_ij].copy())
             col_start += n_ij
         if b_offsets is None:
-            off_i = _equal_shares(b_i, len(sel_i))
+            off_i = _equal_shares(b_i, agents)
         else:
             given = [as_vector(v) for v in b_offsets[i]]
-            if len(given) != len(sel_i):
+            if len(given) != agents:
                 raise LayoutMismatchError(
-                    f"cluster {i}: {len(given)} offsets for {len(sel_i)} agents"
+                    f"cluster {i}: {len(given)} offsets for {agents} agents"
                 )
             for j, v in enumerate(given):
                 if v.shape[0] != m_i:
@@ -313,13 +289,11 @@ def partition_rows(inst: ProblemInstance, b_offsets=None) -> RowPartition:
             off_i = given
         blocks.append(tuple(blk_i))
         offsets.append(tuple(off_i))
-        selections.append(tuple(sel_i))
     return RowPartition(
         cluster_rows=layout.cluster_sizes,
         agent_cols=layout.agent_sizes,
         blocks=tuple(blocks),
         offsets=tuple(offsets),
-        selections=tuple(selections),
     )
 
 
@@ -362,12 +336,11 @@ def partition_columns(inst: ProblemInstance, b_offsets=None) -> ColumnPartition:
         if not _offset_sum_ok(reduce(np.add, shares), inst.b):
             raise LayoutMismatchError("cluster shares do not sum to b")
 
-    blocks, offsets, selections = [], [], []
+    blocks, offsets = [], []
     col_start = 0
     for i, n_i in enumerate(layout.cluster_sizes):
         a_i = inst.a[:, col_start : col_start + n_i]
         col_start += n_i
-        sel_i = selection_matrices(layout.agent_sizes[i], m)
         row_start = 0
         blk_i, off_i = [], []
         for m_ij in layout.agent_sizes[i]:
@@ -376,11 +349,9 @@ def partition_columns(inst: ProblemInstance, b_offsets=None) -> ColumnPartition:
             row_start += m_ij
         blocks.append(tuple(blk_i))
         offsets.append(tuple(off_i))
-        selections.append(tuple(sel_i))
     return ColumnPartition(
         cluster_cols=layout.cluster_sizes,
         agent_rows=layout.agent_sizes,
         blocks=tuple(blocks),
         offsets=tuple(offsets),
-        selections=tuple(selections),
     )

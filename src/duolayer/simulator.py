@@ -3,10 +3,12 @@
 The integrator propagates exclusively through the per-agent update law (one
 DerivativePlan built once per run); the independently assembled drift form
 is never consulted, so trajectories exercise the agent-level code path.
-Recorded samples are copied from the flat [x; z] state into a buffer of
+States, the initial and the final one included, are flat [x; z] vectors laid
+out by dynamics.flat_slices.  Recorded samples are copied into a buffer of
 RECORD_BATCH rows and evaluated a batch at a time (V by one einsum, the
-residuals by one sample_residuals call), so recording never unstacks a
-state and its memory stays bounded by the buffer, whatever the run length.
+residuals by one sample_residuals call), so recording memory stays bounded
+by the buffer, whatever the run length; samples keep V and the residuals,
+not the state.
 """
 
 from __future__ import annotations
@@ -18,12 +20,10 @@ import numpy as np
 
 from .dynamics import (
     DerivativePlan,
-    NetworkState,
     ResidualReport,
-    flat_slices,
+    as_flat_state,
     sample_residuals,
-    stack_state,
-    unstack_state,
+    tiled_reference,
 )
 from .graph import Topology
 from .linalg import as_vector, solve_least_squares
@@ -54,6 +54,8 @@ class SimConfig:
     step_size None means auto: h = 0.9 * 2 / rho with rho a Gershgorin bound
     on the drift spectral radius, capped at 0.1.  init_mode is "zeros" or
     "random" (uniform in [-amplitude, amplitude], seeded by rng_seed).
+    record_every and rng_seed must be integers, rng_seed >= 0; no field
+    accepts a bool.
     """
 
     step_size: float | None = None
@@ -63,9 +65,15 @@ class SimConfig:
     rng_seed: int = 0
     init_mode: str = "zeros"
     init_amplitude: float = 1.0
-    record_states: bool = False
 
     def __post_init__(self):
+        for name in ("step_size", "max_time", "stationarity_tol", "init_amplitude"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise TypeError(f"{name} must be a number, not a bool")
+        for name in ("record_every", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer")
         if self.step_size is not None and not self.step_size > 0:
             raise ValueError("step_size must be positive or None for auto")
         if not self.max_time > 0:
@@ -74,6 +82,8 @@ class SimConfig:
             raise ValueError("stationarity_tol must be positive")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         if self.init_mode not in ("zeros", "random"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
         if not self.init_amplitude >= 0:
@@ -85,7 +95,6 @@ class TrajectorySample:
     time: float
     v: float
     residuals: ResidualReport | None = None
-    state: NetworkState | None = None
 
 
 @dataclass(frozen=True)
@@ -112,54 +121,24 @@ class Trajectory:
 @dataclass(frozen=True)
 class SimResult:
     trajectory: Trajectory
-    final_state: NetworkState
+    final_state: np.ndarray  # flat [x; z]
+    final_time: float  # steps * step_size
     step_size: float
     stop_reason: str  # "stationary" | "max_time"
     steps: int
     reference: np.ndarray  # solution V was measured against
 
 
-def zero_state(part) -> NetworkState:
-    """All-zeros state matching the partition's shapes."""
-    _, _, _, dim = flat_slices(part)
-    return unstack_state(part, np.zeros(dim))
-
-
-def random_state(part, rng: np.random.Generator, amplitude: float = 1.0) -> NetworkState:
-    """Uniform [-amplitude, amplitude] state matching the partition's shapes."""
-    _, _, _, dim = flat_slices(part)
-    return unstack_state(part, rng.uniform(-amplitude, amplitude, size=dim))
-
-
-def _tiled_reference(part, x_star) -> np.ndarray:
-    """x_star laid out like the x block of the flat state.
-
-    Row scheme: one copy of x_star per cluster.  Column scheme: each
-    cluster's slice of x_star, once per agent of that cluster.
-    """
-    x_star = as_vector(x_star)
-    if x_star.shape[0] != part.total_cols:
-        raise ValueError(
-            f"reference has {x_star.shape[0]} entries, expected {part.total_cols}"
-        )
-    if part.scheme == "row":
-        return np.tile(x_star, part.cluster_count)
-    pieces, start = [], 0
-    for n_i, agents in zip(part.cluster_cols, part.agent_counts):
-        pieces.append(np.tile(x_star[start : start + n_i], agents))
-        start += n_i
-    return np.concatenate(pieces)
-
-
-def closeness_metric(s: NetworkState, x_star, part) -> float:
-    """Half squared distance of the solution states to a reference solution.
+def closeness_metric(y, x_star, part) -> float:
+    """Half squared distance of the flat state's solution states to a
+    reference solution.
 
     Row scheme: sums over the clusters' stacked states against the full
     x_star.  Column scheme: sums over every agent against its cluster's slice
     of x_star.  Both are 0.5 * ||x - tiled x_star||^2 over the x block.
     """
-    tiled = _tiled_reference(part, x_star)
-    diff = stack_state(part, s)[: tiled.shape[0]] - tiled
+    tiled = tiled_reference(part, x_star)
+    diff = as_flat_state(part, y)[: tiled.shape[0]] - tiled
     return 0.5 * float(diff @ diff)
 
 
@@ -170,48 +149,42 @@ def _step_from_matrix(matrix: np.ndarray) -> float:
     return min(0.9 * 2.0 / rho, 0.1)
 
 
-def auto_step_size(part, topo: Topology) -> float:
-    """h = 0.9 * 2 / rho, rho = Gershgorin bound on the flow's spectral radius,
-    capped at 0.1."""
-    return _step_from_matrix(DerivativePlan(part, topo).matrix)
-
-
 def integrate(
     part,
     topo: Topology,
     cfg: SimConfig,
     *,
-    initial_state: NetworkState | None = None,
+    initial_state=None,
     x_reference=None,
 ) -> SimResult:
     """Propagate the per-agent flow with classical fixed-step RK4.
 
-    Stops at max_time or as soon as the derivative max-norm falls below
-    stationarity_tol.  V is measured against x_reference when given, else
-    against the minimum-norm least-squares solution of the reassembled
-    system.  Samples are evaluated from the flat state in batches of
-    RECORD_BATCH, so recording memory stays bounded; a non-finite V raises
-    NonFiniteStateError with the time of the first such sample, also when
-    the state itself overflows later in the same batch.
+    initial_state is a flat [x; z] vector (copied, never modified); when it
+    is None the start is drawn by cfg.init_mode.  Stops at max_time or as
+    soon as the derivative max-norm falls below stationarity_tol.  The
+    result's final_state is flat too.  V is measured against x_reference
+    when given, else against the minimum-norm least-squares solution of the
+    reassembled system.  Samples are evaluated from the flat state in
+    batches of RECORD_BATCH, so recording memory stays bounded; a
+    non-finite V raises NonFiniteStateError with the time of the first such
+    sample, also when the state itself overflows later in the same batch.
     """
     plan = DerivativePlan(part, topo)
     h = cfg.step_size if cfg.step_size is not None else _step_from_matrix(plan.matrix)
-    if initial_state is None:
-        if cfg.init_mode == "zeros":
-            state0 = zero_state(part)
-        else:
-            rng = np.random.default_rng(cfg.rng_seed)
-            state0 = random_state(part, rng, cfg.init_amplitude)
+    if initial_state is not None:
+        y = np.array(as_flat_state(part, initial_state))
+    elif cfg.init_mode == "zeros":
+        y = np.zeros(plan.dim)
     else:
-        state0 = initial_state
+        rng = np.random.default_rng(cfg.rng_seed)
+        y = rng.uniform(-cfg.init_amplitude, cfg.init_amplitude, size=plan.dim)
     if x_reference is None:
         ref = solve_least_squares(*part.reassemble())
     else:
         ref = as_vector(x_reference)
-    tiled = _tiled_reference(part, ref)
+    tiled = tiled_reference(part, ref)
     dim_x = tiled.shape[0]
 
-    y = stack_state(part, state0)
     samples = []
     pending = np.empty((RECORD_BATCH, plan.dim))
     times = []
@@ -235,7 +208,6 @@ def integrate(
                         consensus=tuple(consensus[k].tolist()),
                         overall=float(overall[k]),
                     ),
-                    state=unstack_state(part, block[k], time=t_k) if cfg.record_states else None,
                 )
             )
         times.clear()
@@ -279,7 +251,8 @@ def integrate(
         flush()
     return SimResult(
         trajectory=Trajectory(tuple(samples)),
-        final_state=unstack_state(part, y, time=t),
+        final_state=y,
+        final_time=t,
         step_size=h,
         stop_reason=stop_reason,
         steps=steps,

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import tiled_reference
 from .graph import Topology, lifted_laplacian
 from .linalg import RANK_RTOL, Spectrum, as_matrix, eig, solve_least_squares
 
@@ -371,17 +372,8 @@ def equilibrium_certificate(cs: CompactSystem, part) -> tuple:
         raise InconsistentSystemError(
             f"A x = b is inconsistent: least-squares residual {resid:.3e}"
         )
-    if part.scheme == "row":
-        x_hat = np.tile(y, part.cluster_count)
-        balance = cs.agent_laplacian
-    else:
-        pieces = []
-        start = 0
-        for n_i, count in zip(part.cluster_cols, part.agent_counts):
-            pieces.append(np.tile(y[start : start + n_i], count))
-            start += n_i
-        x_hat = np.concatenate(pieces)
-        balance = cs.cluster_laplacian
+    x_hat = tiled_reference(part, y)
+    balance = cs.agent_laplacian if part.scheme == "row" else cs.cluster_laplacian
     rhs = cs.a_stack @ x_hat - cs.b_stack
     z_hat = solve_least_squares(balance, rhs)
     v = np.concatenate([x_hat, z_hat])

@@ -8,8 +8,9 @@ band dates from a non-defectiveness check that compared the ranks of M and
 M @ M; it is kept so that the accepted draws, and every test seeded from
 them, stay the same.
 
-The residual and closeness oracles loop over agents and pairs one at a
-time; the package's stacked implementations are checked against them.
+The residual and closeness oracles cut a flat [x; z] state into agent
+blocks with flat_slices and loop over agents and pairs one at a time; the
+package's stacked implementations are checked against them.
 """
 
 from functools import reduce
@@ -17,6 +18,7 @@ from functools import reduce
 import numpy as np
 
 from duolayer import ResidualReport, SaddleBlocks, reassembled_solution
+from duolayer.dynamics import flat_slices
 
 
 def random_orthogonal(rng, n):
@@ -60,20 +62,27 @@ def random_saddle_blocks(rng, max_dim=5):
             return SaddleBlocks(coupling=c, primal_damping=p, dual_damping=d)
 
 
-def oracle_residuals(part, s):
-    """ResidualReport of a NetworkState, one agent and one pair at a time."""
+def agent_x_blocks(part, y):
+    """x[i][j]: agent j of cluster i's solution state in the flat state y."""
+    x_slices, _, _, _ = flat_slices(part)
+    return [[y[sl] for sl in row] for row in x_slices]
+
+
+def oracle_residuals(part, y):
+    """ResidualReport of a flat state, one agent and one pair at a time."""
+    x = agent_x_blocks(part, y)
     a_full, b_full = part.reassemble()
-    solution = reassembled_solution(part, s)
+    solution = reassembled_solution(part, y)
     overall = float(np.linalg.norm(a_full @ solution - b_full))
     if part.scheme == "row":
         conservation = []
         for i in range(part.cluster_count):
             terms = [
-                part.blocks[i][j] @ s.x[i][j] - part.offsets[i][j]
+                part.blocks[i][j] @ x[i][j] - part.offsets[i][j]
                 for j in range(part.agent_counts[i])
             ]
             conservation.append(float(np.linalg.norm(reduce(np.add, terms))))
-        stacked = [np.concatenate(s.x[i]) for i in range(part.cluster_count)]
+        stacked = [np.concatenate(x[i]) for i in range(part.cluster_count)]
         consensus = [
             float(np.linalg.norm(stacked[i] - stacked[k]))
             for i in range(len(stacked))
@@ -88,7 +97,7 @@ def oracle_residuals(part, s):
     consensus = []
     for i in range(part.cluster_count):
         pair = [
-            float(np.linalg.norm(s.x[i][j] - s.x[i][k]))
+            float(np.linalg.norm(x[i][j] - x[i][k]))
             for j in range(part.agent_counts[i])
             for k in range(j + 1, part.agent_counts[i])
         ]
@@ -96,7 +105,7 @@ def oracle_residuals(part, s):
     terms = []
     for i in range(part.cluster_count):
         a_i = np.vstack(part.blocks[i])
-        mean_i = reduce(np.add, s.x[i]) / part.agent_counts[i]
+        mean_i = reduce(np.add, x[i]) / part.agent_counts[i]
         terms.append(a_i @ mean_i - part.cluster_share(i))
     conservation = (float(np.linalg.norm(reduce(np.add, terms))),)
     return ResidualReport(
@@ -107,19 +116,20 @@ def oracle_residuals(part, s):
     )
 
 
-def oracle_closeness(s, x_star, part):
-    """V of a NetworkState, one cluster (row) or one agent (column) at a time."""
+def oracle_closeness(y, x_star, part):
+    """V of a flat state, one cluster (row) or one agent (column) at a time."""
+    x = agent_x_blocks(part, y)
     total = 0.0
     if part.scheme == "row":
         for i in range(part.cluster_count):
-            diff = np.concatenate(s.x[i]) - x_star
+            diff = np.concatenate(x[i]) - x_star
             total += float(diff @ diff)
     else:
         start = 0
         for i, n_i in enumerate(part.cluster_cols):
             ref = x_star[start : start + n_i]
             start += n_i
-            for x_ij in s.x[i]:
+            for x_ij in x[i]:
                 diff = x_ij - ref
                 total += float(diff @ diff)
     return 0.5 * total

@@ -202,6 +202,28 @@ def test_run_parse_errors(tmp_path, capsys):
     assert main(["run", str(unknown)]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("rng_seed", 1.5),
+        ("rng_seed", -1),
+        ("rng_seed", True),
+        ("record_every", 2.5),
+        ("record_every", True),
+        ("stationarity_tol", True),
+        ("max_time", True),
+        ("init_amplitude", False),
+    ],
+)
+def test_run_rejects_bad_sim_values(tmp_path, capsys, key, value):
+    sim = {"max_time": 200.0, "init_mode": "random", key: value}
+    path = write_scenario(tmp_path, identity_scenario(sim=sim))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse: {path}.sim: {key} ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_topology_error_names_cluster(tmp_path, capsys):
     data = identity_scenario()
     data["agent_graphs"][1] = {"nodes": 2, "edges": []}

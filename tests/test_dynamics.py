@@ -4,22 +4,22 @@ import pytest
 from duolayer import (
     DerivativePlan,
     Layout,
-    NetworkState,
     ProblemInstance,
     ShapeMismatchError,
+    SimConfig,
     Topology,
     assemble_compact,
     build_graph,
     closeness_metric,
+    integrate,
     partition_columns,
     partition_rows,
     reassembled_solution,
     residuals,
     sample_residuals,
-    stack_state,
-    unstack_state,
 )
 from duolayer.cli import random_instance
+from duolayer.dynamics import flat_slices
 from helpers import oracle_closeness, oracle_residuals
 
 
@@ -34,9 +34,11 @@ def topology(cluster_count, agent_counts):
     )
 
 
-def derivative(part, topo, s):
-    """The per-agent law at s, as a NetworkState of derivatives."""
-    return unstack_state(part, DerivativePlan(part, topo).evaluate(stack_state(part, s)))
+def derivative(part, topo, y):
+    """The per-agent law at the flat state y, cut into dx[i][j] and dz[i][j]."""
+    d = DerivativePlan(part, topo).evaluate(np.asarray(y, dtype=float))
+    x_slices, z_slices, _, _ = flat_slices(part)
+    return [[d[sl] for sl in row] for row in x_slices], [[d[sl] for sl in row] for row in z_slices]
 
 
 def make_row(a, b, cluster_sizes, agent_sizes):
@@ -56,88 +58,67 @@ def make_col(a, b, cluster_sizes, agent_sizes):
 def test_single_agent_derivative():
     # one agent, no neighbors: dx = -A.T (A x - b) = A.T b at zero, dz = -b
     part, topo = make_row(np.array([[2.0]]), np.array([4.0]), [1], [[1]])
-    state = NetworkState(x=((np.zeros(1),),), z=((np.zeros(1),),))
-    d = derivative(part, topo, state)
-    assert np.array_equal(d.x[0][0], [8.0])
-    assert np.array_equal(d.z[0][0], [-4.0])
+    dx, dz = derivative(part, topo, np.zeros(2))
+    assert np.array_equal(dx[0][0], [8.0])
+    assert np.array_equal(dz[0][0], [-4.0])
 
 
 def test_two_agents_share_cluster_at_zero():
     part, topo = make_row(np.eye(2), np.array([1.0, 2.0]), [2], [[1, 1]])
-    state = NetworkState(
-        x=((np.zeros(1), np.zeros(1)),), z=((np.zeros(2), np.zeros(2)),)
-    )
-    d = derivative(part, topo, state)
-    assert np.allclose(d.x[0][0], [0.5])
-    assert np.allclose(d.x[0][1], [1.0])
-    assert np.allclose(d.z[0][0], [-0.5, -1.0])
-    assert np.allclose(d.z[0][1], [-0.5, -1.0])
+    dx, dz = derivative(part, topo, np.zeros(6))
+    assert np.allclose(dx[0][0], [0.5])
+    assert np.allclose(dx[0][1], [1.0])
+    assert np.allclose(dz[0][0], [-0.5, -1.0])
+    assert np.allclose(dz[0][1], [-0.5, -1.0])
 
 
 def test_two_agents_coordination_differences():
-    # hand-evaluated law with nonzero coordination states
+    # hand-evaluated law with nonzero coordination states;
+    # flat layout [x_00, x_01, z_00 (2), z_01 (2)]
     part, topo = make_row(np.eye(2), np.array([1.0, 2.0]), [2], [[1, 1]])
-    state = NetworkState(
-        x=((np.array([1.0]), np.array([2.0])),),
-        z=((np.array([1.0, 0.0]), np.array([0.0, 1.0])),),
-    )
-    d = derivative(part, topo, state)
-    assert np.allclose(d.x[0][0], [0.5])
-    assert np.allclose(d.z[0][0], [-0.5, 0.0])
-    assert np.allclose(d.x[0][1], [0.0])
-    assert np.allclose(d.z[0][1], [0.5, 0.0])
+    dx, dz = derivative(part, topo, [1.0, 2.0, 1.0, 0.0, 0.0, 1.0])
+    assert np.allclose(dx[0][0], [0.5])
+    assert np.allclose(dz[0][0], [-0.5, 0.0])
+    assert np.allclose(dx[0][1], [0.0])
+    assert np.allclose(dz[0][1], [0.5, 0.0])
 
 
 def test_two_clusters_consensus_pull():
-    # single agent per cluster: the x derivative adds the neighbor-cluster pull
+    # single agent per cluster: the x derivative adds the neighbor-cluster pull;
+    # flat layout [x_00 (2), x_10 (2), z_00, z_10]
     part, topo = make_row(np.eye(2), np.array([1.0, 1.0]), [1, 1], [[2], [2]])
-    state = NetworkState(
-        x=((np.array([1.0, 2.0]),), (np.array([3.0, 5.0]),)),
-        z=((np.zeros(1),), (np.zeros(1),)),
-    )
-    d = derivative(part, topo, state)
-    assert np.allclose(d.x[0][0], [2.0, 3.0])
-    assert np.allclose(d.z[0][0], [0.0])
-    assert np.allclose(d.x[1][0], [-2.0, -7.0])
-    assert np.allclose(d.z[1][0], [4.0])
+    dx, dz = derivative(part, topo, [1.0, 2.0, 3.0, 5.0, 0.0, 0.0])
+    assert np.allclose(dx[0][0], [2.0, 3.0])
+    assert np.allclose(dz[0][0], [0.0])
+    assert np.allclose(dx[1][0], [-2.0, -7.0])
+    assert np.allclose(dz[1][0], [4.0])
 
 
 def test_column_scheme_hand_values():
+    # flat layout [x_00, x_10, z_00 (2), z_10 (2)]
     part, topo = make_col(
         np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0]), [1, 1], [[2], [2]]
     )
-    state = NetworkState(
-        x=((np.array([1.0]),), (np.array([-1.0]),)),
-        z=((np.array([1.0, 0.0]),), (np.array([0.0, 2.0]),)),
-    )
-    d = derivative(part, topo, state)
-    assert np.allclose(d.x[0][0], [-13.0])
-    assert np.allclose(d.z[0][0], [-0.5, 4.5])
-    assert np.allclose(d.x[1][0], [29.0])
-    assert np.allclose(d.z[1][0], [-1.5, -6.5])
+    dx, dz = derivative(part, topo, [1.0, -1.0, 1.0, 0.0, 0.0, 2.0])
+    assert np.allclose(dx[0][0], [-13.0])
+    assert np.allclose(dz[0][0], [-0.5, 4.5])
+    assert np.allclose(dx[1][0], [29.0])
+    assert np.allclose(dz[1][0], [-1.5, -6.5])
 
 
 def test_state_shape_validation():
+    # every public entry point that takes a state rejects a wrong-shaped one
     part, topo = make_row(np.eye(2), np.array([1.0, 2.0]), [2], [[1, 1]])
-    wrong_agents = NetworkState(x=((np.zeros(1),),), z=((np.zeros(2),),))
-    with pytest.raises(ShapeMismatchError):
-        derivative(part, topo, wrong_agents)
-    wrong_len = NetworkState(
-        x=((np.zeros(2), np.zeros(1)),), z=((np.zeros(2), np.zeros(2)),)
-    )
-    with pytest.raises(ShapeMismatchError):
-        derivative(part, topo, wrong_len)
-    with pytest.raises(ShapeMismatchError):
-        unstack_state(part, np.zeros(99))
-
-
-def test_stack_unstack_round_trip():
-    part, _ = make_row(np.ones((3, 4)), np.arange(3.0), [2, 1], [[2, 2], [1, 3]])
-    rng = np.random.default_rng(5)
-    dim = part.x_dim + part.z_dim
-    y = rng.normal(size=dim)
-    again = stack_state(part, unstack_state(part, y))
-    assert np.array_equal(again, y)
+    assert part.x_dim + part.z_dim == 6
+    for wrong in (np.zeros(5), np.zeros(7), np.zeros((1, 6)), np.zeros(())):
+        with pytest.raises(ShapeMismatchError):
+            residuals(part, topo, wrong)
+        with pytest.raises(ShapeMismatchError):
+            reassembled_solution(part, wrong)
+        with pytest.raises(ShapeMismatchError):
+            closeness_metric(wrong, [0.0, 0.0], part)
+        with pytest.raises(ShapeMismatchError):
+            integrate(part, topo, SimConfig(max_time=1.0), initial_state=wrong)
 
 
 def test_locality_of_non_neighbor_clusters():
@@ -147,21 +128,20 @@ def test_locality_of_non_neighbor_clusters():
     b = rng.uniform(-1, 1, size=3)
     part, topo = make_row(a, b, [1, 1, 1], [[2, 2], [4], [1, 3]])
     y = rng.normal(size=part.x_dim + part.z_dim)
-    base = derivative(part, topo, unstack_state(part, y))
+    base_x, base_z = derivative(part, topo, y)
 
-    state = unstack_state(part, y)
-    bumped_x = [[v.copy() for v in row] for row in state.x]
-    bumped_z = [[v.copy() for v in row] for row in state.z]
-    bumped_x[2] = [v + rng.normal(size=v.shape) for v in bumped_x[2]]
-    bumped_z[2] = [v + rng.normal(size=v.shape) for v in bumped_z[2]]
-    bumped = derivative(part, topo, NetworkState(x=bumped_x, z=bumped_z))
+    x_slices, z_slices, _, _ = flat_slices(part)
+    bumped = y.copy()
+    for sl in x_slices[2] + z_slices[2]:
+        bumped[sl] += rng.normal(size=sl.stop - sl.start)
+    bumped_x, bumped_z = derivative(part, topo, bumped)
 
     for j in range(2):
-        assert np.array_equal(base.x[0][j], bumped.x[0][j])
-        assert np.array_equal(base.z[0][j], bumped.z[0][j])
+        assert np.array_equal(base_x[0][j], bumped_x[0][j])
+        assert np.array_equal(base_z[0][j], bumped_z[0][j])
     # cluster 1 is adjacent to 2, so its derivative must move
     assert not all(
-        np.array_equal(base.x[1][j], bumped.x[1][j]) for j in range(1)
+        np.array_equal(base_x[1][j], bumped_x[1][j]) for j in range(1)
     )
 
 
@@ -178,13 +158,12 @@ def test_matches_independent_drift_assembly():
             assert np.max(np.abs(direct - oracle)) < 1e-12
 
 
-def test_zero_state_conservation_residual_is_offset_norm():
+def test_zero_start_conservation_residual_is_offset_norm():
     rng = np.random.default_rng(3)
     a = rng.uniform(-1, 1, size=(5, 4))
     b = rng.uniform(-1, 1, size=5)
     part, topo = make_row(a, b, [3, 2], [[2, 2], [1, 3]])
-    state = unstack_state(part, np.zeros(part.x_dim + part.z_dim))
-    rr = residuals(part, topo, state)
+    rr = residuals(part, topo, np.zeros(part.x_dim + part.z_dim))
     assert rr.scheme == "row"
     assert rr.conservation[0] == np.linalg.norm(b[:3])
     assert rr.conservation[1] == np.linalg.norm(b[3:])
@@ -193,44 +172,34 @@ def test_zero_state_conservation_residual_is_offset_norm():
 
 
 def test_row_consensus_residual_vanishes_on_copies():
+    # flat layout [x_00 (2), x_10 (2), z_00, z_10]
     part, topo = make_row(np.eye(2), np.ones(2), [1, 1], [[2], [2]])
-    same = np.array([1.0, -2.0])
-    state = NetworkState(
-        x=((same.copy(),), (same.copy(),)), z=((np.zeros(1),), (np.zeros(1),))
-    )
-    rr = residuals(part, topo, state)
+    rr = residuals(part, topo, [1.0, -2.0, 1.0, -2.0, 0.0, 0.0])
     assert rr.consensus == (0.0,)
     assert rr.max_consensus == 0.0
 
 
 def test_column_consensus_residual_vanishes_inside_cluster():
+    # flat layout [x_00, x_01, x_10, z_00, z_01, z_10 (2)]
     part, topo = make_col(np.ones((2, 2)), np.ones(2), [1, 1], [[1, 1], [2]])
-    state = NetworkState(
-        x=((np.array([3.0]), np.array([3.0])), (np.array([7.0]),)),
-        z=((np.zeros(1), np.zeros(1)), (np.zeros(2),)),
-    )
-    rr = residuals(part, topo, state)
+    rr = residuals(part, topo, [3.0, 3.0, 7.0, 0.0, 0.0, 0.0, 0.0])
     assert rr.scheme == "column"
     assert rr.consensus == (0.0, 0.0)
     assert len(rr.conservation) == 1
 
 
 def test_reassembled_solution_row_is_cluster_average():
+    # flat layout [x_00 (2), x_10 (2), z_00, z_10]
     part, _ = make_row(np.eye(2), np.ones(2), [1, 1], [[2], [2]])
-    state = NetworkState(
-        x=((np.array([1.0, 2.0]),), (np.array([3.0, 4.0]),)),
-        z=((np.zeros(1),), (np.zeros(1),)),
-    )
-    assert np.array_equal(reassembled_solution(part, state), [2.0, 3.0])
+    y = np.array([1.0, 2.0, 3.0, 4.0, 0.0, 0.0])
+    assert np.array_equal(reassembled_solution(part, y), [2.0, 3.0])
 
 
 def test_reassembled_solution_column_concatenates_agent_means():
+    # flat layout [x_00 (2), x_01 (2), x_10, z_00, z_01, z_10 (2)]
     part, _ = make_col(np.ones((2, 3)), np.ones(2), [2, 1], [[1, 1], [2]])
-    state = NetworkState(
-        x=((np.array([1.0, 3.0]), np.array([3.0, 5.0])), (np.array([7.0]),)),
-        z=((np.zeros(1), np.zeros(1)), (np.zeros(2),)),
-    )
-    assert np.array_equal(reassembled_solution(part, state), [2.0, 4.0, 7.0])
+    y = np.array([1.0, 3.0, 3.0, 5.0, 7.0, 0.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(reassembled_solution(part, y), [2.0, 4.0, 7.0])
 
 
 def test_stacked_residuals_and_closeness_match_loop_oracles():
@@ -259,9 +228,8 @@ def test_stacked_residuals_and_closeness_match_loop_oracles():
         x_star = rng.normal(size=part.total_cols)
         conservation, consensus, overall = sample_residuals(part, ys)
         for k, y in enumerate(ys):
-            state = unstack_state(part, y)
-            want = oracle_residuals(part, state)
-            got = residuals(part, topo, state)
+            want = oracle_residuals(part, y)
+            got = residuals(part, topo, y)
             assert got.scheme == want.scheme == part.scheme
             for cons, agree, total in (
                 (got.conservation, got.consensus, got.overall),
@@ -272,8 +240,8 @@ def test_stacked_residuals_and_closeness_match_loop_oracles():
                 assert np.allclose(cons, want.conservation, rtol=0.0, atol=tol)
                 assert np.allclose(agree, want.consensus, rtol=0.0, atol=tol)
                 assert abs(total - want.overall) <= tol
-            v = closeness_metric(state, x_star, part)
-            assert abs(v - oracle_closeness(state, x_star, part)) <= tol
+            v = closeness_metric(y, x_star, part)
+            assert abs(v - oracle_closeness(y, x_star, part)) <= tol
 
 
 def test_sample_residuals_rejects_wrong_width():

@@ -53,6 +53,15 @@ def test_edge_out_of_range_rejected():
         Graph(0, frozenset())
 
 
+def test_adjacency_is_built_once():
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert g.adjacent(0) is g.adjacent(0)
+    assert [g.adjacent(i) for i in range(4)] == [(1, 3), (0, 2), (1, 3), (0, 2)]
+    # the cached lists are not a field: equality and hashing ignore them
+    twin = build_graph(4, [(3, 0), (2, 3), (1, 2), (0, 1)])
+    assert g == twin and hash(g) == hash(twin)
+
+
 def test_adjacent_out_of_range():
     with pytest.raises(ValueError):
         path(3).adjacent(3)

@@ -1,17 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from duolayer import Spectrum, as_matrix, as_vector, eig, kron, rank, solve_least_squares
+from duolayer import Spectrum, as_matrix, as_vector, eig, solve_least_squares
 from helpers import random_orthogonal
-
-finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
-
-
-def small_matrix(rows, cols):
-    return arrays(np.float64, (rows, cols), elements=finite)
 
 
 def test_as_matrix_rejects_wrong_ndim():
@@ -31,48 +22,6 @@ def test_as_matrix_rejects_non_finite():
 def test_as_vector_rejects_matrix():
     with pytest.raises(ValueError):
         as_vector([[1.0], [2.0]])
-
-
-def test_kron_hand_expansion():
-    a = [[1.0, 2.0], [3.0, 4.0]]
-    b = [[0.0, 1.0], [1.0, 0.0]]
-    expected = np.array(
-        [
-            [0.0, 1.0, 0.0, 2.0],
-            [1.0, 0.0, 2.0, 0.0],
-            [0.0, 3.0, 0.0, 4.0],
-            [3.0, 0.0, 4.0, 0.0],
-        ]
-    )
-    assert np.array_equal(kron(a, b), expected)
-
-
-def test_kron_with_identity_is_block_scaling():
-    a = [[2.0, -1.0], [0.0, 3.0]]
-    out = kron(a, np.eye(3))
-    assert out.shape == (6, 6)
-    assert np.array_equal(out[:3, :3], 2.0 * np.eye(3))
-    assert np.array_equal(out[:3, 3:], -1.0 * np.eye(3))
-
-
-@settings(max_examples=25)
-@given(small_matrix(2, 2), small_matrix(2, 2), small_matrix(2, 2), small_matrix(2, 2))
-def test_kron_mixed_product(a, b, c, d):
-    left = kron(a, b) @ kron(c, d)
-    right = kron(a @ c, b @ d)
-    assert np.allclose(left, right, atol=1e-8)
-
-
-def test_rank_basic_cases():
-    assert rank(np.zeros((3, 3))) == 0
-    assert rank(np.eye(4)) == 4
-    assert rank([[1.0, 2.0], [2.0, 4.0]]) == 1
-
-
-def test_rank_of_nilpotent_drops_when_squared():
-    n = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert rank(n) == 1
-    assert rank(n @ n) == 0
 
 
 def test_eig_diagonal_sorted():
@@ -123,12 +72,6 @@ def test_eig_hidden_nilpotent_block_is_defective():
         sp = eig(s @ d @ np.linalg.inv(s))
         assert sp.rank == 2
         assert 0 <= sp.rank_squared < sp.rank
-
-
-@settings(max_examples=25)
-@given(small_matrix(3, 2))
-def test_rank_is_transpose_invariant(m):
-    assert rank(m) == rank(m.T)
 
 
 def test_solve_least_squares_square_exact():

@@ -13,7 +13,6 @@ from duolayer import (
     build_graph,
     partition_columns,
     partition_rows,
-    selection_matrices,
 )
 
 
@@ -40,21 +39,6 @@ def col_instance(a, b, cluster_sizes, agent_sizes):
     return ProblemInstance(a=a, b=b, topology=topo, layout=layout)
 
 
-def test_selection_matrices_are_identity_bands():
-    e1, e2 = selection_matrices([2, 1], 3)
-    assert np.array_equal(e1, np.eye(3)[:2])
-    assert np.array_equal(e2, np.eye(3)[2:])
-    assert np.array_equal(np.vstack([e1, e2]), np.eye(3))
-    assert np.array_equal(e1.T @ e1 + e2.T @ e2, np.eye(3))
-
-
-def test_selection_matrices_reject_bad_sizes():
-    with pytest.raises(LayoutMismatchError):
-        selection_matrices([2, 2], 3)
-    with pytest.raises(LayoutMismatchError):
-        selection_matrices([0, 3], 3)
-
-
 def test_identity_system_equal_split():
     inst = row_instance(np.eye(2), [1.0, 1.0], [2], [[1, 1]])
     part = partition_rows(inst)
@@ -76,7 +60,8 @@ def test_row_partition_dimensions():
     assert part.x_dim == 2 * 5
     assert part.z_dim == 2 * 3 + 1 * 1
     assert part.blocks[0][1].shape == (3, 3)
-    assert part.selections[0][1].shape == (3, 5)
+    # agent 1 of cluster 0 covers columns 2:5 of the cluster's row band
+    assert np.array_equal(part.blocks[0][1], a[:3, 2:5])
 
 
 def test_column_partition_dimensions():
@@ -138,8 +123,15 @@ def test_selection_cuts_own_slice_from_stacked_state():
     a = np.arange(12.0).reshape(3, 4)
     part = partition_rows(row_instance(a, np.ones(3), [3], [[2, 2]]))
     stacked = np.array([10.0, 11.0, 12.0, 13.0])
-    assert np.array_equal(part.selections[0][0] @ stacked, [10.0, 11.0])
-    assert np.array_equal(part.selections[0][1] @ stacked, [12.0, 13.0])
+    # agents cover consecutive column ranges, so each one's slice of a
+    # stacked state is the range its block covers in A
+    starts = np.cumsum((0,) + part.agent_cols[0])
+    bands = [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
+    assert [list(r) for r in bands] == [[0, 1], [2, 3]]
+    for j, cols in enumerate(bands):
+        assert np.array_equal(part.blocks[0][j], a[:, cols])
+    assert np.array_equal(stacked[bands[0]], [10.0, 11.0])
+    assert np.array_equal(stacked[bands[1]], [12.0, 13.0])
 
 
 def test_explicit_row_offsets_accepted_and_validated():

@@ -12,18 +12,13 @@ from duolayer import (
     Trajectory,
     TrajectorySample,
     assemble_compact,
-    auto_step_size,
     build_graph,
     closeness_metric,
     equilibrium_certificate,
     fit_convergence_rate,
     integrate,
     partition_rows,
-    random_state,
     residuals,
-    stack_state,
-    unstack_state,
-    zero_state,
 )
 from duolayer.cli import random_instance
 from duolayer.simulator import RECORD_BATCH
@@ -56,26 +51,40 @@ def test_sim_config_validation():
         SimConfig(init_mode="warm")
     with pytest.raises(ValueError):
         SimConfig(init_amplitude=-0.5)
+    with pytest.raises(ValueError):
+        SimConfig(rng_seed=-1)
+    for bad in ({"rng_seed": 1.5}, {"record_every": 2.5}, {"record_every": True},
+                {"stationarity_tol": True}, {"init_amplitude": np.True_}):
+        with pytest.raises(TypeError):
+            SimConfig(**bad)
+    assert SimConfig(rng_seed=np.int64(3), record_every=np.int32(2)).rng_seed == 3
 
 
-def test_auto_step_size_cap_and_scaling():
+def test_auto_step_cap_and_scaling():
     part, topo = single_agent(2.0, 4.0)
     # spectral-radius bound 4 gives 0.45, capped at 0.1
-    assert auto_step_size(part, topo) == 0.1
+    assert integrate(part, topo, SimConfig(max_time=0.1)).step_size == 0.1
     stiff, topo2 = single_agent(10.0, 4.0)
     # bound = |-100| row sum, h = 1.8 / 100
-    assert np.isclose(auto_step_size(stiff, topo2), 0.018)
+    assert np.isclose(integrate(stiff, topo2, SimConfig(max_time=0.1)).step_size, 0.018)
 
 
 def test_state_factories_match_shapes():
+    # a stationarity_tol above any derivative stops at step 0, so the run
+    # returns the start it drew
     rng = np.random.default_rng(0)
     inst, part = random_instance(rng, "column", 5)
-    z = zero_state(part)
-    assert all(np.all(v == 0.0) for row in z.x for v in row)
-    r = random_state(part, rng, amplitude=0.5)
-    flat = stack_state(part, r)
-    assert np.max(np.abs(flat)) <= 0.5
-    assert flat.shape == (part.x_dim + part.z_dim,)
+    dim = part.x_dim + part.z_dim
+    at_start = {"max_time": 1.0, "stationarity_tol": 1e300}
+    z = integrate(part, inst.topology, SimConfig(**at_start))
+    assert z.steps == 0 and z.final_time == 0.0
+    assert z.final_state.shape == (dim,)
+    assert np.all(z.final_state == 0.0)
+    cfg = SimConfig(init_mode="random", init_amplitude=0.5, rng_seed=3, **at_start)
+    r = integrate(part, inst.topology, cfg).final_state
+    assert r.shape == (dim,)
+    assert np.max(np.abs(r)) <= 0.5
+    assert r.tobytes() == np.random.default_rng(3).uniform(-0.5, 0.5, size=dim).tobytes()
 
 
 def test_single_agent_matches_closed_form():
@@ -83,10 +92,9 @@ def test_single_agent_matches_closed_form():
     part, topo = single_agent()
     cfg = SimConfig(step_size=0.01, max_time=1.0, stationarity_tol=1e-300, record_every=10)
     res = integrate(part, topo, cfg)
-    t = res.final_state.time
+    t = res.final_time
     assert np.isclose(t, 1.0)
-    x = res.final_state.x[0][0][0]
-    z = res.final_state.z[0][0][0]
+    x, z = res.final_state  # flat [x; z] of the single agent
     assert abs(x - 2.0 * (1.0 - np.exp(-4.0 * t))) < 1e-6
     assert abs(z - (np.exp(-4.0 * t) - 1.0)) < 1e-6
 
@@ -96,8 +104,8 @@ def test_single_agent_limit_point():
     cfg = SimConfig(max_time=20.0, stationarity_tol=1e-12)
     res = integrate(part, topo, cfg)
     assert res.stop_reason == "stationary"
-    assert abs(res.final_state.x[0][0][0] - 2.0) < 1e-9
-    assert abs(res.final_state.z[0][0][0] + 1.0) < 1e-9
+    assert abs(res.final_state[0] - 2.0) < 1e-9
+    assert abs(res.final_state[1] + 1.0) < 1e-9
 
 
 def test_equilibrium_start_is_fixed_point():
@@ -105,12 +113,13 @@ def test_equilibrium_start_is_fixed_point():
     inst, part = random_instance(rng, "row", 4)
     cs = assemble_compact(part, inst.topology)
     x_hat, z_hat = equilibrium_certificate(cs, part)
-    start = unstack_state(part, np.concatenate([x_hat, z_hat]))
+    start = np.concatenate([x_hat, z_hat])
     cfg = SimConfig(max_time=5.0, stationarity_tol=1e-7)
     res = integrate(part, inst.topology, cfg, initial_state=start)
     assert res.stop_reason == "stationary"
     assert res.steps == 0
-    moved = stack_state(part, res.final_state) - np.concatenate([x_hat, z_hat])
+    assert res.final_state is not start
+    moved = res.final_state - start
     assert np.max(np.abs(moved)) == 0.0
 
 
@@ -119,16 +128,15 @@ def test_rk4_matches_matrix_exponential():
     for scheme in ("row", "column"):
         inst, part = random_instance(rng, scheme, 3)
         cs = assemble_compact(part, inst.topology)
-        start = random_state(part, rng)
-        y0 = stack_state(part, start)
+        y0 = rng.uniform(-1.0, 1.0, size=cs.dim)
         cfg = SimConfig(step_size=1e-3, max_time=2.0, stationarity_tol=1e-300, record_every=500)
-        res = integrate(part, inst.topology, cfg, initial_state=start)
-        t = res.final_state.time
+        res = integrate(part, inst.topology, cfg, initial_state=y0)
+        t = res.final_time
         aug = np.zeros((cs.dim + 1, cs.dim + 1))
         aug[: cs.dim, : cs.dim] = cs.drift_matrix
         aug[: cs.dim, cs.dim] = cs.forcing
         oracle = (expm(t * aug) @ np.concatenate([y0, [1.0]]))[: cs.dim]
-        assert np.max(np.abs(stack_state(part, res.final_state) - oracle)) < 1e-8
+        assert np.max(np.abs(res.final_state - oracle)) < 1e-8
 
 
 def test_integration_is_deterministic():
@@ -138,9 +146,7 @@ def test_integration_is_deterministic():
     r1 = integrate(part, inst.topology, cfg)
     r2 = integrate(part, inst.topology, cfg)
     assert r1.steps == r2.steps
-    assert stack_state(part, r1.final_state).tobytes() == stack_state(
-        part, r2.final_state
-    ).tobytes()
+    assert r1.final_state.tobytes() == r2.final_state.tobytes()
     assert np.array_equal(r1.trajectory.values(), r2.trajectory.values())
 
 
@@ -166,7 +172,7 @@ def test_underdetermined_converges_at_residual_level():
         assert rr.overall < 1e-6
         assert rr.max_conservation < 1e-6
         assert rr.max_consensus < 1e-6
-        finals.append(stack_state(part, res.final_state))
+        finals.append(res.final_state)
     assert np.max(np.abs(finals[0] - finals[1])) > 1e-3
 
 
@@ -197,34 +203,27 @@ def test_max_time_stop():
 
 def test_recording_spacing_and_states():
     part, topo = single_agent()
-    cfg = SimConfig(
-        step_size=0.01,
-        max_time=0.2,
-        stationarity_tol=1e-300,
-        record_every=5,
-        record_states=True,
-    )
+    cfg = SimConfig(step_size=0.01, max_time=0.2, stationarity_tol=1e-300, record_every=5)
     res = integrate(part, topo, cfg)
     times = res.trajectory.times()
     assert times[0] == 0.0
     assert np.allclose(np.diff(times), 0.05)
-    assert all(s.state is not None for s in res.trajectory.samples)
     assert all(s.residuals is not None for s in res.trajectory.samples)
 
 
 def test_batched_samples_match_oracles_on_stored_states():
+    # the state behind the sample at step k is recovered by a re-run that
+    # stops at max_time = k * h, which is exactly step k, bit for bit
     rng = np.random.default_rng(37)
     for scheme in ("row", "column"):
         inst, part = random_instance(rng, scheme, 5)
-        cfg = SimConfig(
-            step_size=0.01,
-            max_time=2.65,
-            stationarity_tol=1e-300,
-            record_every=2,
-            init_mode="random",
-            record_states=True,
-        )
-        res = integrate(part, inst.topology, cfg)
+        settings = {
+            "step_size": 0.01,
+            "stationarity_tol": 1e-300,
+            "record_every": 2,
+            "init_mode": "random",
+        }
+        res = integrate(part, inst.topology, SimConfig(max_time=2.65, **settings))
         samples = res.trajectory.samples
         assert len(samples) > 2 * RECORD_BATCH
         steps = list(range(0, res.steps + 1, 2))
@@ -232,22 +231,25 @@ def test_batched_samples_match_oracles_on_stored_states():
             steps.append(res.steps)
         assert [s.time for s in samples] == [k * 0.01 for k in steps]
         tol = 1e-12 * (1.0 + np.linalg.norm(inst.b))
-        for s in samples:
-            assert s.state.time == s.time
-            want = oracle_residuals(part, s.state)
+        # step 0: a tolerance above any derivative stops before the first step
+        start_only = SimConfig(**{**settings, "stationarity_tol": 1e300})
+        for k, s in zip(steps, samples):
+            cfg = SimConfig(max_time=k * 0.01, **settings) if k else start_only
+            rerun = integrate(part, inst.topology, cfg)
+            assert rerun.steps == k and rerun.final_time == s.time
+            y = rerun.final_state
+            want = oracle_residuals(part, y)
             assert np.allclose(s.residuals.conservation, want.conservation, rtol=0.0, atol=tol)
             assert np.allclose(s.residuals.consensus, want.consensus, rtol=0.0, atol=tol)
             assert abs(s.residuals.overall - want.overall) <= tol
-            v = oracle_closeness(s.state, res.reference, part)
+            v = oracle_closeness(y, res.reference, part)
             assert abs(s.v - v) <= 1e-14 * v + 1e-300
-        assert stack_state(part, samples[-1].state).tobytes() == stack_state(
-            part, res.final_state
-        ).tobytes()
+        assert y.tobytes() == res.final_state.tobytes()
 
 
 def test_non_finite_v_reports_first_overflowing_sample():
     part, topo = single_agent()
-    start = unstack_state(part, np.full(2, 1e200))
+    start = np.full(2, 1e200)
     cfg = SimConfig(step_size=0.01, max_time=1.0, stationarity_tol=1e-300)
     with pytest.raises(NonFiniteStateError) as info:
         integrate(part, topo, cfg, initial_state=start)
@@ -262,7 +264,7 @@ def test_non_finite_v_reports_first_overflowing_sample():
 
 def test_closeness_metric_row_hand_value():
     part, _ = single_agent()
-    state = unstack_state(part, np.array([3.0, 0.0]))
+    state = np.array([3.0, 0.0])
     # one cluster: V = 0.5 * (3 - 2)^2
     assert closeness_metric(state, [2.0], part) == 0.5
     with pytest.raises(ValueError):
@@ -277,9 +279,8 @@ def test_closeness_metric_column_counts_agents():
     )
     part = __import__("duolayer").partition_columns(inst)
     y = np.array([2.0, 0.0, 0.0, 0.0])
-    state = unstack_state(part, y)
     # agents hold 2 and 0 against reference 1: V = 0.5 * (1 + 1)
-    assert closeness_metric(state, [1.0], part) == 1.0
+    assert closeness_metric(y, [1.0], part) == 1.0
 
 
 def test_fit_convergence_rate_exponential():
