@@ -245,43 +245,6 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
     )
 
 
-def scenario_to_dict(sc: Scenario) -> dict:
-    """Serialize a Scenario back into plain JSON-ready data."""
-    if sc.b_offsets is None:
-        offsets = None
-    elif sc.scheme == "row":
-        offsets = [[list(map(float, v)) for v in row] for row in sc.b_offsets]
-    else:
-        offsets = [list(map(float, v)) for v in sc.b_offsets]
-    return {
-        "scheme": sc.scheme,
-        "A": [list(map(float, row)) for row in sc.a],
-        "b": list(map(float, sc.b)),
-        "cluster_graph": {
-            "nodes": sc.cluster_graph.nodes,
-            "edges": [list(e) for e in sc.cluster_graph.edges],
-        },
-        "agent_graphs": [
-            {"nodes": g.nodes, "edges": [list(e) for e in g.edges]}
-            for g in sc.agent_graphs
-        ],
-        "layout": {
-            "cluster_sizes": list(sc.cluster_sizes),
-            "agent_sizes": [list(row) for row in sc.agent_sizes],
-        },
-        "b_offsets": offsets,
-        "sim": {
-            "step_size": "auto" if sc.sim.step_size is None else sc.sim.step_size,
-            "max_time": sc.sim.max_time,
-            "stationarity_tol": sc.sim.stationarity_tol,
-            "record_every": sc.sim.record_every,
-            "rng_seed": sc.sim.rng_seed,
-            "init_mode": sc.sim.init_mode,
-            "init_amplitude": sc.sim.init_amplitude,
-        },
-    }
-
-
 def build_problem(sc: Scenario, scheme_override: str | None = None) -> tuple:
     """Build graphs and the partition; raises topology/layout errors."""
     scheme = scheme_override or sc.scheme

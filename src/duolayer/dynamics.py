@@ -30,52 +30,32 @@ import numpy as np
 
 from .graph import Topology
 from .linalg import as_vector
-from .partition import TopologyMismatchError
+from .partition import check_topology
 
 
 class ShapeMismatchError(ValueError):
     """State shapes do not match the partition's block sizes."""
 
 
-def _state_sizes(part) -> tuple:
-    """Per-agent (x size, z size) nested like the partition."""
-    if part.scheme == "row":
-        xs = part.agent_cols
-        zs = tuple(
-            tuple(m_i for _ in row) for m_i, row in zip(part.cluster_rows, part.agent_cols)
-        )
-    else:
-        xs = tuple(
-            tuple(n_i for _ in row) for n_i, row in zip(part.cluster_cols, part.agent_rows)
-        )
-        zs = part.agent_rows
-    return xs, zs
-
-
 def flat_slices(part) -> tuple:
     """Slices of the flat state [x; z] for every agent, plus dimensions.
 
-    The flat vector is the package's one state representation.  The x block
-    stacks clusters in order, agents in order within a cluster; the z block
-    repeats that order.  This matches the stacked drift form.
+    The flat vector is the package's one state representation.  Each agent's
+    x takes as many entries as its block has columns and its z as many as
+    the block has rows.  The x block stacks clusters in order, agents in
+    order within a cluster; the z block repeats that order.  This matches
+    the stacked drift form.
     """
-    xs, zs = _state_sizes(part)
-    x_slices, pos = [], 0
-    for row in xs:
-        cur = []
-        for size in row:
-            cur.append(slice(pos, pos + size))
-            pos += size
-        x_slices.append(tuple(cur))
-    dim_x = pos
-    z_slices = []
-    for row in zs:
-        cur = []
-        for size in row:
-            cur.append(slice(pos, pos + size))
-            pos += size
-        z_slices.append(tuple(cur))
-    return tuple(x_slices), tuple(z_slices), dim_x, pos
+    slices, pos = [], 0
+    for axis in (1, 0):
+        for row in part.blocks:
+            cur = []
+            for a in row:
+                cur.append(slice(pos, pos + a.shape[axis]))
+                pos += a.shape[axis]
+            slices.append(tuple(cur))
+    x_slices, z_slices = slices[: part.cluster_count], slices[part.cluster_count :]
+    return tuple(x_slices), tuple(z_slices), z_slices[0][0].start, pos
 
 
 def as_flat_state(part, y) -> np.ndarray:
@@ -110,19 +90,6 @@ def tiled_reference(part, x_star) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def _check_counts(part, topo: Topology) -> None:
-    if part.cluster_count != topo.cluster_count:
-        raise TopologyMismatchError(
-            f"partition has {part.cluster_count} clusters, "
-            f"topology has {topo.cluster_count}"
-        )
-    if part.agent_counts != topo.agent_counts:
-        raise TopologyMismatchError(
-            f"partition agent counts {part.agent_counts} != "
-            f"topology agent counts {topo.agent_counts}"
-        )
-
-
 class DerivativePlan:
     """The per-agent update law precompiled for repeated evaluation.
 
@@ -140,90 +107,47 @@ class DerivativePlan:
     agent's bands of neighboring clusters' stacked coordination states and
     xin are the in-cluster neighbors' solution states.
 
-    Each agent's map is folded into one matrix over its gathered inputs at
-    build time, then scattered into a single affine operator on the flat
-    state.  Columns outside an agent's inputs stay exactly zero, so nothing
-    else can influence its derivative; evaluation is one matrix-vector
-    product.
+    Each agent's map is written block by block into one affine operator on
+    the flat state.  Row-scheme bands are the agent's own columns cut from
+    each neighboring cluster's stacked x, column-scheme bands its own rows
+    cut from the neighbors' stacked z.  Columns outside an agent's inputs
+    stay exactly zero, so nothing else can influence its derivative;
+    evaluation is one matrix-vector product.
     """
 
     def __init__(self, part, topo: Topology):
-        _check_counts(part, topo)
-        self.part = part
-        x_slices, z_slices, dim_x, dim = flat_slices(part)
-        self.dim_x = dim_x
-        self.dim = dim
-        if part.scheme == "row":
-            starts = [np.concatenate(([0], np.cumsum(row))) for row in part.agent_cols]
-            seg_offsets = [row[0].start for row in x_slices]
-        else:
-            starts = [np.concatenate(([0], np.cumsum(row))) for row in part.agent_rows]
-            seg_offsets = [row[0].start for row in z_slices]
-        self.matrix = np.zeros((dim, dim))
-        self.shift = np.zeros(dim)
-        for i in range(part.cluster_count):
-            cluster_nbrs = topo.cluster_graph.adjacent(i)
-            agent_nbrs = topo.agent_graphs[i].adjacent
-            for j in range(part.agent_counts[i]):
-                lo = int(starts[i][j])
-                hi = int(starts[i][j + 1])
+        check_topology(part.cluster_count, part.agent_counts, topo)
+        x_slices, z_slices, _, self.dim = flat_slices(part)
+        row = part.scheme == "row"
+        stacked, peer = (x_slices, z_slices) if row else (z_slices, x_slices)
+        self.matrix = mat = np.zeros((self.dim, self.dim))
+        self.shift = np.zeros(self.dim)
+        for i, blocks in enumerate(part.blocks):
+            base = stacked[i][0].start
+            for j, a in enumerate(blocks):
+                lo, hi = stacked[i][j].start - base, stacked[i][j].stop - base
                 band = [
-                    slice(seg_offsets[k] + lo, seg_offsets[k] + hi)
-                    for k in cluster_nbrs
+                    slice(stacked[k][0].start + lo, stacked[k][0].start + hi)
+                    for k in topo.cluster_graph.adjacent(i)
                 ]
-                if part.scheme == "row":
-                    zin = [z_slices[i][k] for k in agent_nbrs(j)]
-                    xin = band
-                else:
-                    zin = band
-                    xin = [x_slices[i][k] for k in agent_nbrs(j)]
-                self._fold_agent(
-                    part.blocks[i][j],
-                    part.offsets[i][j],
-                    x_slices[i][j],
-                    z_slices[i][j],
-                    zin,
-                    xin,
-                )
-
-    def _fold_agent(self, block, offset, sl_x, sl_z, zin, xin):
-        a = np.ascontiguousarray(block)
-        nz, nx = a.shape
-        q = len(zin)
-        p = len(xin)
-        gathers = [sl_x]
-        cols = [nx]
-        if q:
-            gathers.append(sl_z)
-            cols.append(nz)
-        gathers.extend(zin)
-        cols.extend([nz] * q)
-        gathers.extend(xin)
-        cols.extend([nx] * p)
-        u_dim = sum(cols)
-        mat = np.zeros((nx + nz, u_dim))
-        pos = 0
-        mat[:nx, pos : pos + nx] = -a.T @ a - p * np.eye(nx)
-        mat[nx:, pos : pos + nx] = a
-        pos += nx
-        if q:
-            mat[:nx, pos : pos + nz] = q * a.T
-            mat[nx:, pos : pos + nz] = -q * np.eye(nz)
-            pos += nz
-        for _ in range(q):
-            mat[:nx, pos : pos + nz] = -a.T
-            mat[nx:, pos : pos + nz] = np.eye(nz)
-            pos += nz
-        for _ in range(p):
-            mat[:nx, pos : pos + nx] = np.eye(nx)
-            pos += nx
-        bounds = np.concatenate(([0], np.cumsum(cols)))
-        for k, sl in enumerate(gathers):
-            cut = mat[:, int(bounds[k]) : int(bounds[k + 1])]
-            self.matrix[sl_x, sl] += cut[:nx]
-            self.matrix[sl_z, sl] += cut[nx:]
-        self.shift[sl_x] = a.T @ offset
-        self.shift[sl_z] = -offset
+                peers = [peer[i][k] for k in topo.agent_graphs[i].adjacent(j)]
+                zin, xin = (peers, band) if row else (band, peers)
+                sx, sz = x_slices[i][j], z_slices[i][j]
+                nz, nx = a.shape
+                q, p = len(zin), len(xin)
+                # += onto the zeros, not =, stores the -0.0 entries of these
+                # blocks as +0.0
+                mat[sx, sx] += -a.T @ a - p * np.eye(nx)
+                mat[sz, sx] += a
+                mat[sx, sz] += q * a.T
+                mat[sz, sz] += -q * np.eye(nz)
+                for sl in zin:
+                    mat[sx, sl] += -a.T
+                    mat[sz, sl] += np.eye(nz)
+                for sl in xin:
+                    mat[sx, sl] += np.eye(nx)
+                self.shift[sx] = a.T @ part.offsets[i][j]
+                self.shift[sz] = -part.offsets[i][j]
 
     def evaluate(self, y: np.ndarray) -> np.ndarray:
         """Derivative of the flat state [x; z] under the per-agent law."""
@@ -283,7 +207,8 @@ def sample_residuals(part, ys: np.ndarray) -> tuple:
     same quantity as overall, so its single column is overall itself.
     """
     ys = np.asarray(ys, dtype=float)
-    _, _, dim_x, dim = flat_slices(part)
+    dim_x = part.x_dim
+    dim = dim_x + part.z_dim
     if ys.ndim != 2 or ys.shape[1] != dim:
         raise ShapeMismatchError(f"stacked states have shape {ys.shape}, expected (S, {dim})")
     count = ys.shape[0]
@@ -299,8 +224,12 @@ def sample_residuals(part, ys: np.ndarray) -> tuple:
             lo, hi = bounds[i], bounds[i + 1]
             band = xc[:, i] @ a_full[lo:hi].T - b_full[lo:hi]
             conservation[:, i] = np.linalg.norm(band, axis=1)
-        first, second = np.triu_indices(clusters, 1)
-        consensus = np.linalg.norm(xc[:, first] - xc[:, second], axis=2)
+        # pairs (i, l > i) in row-major order, built one first cluster i at a
+        # time so no temporary holds every pair at once
+        consensus = np.concatenate(
+            [np.linalg.norm(xc[:, i, None] - xc[:, i + 1 :], axis=2) for i in range(clusters)],
+            axis=1,
+        )
         solution = xc.sum(axis=1) / clusters
         overall = np.linalg.norm(solution @ a_full.T - b_full, axis=1)
         return conservation, consensus, overall
@@ -325,7 +254,7 @@ def residuals(part, topo: Topology, y) -> ResidualReport:
     One sample_residuals row; under the column scheme the single
     conservation entry equals overall.
     """
-    _check_counts(part, topo)
+    check_topology(part.cluster_count, part.agent_counts, topo)
     conservation, consensus, overall = sample_residuals(part, as_flat_state(part, y)[None])
     return ResidualReport(
         scheme=part.scheme,

@@ -1,8 +1,8 @@
 """Connected bidirectional graphs for both network layers.
 
-A node's neighborhood always includes the node itself; self-pairs are never
-stored as edges.  Connectivity is validated eagerly so everything downstream
-may assume it.
+Edges are stored as canonical pairs and self-pairs never are; adjacent()
+lists a node's strict neighbors.  Connectivity is validated eagerly so
+everything downstream may assume it.
 """
 
 from __future__ import annotations
@@ -69,19 +69,12 @@ class Graph:
             raise ValueError(f"node {i} out of range")
         return self._adjacency[i]
 
-    def neighborhood(self, i: int) -> tuple:
-        """Neighbors of node i including i itself, sorted."""
-        return tuple(sorted(set(self.adjacent(i)) | {i}))
-
-    def degree(self, i: int) -> int:
-        return len(self.adjacent(i))
-
 
 def build_graph(node_count: int, edges) -> Graph:
     """Build a validated graph.
 
     Duplicate pairs (in either orientation) collapse silently; self-pairs are
-    dropped since self-neighborhood is implicit.
+    dropped, since the update laws difference a node only against others.
     """
     canon = set()
     for a, b in edges:

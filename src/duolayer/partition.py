@@ -103,17 +103,17 @@ def _equal_shares(v: np.ndarray, parts: int) -> list:
     return shares
 
 
-def _check_topology(layout: Layout, topo: Topology) -> None:
-    if len(layout.cluster_sizes) != topo.cluster_count:
+def check_topology(cluster_count: int, agent_counts, topo: Topology) -> None:
+    """Raise TopologyMismatchError unless topo has these cluster and agent counts."""
+    if cluster_count != topo.cluster_count:
         raise TopologyMismatchError(
-            f"layout has {len(layout.cluster_sizes)} clusters, "
-            f"topology has {topo.cluster_count}"
+            f"partition has {cluster_count} clusters, topology has {topo.cluster_count}"
         )
-    for i, row in enumerate(layout.agent_sizes):
-        if len(row) != topo.agent_counts[i]:
+    for i, (agents, nodes) in enumerate(zip(agent_counts, topo.agent_counts)):
+        if agents != nodes:
             raise TopologyMismatchError(
-                f"cluster {i}: layout lists {len(row)} agents, "
-                f"agent graph has {topo.agent_counts[i]} nodes"
+                f"cluster {i}: partition lists {agents} agents, "
+                f"agent graph has {nodes} nodes"
             )
 
 
@@ -242,7 +242,7 @@ def partition_rows(inst: ProblemInstance, b_offsets=None) -> RowPartition:
     layout = inst.layout
     if layout.scheme != "row":
         raise LayoutMismatchError(f"layout scheme is {layout.scheme!r}, expected 'row'")
-    _check_topology(layout, inst.topology)
+    check_topology(len(layout.cluster_sizes), map(len, layout.agent_sizes), inst.topology)
     m, n = inst.a.shape
     if sum(layout.cluster_sizes) != m:
         raise LayoutMismatchError(
@@ -310,7 +310,7 @@ def partition_columns(inst: ProblemInstance, b_offsets=None) -> ColumnPartition:
         raise LayoutMismatchError(
             f"layout scheme is {layout.scheme!r}, expected 'column'"
         )
-    _check_topology(layout, inst.topology)
+    check_topology(len(layout.cluster_sizes), map(len, layout.agent_sizes), inst.topology)
     m, n = inst.a.shape
     if sum(layout.cluster_sizes) != n:
         raise LayoutMismatchError(

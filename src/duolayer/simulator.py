@@ -54,6 +54,7 @@ class SimConfig:
     step_size None means auto: h = 0.9 * 2 / rho with rho a Gershgorin bound
     on the drift spectral radius, capped at 0.1.  init_mode is "zeros" or
     "random" (uniform in [-amplitude, amplitude], seeded by rng_seed).
+    step_size, max_time, stationarity_tol and init_amplitude must be finite;
     record_every and rng_seed must be integers, rng_seed >= 0; no field
     accepts a bool.
     """
@@ -74,20 +75,20 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer")
-        if self.step_size is not None and not self.step_size > 0:
-            raise ValueError("step_size must be positive or None for auto")
-        if not self.max_time > 0:
-            raise ValueError("max_time must be positive")
-        if not self.stationarity_tol > 0:
-            raise ValueError("stationarity_tol must be positive")
+        if self.step_size is not None and not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be positive and finite, or None for auto")
+        if not 0 < self.max_time < math.inf:
+            raise ValueError("max_time must be positive and finite")
+        if not 0 < self.stationarity_tol < math.inf:
+            raise ValueError("stationarity_tol must be positive and finite")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
         if self.init_mode not in ("zeros", "random"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
-        if not self.init_amplitude >= 0:
-            raise ValueError("init_amplitude must be >= 0")
+        if not 0 <= self.init_amplitude < math.inf:
+            raise ValueError("init_amplitude must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

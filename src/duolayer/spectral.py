@@ -41,6 +41,7 @@ import numpy as np
 from .dynamics import tiled_reference
 from .graph import Topology, lifted_laplacian
 from .linalg import RANK_RTOL, Spectrum, as_matrix, eig, solve_least_squares
+from .partition import check_topology
 
 # Relative tolerance for the spectral verdicts.
 VERDICT_RTOL = 1e-8
@@ -230,11 +231,7 @@ def assemble_compact(part, topo: Topology) -> CompactSystem:
     it is built from Kronecker lifts and block stacking, never from the
     per-agent update code.
     """
-    if part.cluster_count != topo.cluster_count or part.agent_counts != topo.agent_counts:
-        raise ValueError(
-            f"partition ({part.cluster_count} clusters, {part.agent_counts}) does "
-            f"not match topology ({topo.cluster_count} clusters, {topo.agent_counts})"
-        )
+    check_topology(part.cluster_count, part.agent_counts, topo)
     a_stack = _block_diag([block for row in part.blocks for block in row])
     b_stack = np.concatenate([off for row in part.offsets for off in row])
     if part.scheme == "row":

@@ -5,12 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from duolayer import SimConfig
 from duolayer.cli import (
     EXIT_DIVERGED,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_TOPOLOGY,
+    GraphSpec,
     ScenarioError,
     build_problem,
     main,
@@ -18,7 +20,6 @@ from duolayer.cli import (
     random_composition,
     random_connected_graph,
     random_instance,
-    scenario_to_dict,
 )
 
 
@@ -73,23 +74,23 @@ def write_scenario(tmp_path, data, name="scenario.json"):
 def test_scenario_round_trip():
     data = identity_scenario()
     sc = parse_scenario(data)
-    again = scenario_to_dict(sc)
-    assert parse_scenario(again) is not None
-    assert scenario_to_dict(parse_scenario(again)) == again
+    assert sc.scheme == "row"
+    assert sc.a.tolist() == data["A"] and sc.b.tolist() == data["b"]
+    assert sc.cluster_graph == GraphSpec(nodes=2, edges=((0, 1),))
+    assert sc.agent_graphs == (GraphSpec(nodes=2, edges=((0, 1),)),) * 2
+    assert sc.cluster_sizes == (1, 1) and sc.agent_sizes == ((1, 1), (1, 1))
+    assert sc.b_offsets is None
+    assert sc.sim == SimConfig(step_size=None, max_time=200.0, stationarity_tol=1e-11)
 
 
 def test_scenario_round_trip_with_offsets():
-    row = identity_scenario(
-        b_offsets=[[[0.5, 0.0], [0.5, 0.0]], [[0.0, -1.0], [0.0, -1.0]]]
-    )
+    given = [[[0.5, 0.0], [0.5, 0.0]], [[0.0, -1.0], [0.0, -1.0]]]
     # row offsets are per cluster per agent; each must span the cluster rows
-    sc = parse_scenario(row)
-    assert scenario_to_dict(parse_scenario(scenario_to_dict(sc))) == scenario_to_dict(sc)
-    col = identity_scenario(
-        scheme="column", b_offsets=[[1.0, -2.0], [0.0, 0.0]]
-    )
-    sc = parse_scenario(col)
-    assert scenario_to_dict(sc)["b_offsets"] == [[1.0, -2.0], [0.0, 0.0]]
+    sc = parse_scenario(identity_scenario(b_offsets=given))
+    assert [[v.tolist() for v in row] for row in sc.b_offsets] == given
+    given = [[1.0, -2.0], [0.0, 0.0]]
+    sc = parse_scenario(identity_scenario(scheme="column", b_offsets=given))
+    assert [v.tolist() for v in sc.b_offsets] == given
 
 
 def test_parse_rejects_unknown_keys_with_location():
@@ -213,6 +214,10 @@ def test_run_parse_errors(tmp_path, capsys):
         ("stationarity_tol", True),
         ("max_time", True),
         ("init_amplitude", False),
+        ("init_amplitude", float("inf")),
+        ("max_time", float("inf")),
+        ("stationarity_tol", float("inf")),
+        ("step_size", float("inf")),
     ],
 )
 def test_run_rejects_bad_sim_values(tmp_path, capsys, key, value):

@@ -219,6 +219,13 @@ def test_stacked_residuals_and_closeness_match_loop_oracles():
     ):
         for sizes in layouts:
             cases.append((*make(a, b, *sizes), b))
+    # six clusters, so the row consensus covers 15 cluster pairs; its own
+    # generator leaves the draws above and below unchanged
+    many = np.random.default_rng(43)
+    a6, b6 = many.uniform(-1, 1, size=(7, 4)), many.uniform(-1, 1, size=7)
+    agents6 = [[4], [1, 3], [2, 2], [4], [1, 1, 2], [4]]
+    cases.append((*make_row(a6, b6, [1, 1, 2, 1, 1, 1], agents6), b6))
+    assert max(p.cluster_count for p, _, _ in cases if p.scheme == "row") >= 6
     single_cluster = {p.scheme for p, _, _ in cases if p.cluster_count == 1}
     single_agent = {p.scheme for p, _, _ in cases if 1 in p.agent_counts}
     assert single_cluster == single_agent == {"row", "column"}

@@ -18,13 +18,11 @@ def path(n):
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def test_neighborhood_includes_self():
+def test_adjacent_lists_strict_neighbors():
     g = path(3)
     assert g.adjacent(1) == (0, 2)
-    assert g.neighborhood(1) == (0, 1, 2)
-    assert g.neighborhood(0) == (0, 1)
-    assert g.degree(0) == 1
-    assert g.degree(1) == 2
+    assert g.adjacent(0) == (1,)
+    assert g.adjacent(2) == (1,)
 
 
 def test_build_graph_deduplicates_and_drops_self_pairs():
@@ -36,7 +34,6 @@ def test_single_node_graph_is_connected():
     g = build_graph(1, [])
     assert g.node_count == 1
     assert g.adjacent(0) == ()
-    assert g.neighborhood(0) == (0,)
 
 
 def test_disconnected_graph_rejected():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -53,6 +55,9 @@ def test_sim_config_validation():
         SimConfig(init_amplitude=-0.5)
     with pytest.raises(ValueError):
         SimConfig(rng_seed=-1)
+    for name in ("step_size", "max_time", "stationarity_tol", "init_amplitude"):
+        with pytest.raises(ValueError, match=f"{name} .*finite"):
+            SimConfig(**{name: math.inf})
     for bad in ({"rng_seed": 1.5}, {"record_every": 2.5}, {"record_every": True},
                 {"stationarity_tol": True}, {"init_amplitude": np.True_}):
         with pytest.raises(TypeError):
