@@ -11,7 +11,7 @@ import argparse
 import numpy as np
 
 from duolayer import assemble_compact, check_drift_spectrum
-from duolayer.cli import random_instance
+from duolayer.instances import random_instance
 
 
 def survey(scheme, samples, max_dim, min_sigma, seed):

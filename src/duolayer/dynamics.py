@@ -196,6 +196,16 @@ class ResidualReport:
         return max(self.consensus) if self.consensus else 0.0
 
 
+def _pair_distances(stack: np.ndarray) -> np.ndarray:
+    """||v_i - v_l|| for the pairs i < l of an (S, k, w) stack, shape (S, pairs).
+
+    Pairs run in row-major order and are built one first index i at a time,
+    so no temporary holds every pair at once.
+    """
+    gaps = (stack[:, i, None] - stack[:, i + 1 :] for i in range(stack.shape[1]))
+    return np.concatenate([np.linalg.norm(gap, axis=2) for gap in gaps], axis=1)
+
+
 def sample_residuals(part, ys: np.ndarray) -> tuple:
     """Residual norms of a block of stacked [x; z] states, one row each.
 
@@ -224,12 +234,7 @@ def sample_residuals(part, ys: np.ndarray) -> tuple:
             lo, hi = bounds[i], bounds[i + 1]
             band = xc[:, i] @ a_full[lo:hi].T - b_full[lo:hi]
             conservation[:, i] = np.linalg.norm(band, axis=1)
-        # pairs (i, l > i) in row-major order, built one first cluster i at a
-        # time so no temporary holds every pair at once
-        consensus = np.concatenate(
-            [np.linalg.norm(xc[:, i, None] - xc[:, i + 1 :], axis=2) for i in range(clusters)],
-            axis=1,
-        )
+        consensus = _pair_distances(xc)
         solution = xc.sum(axis=1) / clusters
         overall = np.linalg.norm(solution @ a_full.T - b_full, axis=1)
         return conservation, consensus, overall
@@ -239,9 +244,7 @@ def sample_residuals(part, ys: np.ndarray) -> tuple:
     for i, (n_i, agents) in enumerate(zip(part.cluster_cols, part.agent_counts)):
         xi = xs[:, pos : pos + agents * n_i].reshape(count, agents, n_i)
         pos += agents * n_i
-        first, second = np.triu_indices(agents, 1)
-        gaps = np.linalg.norm(xi[:, first] - xi[:, second], axis=2)
-        consensus[:, i] = np.max(gaps, axis=1, initial=0.0)
+        consensus[:, i] = np.max(_pair_distances(xi), axis=1, initial=0.0)
         means.append(xi.sum(axis=1) / agents)
     solution = np.concatenate(means, axis=1)
     overall = np.linalg.norm(solution @ a_full.T - b_full, axis=1)

@@ -26,10 +26,12 @@ from .dynamics import (
     tiled_reference,
 )
 from .graph import Topology
-from .linalg import as_vector, solve_least_squares
+from .linalg import solve_least_squares
 
 # Samples with V below this floor are excluded from rate fitting.
 V_FLOOR = 1e-14
+# Fewest samples above V_FLOOR that a rate fit accepts.
+MIN_FIT_SAMPLES = 10
 # Recorded samples evaluated together; bounds the recording buffer to
 # RECORD_BATCH flat states.
 RECORD_BATCH = 64
@@ -127,7 +129,6 @@ class SimResult:
     step_size: float
     stop_reason: str  # "stationary" | "max_time"
     steps: int
-    reference: np.ndarray  # solution V was measured against
 
 
 def closeness_metric(y, x_star, part) -> float:
@@ -156,19 +157,18 @@ def integrate(
     cfg: SimConfig,
     *,
     initial_state=None,
-    x_reference=None,
 ) -> SimResult:
     """Propagate the per-agent flow with classical fixed-step RK4.
 
     initial_state is a flat [x; z] vector (copied, never modified); when it
     is None the start is drawn by cfg.init_mode.  Stops at max_time or as
     soon as the derivative max-norm falls below stationarity_tol.  The
-    result's final_state is flat too.  V is measured against x_reference
-    when given, else against the minimum-norm least-squares solution of the
-    reassembled system.  Samples are evaluated from the flat state in
-    batches of RECORD_BATCH, so recording memory stays bounded; a
-    non-finite V raises NonFiniteStateError with the time of the first such
-    sample, also when the state itself overflows later in the same batch.
+    result's final_state is flat too.  V is measured against the
+    minimum-norm least-squares solution of the reassembled system.  Samples
+    are evaluated from the flat state in batches of RECORD_BATCH, so
+    recording memory stays bounded; a non-finite V raises
+    NonFiniteStateError with the time of the first such sample, also when
+    the state itself overflows later in the same batch.
     """
     plan = DerivativePlan(part, topo)
     h = cfg.step_size if cfg.step_size is not None else _step_from_matrix(plan.matrix)
@@ -179,11 +179,7 @@ def integrate(
     else:
         rng = np.random.default_rng(cfg.rng_seed)
         y = rng.uniform(-cfg.init_amplitude, cfg.init_amplitude, size=plan.dim)
-    if x_reference is None:
-        ref = solve_least_squares(*part.reassemble())
-    else:
-        ref = as_vector(x_reference)
-    tiled = tiled_reference(part, ref)
+    tiled = tiled_reference(part, solve_least_squares(*part.reassemble()))
     dim_x = tiled.shape[0]
 
     samples = []
@@ -257,7 +253,6 @@ def integrate(
         step_size=h,
         stop_reason=stop_reason,
         steps=steps,
-        reference=ref,
     )
 
 
@@ -278,15 +273,15 @@ def _fit_line(t: np.ndarray, values: np.ndarray) -> tuple:
 def fit_convergence_rate(traj: Trajectory) -> tuple:
     """Slope and R^2 of a line fit to ln V(t) over the decaying window.
 
-    The window runs over all samples with V above the 1e-14 floor; at least
-    ten of them are required.
+    The window runs over all samples with V above V_FLOOR; at least
+    MIN_FIT_SAMPLES of them are required.
     """
     t = traj.times()
     v = traj.values()
     mask = v > V_FLOOR
-    if int(np.count_nonzero(mask)) < 10:
+    if int(np.count_nonzero(mask)) < MIN_FIT_SAMPLES:
         raise InsufficientSamplesError(
-            f"need >= 10 samples with V > {V_FLOOR:g}, "
+            f"need >= {MIN_FIT_SAMPLES} samples with V > {V_FLOOR:g}, "
             f"have {int(np.count_nonzero(mask))}"
         )
     slope, _, r2 = _fit_line(t[mask], np.log(v[mask]))

@@ -53,32 +53,31 @@ class InconsistentSystemError(ValueError):
     """A x = b has no solution, so no equilibrium certificate exists."""
 
 
-def _require_sym_psd(m: np.ndarray, name: str) -> None:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got {m.shape}")
-    scale = 1.0 + (float(np.max(np.abs(m))) if m.size else 0.0)
-    if m.size and float(np.max(np.abs(m - m.T))) > PSD_RTOL * scale:
-        raise ValueError(f"{name} is not symmetric within tolerance")
-    if m.size:
-        sym = 0.5 * (m + m.T)
-        # Gershgorin: lambda_min >= min_i (sym_ii - sum_{j != i} |sym_ij|),
-        # which already settles diagonally dominant matrices like Laplacians
-        diag = np.diag(sym)
-        radius = np.sum(np.abs(sym), axis=1) - np.abs(diag)
-        if float(np.min(diag - radius)) >= -PSD_RTOL * scale:
-            return
-        low = float(np.linalg.eigvalsh(sym)[0])
-        if low < -PSD_RTOL * scale:
-            raise ValueError(f"{name} is not positive semi-definite within tolerance")
+def _max_abs(m: np.ndarray) -> float:
+    """Largest absolute entry of a non-empty m, without an |m|-sized temporary."""
+    return float(max(m.max(), -m.min()))
+
+
+def _lowest_eigenvalue_bound(m: np.ndarray, tol: float) -> float:
+    """A lower bound on the smallest eigenvalue of the symmetric part of m.
+
+    Gershgorin first: lambda_min >= min_i (sym_ii - sum_{j != i} |sym_ij|),
+    which already settles diagonally dominant matrices like Laplacians; only
+    when that bound falls below -tol is the exact eigvalsh minimum taken.
+    """
+    sym = 0.5 * (m + m.T)
+    diag = np.diag(sym)
+    radius = np.sum(np.abs(sym), axis=1) - np.abs(diag)
+    low = float(np.min(diag - radius))
+    return low if low >= -tol else float(np.linalg.eigvalsh(sym)[0])
 
 
 @dataclass(frozen=True)
 class SpectralVerdict:
     """Outcome of the three spectral assertions on one matrix.
 
-    real_ok:         max Re(lambda) < rtol * scale
-    imag_ok:         max |Im(lambda)| < rtol * scale
+    real_ok:         max Re(lambda) < VERDICT_RTOL * scale
+    imag_ok:         max |Im(lambda)| < VERDICT_RTOL * scale
     nondefective_ok: the zero eigenvalue is non-defective, i.e.
                      spectrum.rank == spectrum.rank_squared
 
@@ -129,7 +128,7 @@ class SpectralVerdict:
         }
 
 
-def spectrum_verdict(m, rtol: float = VERDICT_RTOL) -> SpectralVerdict:
+def spectrum_verdict(m) -> SpectralVerdict:
     """Run the three spectral assertions on an arbitrary square matrix."""
     m = as_matrix(m)
     sp = eig(m)
@@ -141,8 +140,8 @@ def spectrum_verdict(m, rtol: float = VERDICT_RTOL) -> SpectralVerdict:
         scale=scale,
         max_real=max_real,
         max_imag=max_imag,
-        real_ok=max_real < rtol * scale,
-        imag_ok=max_imag < rtol * scale,
+        real_ok=max_real < VERDICT_RTOL * scale,
+        imag_ok=max_imag < VERDICT_RTOL * scale,
         nondefective_ok=sp.rank == sp.rank_squared,
     )
 
@@ -162,46 +161,49 @@ class SaddleBlocks:
 
     def __post_init__(self):
         object.__setattr__(self, "coupling", as_matrix(self.coupling))
-        object.__setattr__(self, "primal_damping", as_matrix(self.primal_damping))
-        object.__setattr__(self, "dual_damping", as_matrix(self.dual_damping))
         r, s = self.coupling.shape
-        if self.primal_damping.shape != (s, s):
-            raise ValueError(
-                f"primal damping has shape {self.primal_damping.shape}, "
-                f"expected ({s}, {s})"
-            )
-        if self.dual_damping.shape != (r, r):
-            raise ValueError(
-                f"dual damping has shape {self.dual_damping.shape}, "
-                f"expected ({r}, {r})"
-            )
-        _require_sym_psd(self.primal_damping, "primal damping")
-        _require_sym_psd(self.dual_damping, "dual damping")
+        for field, n in (("primal_damping", s), ("dual_damping", r)):
+            name = field.replace("_", " ")
+            m = as_matrix(getattr(self, field))
+            object.__setattr__(self, field, m)
+            if m.shape != (n, n):
+                raise ValueError(f"{name} has shape {m.shape}, expected ({n}, {n})")
+            if not m.size:
+                continue
+            tol = PSD_RTOL * (1.0 + _max_abs(m))
+            if _max_abs(m - m.T) > tol:
+                raise ValueError(f"{name} is not symmetric within tolerance")
+            if _lowest_eigenvalue_bound(m, tol) < -tol:
+                raise ValueError(f"{name} is not positive semi-definite within tolerance")
 
     def matrix(self) -> np.ndarray:
         c, p, d = self.coupling, self.primal_damping, self.dual_damping
         return np.block([[-c.T @ c - p, c.T @ d], [c, -d]])
 
 
-def check_saddle_spectrum(blocks: SaddleBlocks, rtol: float = VERDICT_RTOL) -> SpectralVerdict:
+def check_saddle_spectrum(blocks: SaddleBlocks) -> SpectralVerdict:
     """Certify the spectrum of the structured block matrix of `blocks`."""
-    return spectrum_verdict(blocks.matrix(), rtol)
+    return spectrum_verdict(blocks.matrix())
 
 
 @dataclass(frozen=True)
 class CompactSystem:
-    """Stacked drift form of one partitioned instance."""
+    """Stacked drift form of one partitioned instance.
+
+    saddle.coupling C stacks every agent block block-diagonally.  The two
+    lifted Laplacians take the damping roles: row scheme P = the cluster
+    layer, D = the agent layers; column scheme P = the agent layers, D = the
+    cluster layer.  drift_matrix is saddle.matrix().
+    """
 
     scheme: str
-    a_stack: np.ndarray  # block-diagonal stack of all agent blocks
+    saddle: SaddleBlocks
     b_stack: np.ndarray  # stacked offsets
-    agent_laplacian: np.ndarray  # block-diagonal lifted agent-layer Laplacians
-    cluster_laplacian: np.ndarray  # lifted cluster-layer Laplacian
     drift_matrix: np.ndarray
 
     @property
     def dim_x(self) -> int:
-        return self.a_stack.shape[1]
+        return self.saddle.coupling.shape[1]
 
     @property
     def dim(self) -> int:
@@ -210,7 +212,7 @@ class CompactSystem:
     @property
     def forcing(self) -> np.ndarray:
         """Constant term of the affine flow d/dt [x; z] = Q [x; z] + f."""
-        return np.concatenate([self.a_stack.T @ self.b_stack, -self.b_stack])
+        return np.concatenate([self.saddle.coupling.T @ self.b_stack, -self.b_stack])
 
 
 def _block_diag(blocks: list) -> np.ndarray:
@@ -229,43 +231,30 @@ def assemble_compact(part, topo: Topology) -> CompactSystem:
 
     This is an independent route to the same flow as the per-agent updates:
     it is built from Kronecker lifts and block stacking, never from the
-    per-agent update code.
+    per-agent update code.  Both schemes build the same two Laplacians; only
+    their widths and their P/D roles swap.
     """
     check_topology(part.cluster_count, part.agent_counts, topo)
-    a_stack = _block_diag([block for row in part.blocks for block in row])
-    b_stack = np.concatenate([off for row in part.offsets for off in row])
-    if part.scheme == "row":
-        lifts = [
-            lifted_laplacian(topo.agent_graphs[i], part.cluster_rows[i])
-            for i in range(part.cluster_count)
-        ]
-        agent_lap = _block_diag(lifts)
-        cluster_lap = lifted_laplacian(topo.cluster_graph, part.total_cols)
-        x_damping, z_lap = cluster_lap, agent_lap
-    else:
-        lifts = [
-            lifted_laplacian(topo.agent_graphs[i], part.cluster_cols[i])
-            for i in range(part.cluster_count)
-        ]
-        agent_lap = _block_diag(lifts)
-        cluster_lap = lifted_laplacian(topo.cluster_graph, part.total_rows)
-        x_damping, z_lap = agent_lap, cluster_lap
-    drift = np.block(
-        [[-a_stack.T @ a_stack - x_damping, a_stack.T @ z_lap], [a_stack, -z_lap]]
+    row = part.scheme == "row"
+    agent_widths, cluster_width = (
+        (part.cluster_rows, part.total_cols) if row else (part.cluster_cols, part.total_rows)
+    )
+    agent_lap = _block_diag(
+        [lifted_laplacian(g, w) for g, w in zip(topo.agent_graphs, agent_widths)]
+    )
+    cluster_lap = lifted_laplacian(topo.cluster_graph, cluster_width)
+    primal, dual = (cluster_lap, agent_lap) if row else (agent_lap, cluster_lap)
+    saddle = SaddleBlocks(
+        coupling=_block_diag([block for blocks in part.blocks for block in blocks]),
+        primal_damping=primal,
+        dual_damping=dual,
     )
     return CompactSystem(
         scheme=part.scheme,
-        a_stack=a_stack,
-        b_stack=b_stack,
-        agent_laplacian=agent_lap,
-        cluster_laplacian=cluster_lap,
-        drift_matrix=drift,
+        saddle=saddle,
+        b_stack=np.concatenate([off for offsets in part.offsets for off in offsets]),
+        drift_matrix=saddle.matrix(),
     )
-
-
-def _max_abs(m: np.ndarray) -> float:
-    """Largest absolute entry of a non-empty m, without an |m|-sized temporary."""
-    return float(max(m.max(), -m.min()))
 
 
 def _structure_check(name: str, residual: float, tol: float) -> float:
@@ -278,20 +267,18 @@ def _structure_check(name: str, residual: float, tol: float) -> float:
     return residual / tol
 
 
-def check_drift_spectrum(cs: CompactSystem, rtol: float = VERDICT_RTOL) -> SpectralVerdict:
+def check_drift_spectrum(cs: CompactSystem) -> SpectralVerdict:
     """Certify the drift matrix Q on the structured route.
 
-    Re-validates the Laplacian blocks, then checks on the assembled
+    cs.saddle was validated when it was built; this checks on the assembled
     Q = [[Q11, Q12], [Q21, Q22]] itself that Q22 = -D with D symmetric PSD,
     Q12 = -Q21.T Q22 and P = -(Q11 + Q21.T Q21) symmetric PSD, all relative
-    to PSD_RTOL.  A corrupted Laplacian or drift matrix raises ValueError
-    instead of producing a misleading verdict.  The eigenvalues of Q are
-    those of S (see the module docstring) plus one zero per kernel vector of
-    D.  Only the lower triangle of S is built, in one zeroed buffer, since
-    eigvalsh reads nothing else.
+    to PSD_RTOL.  A corrupted drift matrix raises ValueError instead of
+    producing a misleading verdict.  The eigenvalues of Q are those of S
+    (see the module docstring) plus one zero per kernel vector of D.  Only
+    the lower triangle of S is built, in one zeroed buffer, since eigvalsh
+    reads nothing else.
     """
-    _require_sym_psd(cs.agent_laplacian, "agent laplacian")
-    _require_sym_psd(cs.cluster_laplacian, "cluster laplacian")
     q = as_matrix(cs.drift_matrix)
     dim_x = cs.dim_x
     q11, q12 = q[:dim_x, :dim_x], q[:dim_x, dim_x:]
@@ -312,8 +299,8 @@ def check_drift_spectrum(cs: CompactSystem, rtol: float = VERDICT_RTOL) -> Spect
     sym_p = _structure_check(
         "P = -(Q11 + Q21.T Q21) symmetric", _max_abs(p - p.T), PSD_RTOL * (1.0 + _max_abs(q11))
     )
-    low_p = float(np.linalg.eigvalsh(p)[0])
-    _structure_check("P positive semi-definite", -low_p, PSD_RTOL * (1.0 + _max_abs(p)))
+    tol_p = PSD_RTOL * (1.0 + _max_abs(p))
+    _structure_check("P positive semi-definite", -_lowest_eigenvalue_bound(p, tol_p), tol_p)
     del p
     lam, u = np.linalg.eigh(q22)
     lam = -lam  # the eigenvalues of D = -Q22, in descending order
@@ -347,7 +334,7 @@ def check_drift_spectrum(cs: CompactSystem, rtol: float = VERDICT_RTOL) -> Spect
         scale=scale,
         max_real=max_real,
         max_imag=0.0,
-        real_ok=max_real < rtol * scale,
+        real_ok=max_real < VERDICT_RTOL * scale,
         imag_ok=True,
         nondefective_ok=True,
         structure_residual=max(sym22, coupled, sym_p),
@@ -370,9 +357,8 @@ def equilibrium_certificate(cs: CompactSystem, part) -> tuple:
             f"A x = b is inconsistent: least-squares residual {resid:.3e}"
         )
     x_hat = tiled_reference(part, y)
-    balance = cs.agent_laplacian if part.scheme == "row" else cs.cluster_laplacian
-    rhs = cs.a_stack @ x_hat - cs.b_stack
-    z_hat = solve_least_squares(balance, rhs)
+    rhs = cs.saddle.coupling @ x_hat - cs.b_stack
+    z_hat = solve_least_squares(cs.saddle.dual_damping, rhs)
     v = np.concatenate([x_hat, z_hat])
     drift_norm = float(np.linalg.norm(cs.drift_matrix @ v + cs.forcing))
     if drift_norm > 1e-8 * (1.0 + float(np.linalg.norm(cs.b_stack))):

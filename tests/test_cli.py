@@ -17,10 +17,8 @@ from duolayer.cli import (
     build_problem,
     main,
     parse_scenario,
-    random_composition,
-    random_connected_graph,
-    random_instance,
 )
+from duolayer.instances import random_composition, random_connected_graph, random_instance
 
 
 def identity_scenario(**overrides):
@@ -299,6 +297,21 @@ def test_plot_writes_lnv(tmp_path):
     # converged run: the tail of ln V decreases
     assert ln_v[-1] < ln_v[0]
     assert np.all(np.isfinite(fitted))
+
+
+def test_plot_fit_matches_summary_slope(tmp_path):
+    # plot and summary.json fit the same ln V window
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "three_cluster_5x5.json"
+    out = tmp_path / "run"
+    assert main(["run", str(scenario), "--out", str(out)]) == EXIT_OK
+    assert main(["plot", str(out)]) == EXIT_OK
+    with (out / "lnv.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    t = np.array([float(r["time"]) for r in rows])
+    fitted = np.array([float(r["fitted"]) for r in rows])
+    slope = (fitted[-1] - fitted[0]) / (t[-1] - t[0])
+    want = json.loads((out / "summary.json").read_text())["slope"]
+    assert abs(slope - want) <= 1e-9 * abs(want), (slope, want)
 
 
 def test_plot_missing_and_empty_artifacts(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,8 @@ from duolayer import (
     residuals,
     sample_residuals,
 )
-from duolayer.cli import random_instance
 from duolayer.dynamics import flat_slices
+from duolayer.instances import random_instance
 from helpers import oracle_closeness, oracle_residuals
 
 
@@ -257,3 +259,24 @@ def test_sample_residuals_rejects_wrong_width():
         sample_residuals(part, np.zeros((2, 5)))
     with pytest.raises(ShapeMismatchError):
         sample_residuals(part, np.zeros(6))
+
+
+def test_column_consensus_memory_stays_below_all_pairs():
+    # 2 clusters x 40 one-row agents of 30 columns each: every agent pair of
+    # a cluster at once would be a 16 x 780 x 30 temporary (3 MB)
+    rng = np.random.default_rng(47)
+    m, n_i, count = 40, 30, 16
+    a = rng.uniform(-1, 1, size=(m, 2 * n_i))
+    part, _ = make_col(a, a @ rng.uniform(-1, 1, size=2 * n_i), [n_i, n_i], [[1] * m] * 2)
+    ys = rng.normal(size=(count, part.x_dim + part.z_dim))
+    want = [oracle_residuals(part, y).consensus for y in ys[:2]]
+    sample_residuals(part, ys[:1])  # build the cached reassembly untraced
+    tracemalloc.start()
+    try:
+        _, consensus, _ = sample_residuals(part, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    all_pairs = count * (m * (m - 1) // 2) * n_i * 8
+    assert peak < all_pairs / 2, peak
+    assert np.allclose(consensus[:2], want, rtol=0.0, atol=1e-12)

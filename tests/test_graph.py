@@ -11,7 +11,7 @@ from duolayer import (
     laplacian,
     lifted_laplacian,
 )
-from duolayer.cli import random_connected_graph
+from duolayer.instances import random_connected_graph
 
 
 def path(n):

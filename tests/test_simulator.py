@@ -21,8 +21,9 @@ from duolayer import (
     integrate,
     partition_rows,
     residuals,
+    solve_least_squares,
 )
-from duolayer.cli import random_instance
+from duolayer.instances import random_instance
 from duolayer.simulator import RECORD_BATCH
 from helpers import oracle_closeness, oracle_residuals
 
@@ -181,13 +182,13 @@ def test_underdetermined_converges_at_residual_level():
     assert np.max(np.abs(finals[0] - finals[1])) > 1e-3
 
 
-def test_v_measured_against_supplied_reference():
+def test_v_measured_against_least_squares_solution():
+    # 2 x = 4: V runs from 0.5 * 2^2 at the zero start down to 0 at x = 2
     part, topo = single_agent()
     cfg = SimConfig(max_time=20.0, stationarity_tol=1e-12)
-    at_solution = integrate(part, topo, cfg, x_reference=[2.0])
-    assert at_solution.trajectory.values()[-1] < 1e-15
-    off = integrate(part, topo, cfg, x_reference=[0.0])
-    assert abs(off.trajectory.values()[-1] - 2.0) < 1e-6
+    values = integrate(part, topo, cfg).trajectory.values()
+    assert values[0] == 2.0
+    assert values[-1] < 1e-15
 
 
 def test_divergence_raises_with_time():
@@ -229,6 +230,7 @@ def test_batched_samples_match_oracles_on_stored_states():
             "init_mode": "random",
         }
         res = integrate(part, inst.topology, SimConfig(max_time=2.65, **settings))
+        ref = solve_least_squares(*part.reassemble())
         samples = res.trajectory.samples
         assert len(samples) > 2 * RECORD_BATCH
         steps = list(range(0, res.steps + 1, 2))
@@ -247,7 +249,7 @@ def test_batched_samples_match_oracles_on_stored_states():
             assert np.allclose(s.residuals.conservation, want.conservation, rtol=0.0, atol=tol)
             assert np.allclose(s.residuals.consensus, want.consensus, rtol=0.0, atol=tol)
             assert abs(s.residuals.overall - want.overall) <= tol
-            v = oracle_closeness(y, res.reference, part)
+            v = oracle_closeness(y, ref, part)
             assert abs(s.v - v) <= 1e-14 * v + 1e-300
         assert y.tobytes() == res.final_state.tobytes()
 

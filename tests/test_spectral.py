@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import block_diag
 
 from duolayer import (
-    CompactSystem,
     InconsistentSystemError,
     Layout,
     ProblemInstance,
@@ -23,7 +22,7 @@ from duolayer import (
     partition_rows,
     spectrum_verdict,
 )
-from duolayer.cli import random_composition, random_connected_graph, random_instance
+from duolayer.instances import random_composition, random_connected_graph, random_instance
 from helpers import random_orthogonal, random_saddle_blocks
 
 
@@ -256,18 +255,21 @@ def test_block_stacking_matches_scipy_block_diag():
         topo = inst.topology
         cs = assemble_compact(part, topo)
         a_stack = block_diag(*[block for row in part.blocks for block in row])
-        widths = part.cluster_rows if scheme == "row" else part.cluster_cols
+        if scheme == "row":
+            widths, cluster_width = part.cluster_rows, part.total_cols
+        else:
+            widths, cluster_width = part.cluster_cols, part.total_rows
         agent_lap = block_diag(
             *[lifted_laplacian(g, w) for g, w in zip(topo.agent_graphs, widths)]
         )
-        x_damping, z_lap = (
-            (cs.cluster_laplacian, agent_lap) if scheme == "row" else (agent_lap, cs.cluster_laplacian)
-        )
+        cluster_lap = lifted_laplacian(topo.cluster_graph, cluster_width)
+        x_damping, z_lap = (cluster_lap, agent_lap) if scheme == "row" else (agent_lap, cluster_lap)
         drift = np.block(
             [[-a_stack.T @ a_stack - x_damping, a_stack.T @ z_lap], [a_stack, -z_lap]]
         )
-        assert np.array_equal(cs.a_stack, a_stack)
-        assert np.array_equal(cs.agent_laplacian, agent_lap)
+        assert np.array_equal(cs.saddle.coupling, a_stack)
+        assert np.array_equal(cs.saddle.primal_damping, x_damping)
+        assert np.array_equal(cs.saddle.dual_damping, z_lap)
         assert np.array_equal(cs.drift_matrix, drift)
 
 
@@ -338,28 +340,26 @@ def test_raw_gaussian_saddle_spectra_stay_left_and_real():
 
 
 def test_drift_spectrum_rejects_corrupted_laplacian():
-    part, topo = single_agent_system()
-    good = assemble_compact(part, topo)
-    bad = CompactSystem(
-        scheme=good.scheme,
-        a_stack=good.a_stack,
-        b_stack=good.b_stack,
-        agent_laplacian=np.array([[0.0, 1.0], [0.0, 0.0]]),
-        cluster_laplacian=good.cluster_laplacian,
-        drift_matrix=good.drift_matrix,
+    # a corrupted Laplacian never reaches the verdict: the SaddleBlocks a
+    # CompactSystem holds rejects it by its symmetry and PSD checks
+    layout = Layout(scheme="row", cluster_sizes=[2], agent_sizes=[[1, 1]])
+    topo = topology(1, [2])
+    inst = ProblemInstance(
+        a=np.array([[2.0, 1.0], [0.0, 1.0]]), b=np.array([1.0, 1.0]), topology=topo, layout=layout
     )
-    with pytest.raises(ValueError):
-        check_drift_spectrum(bad)
-    indefinite = CompactSystem(
-        scheme=good.scheme,
-        a_stack=good.a_stack,
-        b_stack=good.b_stack,
-        agent_laplacian=good.agent_laplacian,
-        cluster_laplacian=np.array([[-1.0]]),
-        drift_matrix=good.drift_matrix,
-    )
-    with pytest.raises(ValueError):
-        check_drift_spectrum(indefinite)
+    good = assemble_compact(partition_rows(inst), topo).saddle
+    skew = good.dual_damping.copy()
+    skew[0, -1] += 1.0
+    with pytest.raises(ValueError, match="dual damping is not symmetric"):
+        SaddleBlocks(
+            coupling=good.coupling, primal_damping=good.primal_damping, dual_damping=skew
+        )
+    indefinite = np.array([[0.0, 1.0], [1.0, 0.0]])  # eigenvalues -1 and 1
+    assert indefinite.shape == good.primal_damping.shape
+    with pytest.raises(ValueError, match="primal damping is not positive semi-definite"):
+        SaddleBlocks(
+            coupling=good.coupling, primal_damping=indefinite, dual_damping=good.dual_damping
+        )
 
 
 def test_drift_spectra_pass_for_random_instances():
