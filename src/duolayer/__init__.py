@@ -39,6 +39,7 @@ from .spectral import (
     InconsistentSystemError,
     SaddleBlocks,
     SpectralVerdict,
+    StructureError,
     assemble_compact,
     check_drift_spectrum,
     check_saddle_spectrum,
@@ -54,6 +55,7 @@ from .simulator import (
     TrajectorySample,
     closeness_metric,
     fit_convergence_rate,
+    fit_log_decay,
     integrate,
 )
 
@@ -87,6 +89,7 @@ __all__ = [
     "InconsistentSystemError",
     "SaddleBlocks",
     "SpectralVerdict",
+    "StructureError",
     "assemble_compact",
     "check_drift_spectrum",
     "check_saddle_spectrum",
@@ -100,6 +103,7 @@ __all__ = [
     "TrajectorySample",
     "closeness_metric",
     "fit_convergence_rate",
+    "fit_log_decay",
     "integrate",
 ]
 

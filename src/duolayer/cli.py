@@ -1,7 +1,8 @@
 """Command-line front end: scenario runs, randomized verification, plot data.
 
 Exit codes: 0 success, 2 scenario parse error, 3 topology/layout error,
-4 divergence, 5 inconsistent or unconverged run.
+4 divergence, 5 inconsistent or unconverged run, or a drift matrix that
+fails its structure check.
 """
 
 from __future__ import annotations
@@ -27,17 +28,15 @@ from .partition import (
     partition_rows,
 )
 from .simulator import (
-    MIN_FIT_SAMPLES,
-    V_FLOOR,
     InsufficientSamplesError,
     NonFiniteStateError,
     SimConfig,
     SimResult,
-    _fit_line,
     fit_convergence_rate,
+    fit_log_decay,
     integrate,
 )
-from .spectral import assemble_compact, check_drift_spectrum
+from .spectral import StructureError, assemble_compact, check_drift_spectrum
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -270,7 +269,12 @@ def build_problem(sc: Scenario, scheme_override: str | None = None) -> tuple:
 
 
 def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) -> dict:
-    """Write trajectory.csv and summary.json for a finished run."""
+    """Write trajectory.csv and summary.json for a finished run.
+
+    The spectral verdict comes first, so a drift matrix that fails its
+    structure check raises StructureError before anything is written.
+    """
+    verdict = check_drift_spectrum(assemble_compact(part, topo))
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "trajectory.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -298,7 +302,6 @@ def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) 
         slope, r_squared = fit_convergence_rate(result.trajectory)
     except InsufficientSamplesError:
         slope, r_squared = None, None
-    verdict = check_drift_spectrum(assemble_compact(part, topo))
     # V decays like exp(-2 lambda_min t), lambda_min the slowest nonzero mode
     sp = verdict.spectrum
     nonzero = np.sort(np.abs(sp.eigenvalues))[sp.eigenvalues.size - sp.rank :]
@@ -369,7 +372,11 @@ def cmd_run(args) -> int:
     except NonFiniteStateError as exc:
         print(f"error: divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    summary = write_run_artifacts(out_dir, part, inst.topology, result)
+    try:
+        summary = write_run_artifacts(out_dir, part, inst.topology, result)
+    except StructureError as exc:
+        print(f"error: structure: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     print(
         f"{part.scheme} run: {result.steps} steps, stop={result.stop_reason}, "
         f"overall residual {summary['residuals']['overall']:.3e}, "
@@ -455,11 +462,10 @@ def cmd_plot(args) -> int:
         return EXIT_PARSE
     t_kept = times[keep]
     ln_v = np.log(v[keep])
-    fit_mask = v[keep] > V_FLOOR
-    if int(np.count_nonzero(fit_mask)) >= MIN_FIT_SAMPLES:
-        slope, intercept, _ = _fit_line(t_kept[fit_mask], ln_v[fit_mask])
+    try:
+        slope, intercept, _ = fit_log_decay(times, v)
         fitted = slope * t_kept + intercept
-    else:
+    except InsufficientSamplesError:
         fitted = np.full(t_kept.shape, np.nan)
     out_path = run_dir / "lnv.csv"
     with out_path.open("w", newline="") as fh:

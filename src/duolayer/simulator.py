@@ -3,6 +3,10 @@
 The integrator propagates exclusively through the per-agent update law (one
 DerivativePlan built once per run); the independently assembled drift form
 is never consulted, so trajectories exercise the agent-level code path.
+The law is linear and time-invariant, y' = M y + c with M = plan.matrix and
+c = plan.shift, so one classical RK4 step is exactly the affine map
+y -> R y + g; both are built once per run from the plan, and each step is
+one product plus one plan.evaluate for the stationarity test.
 States, the initial and the final one included, are flat [x; z] vectors laid
 out by dynamics.flat_slices.  Recorded samples are copied into a buffer of
 RECORD_BATCH rows and evaluated a batch at a time (V by one einsum, the
@@ -151,6 +155,33 @@ def _step_from_matrix(matrix: np.ndarray) -> float:
     return min(0.9 * 2.0 / rho, 0.1)
 
 
+def rk4_propagator(plan: DerivativePlan, h: float) -> tuple:
+    """(R, g) with R y + g one classical RK4 step of size h of plan's flow.
+
+    For y' = M y + c the four stages collapse to
+    R = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24 and
+    g = h (I + hM/2 + (hM)^2/6 + (hM)^3/24) c.  R is built by Horner's rule,
+    adding I in place on the diagonal, so at most two dim x dim arrays are
+    live beside the plan; it costs one extra dim^2 array and about 3 dim^3
+    flops.  This suits the dense plan; a sparse plan would not keep R, which
+    fills in at four graph hops.
+    """
+    m = plan.matrix
+    diagonal = slice(None, None, plan.dim + 1)
+    phi = m * (h / 4.0)
+    phi.flat[diagonal] += 1.0
+    for k in (3.0, 2.0):
+        phi = m @ phi
+        phi *= h / k
+        phi.flat[diagonal] += 1.0
+    # phi = I + hM/2 + (hM)^2/6 + (hM)^3/24
+    gain = h * (phi @ plan.shift)
+    phi = m @ phi
+    phi *= h
+    phi.flat[diagonal] += 1.0
+    return phi, gain
+
+
 def integrate(
     part,
     topo: Topology,
@@ -160,10 +191,12 @@ def integrate(
 ) -> SimResult:
     """Propagate the per-agent flow with classical fixed-step RK4.
 
-    initial_state is a flat [x; z] vector (copied, never modified); when it
-    is None the start is drawn by cfg.init_mode.  Stops at max_time or as
-    soon as the derivative max-norm falls below stationarity_tol.  The
-    result's final_state is flat too.  V is measured against the
+    Each step applies rk4_propagator's affine map once, then evaluates the
+    plan at the new state for the stationarity test.  initial_state is a
+    flat [x; z] vector (copied, never modified); when it is None the start
+    is drawn by cfg.init_mode.  Stops at max_time or as soon as the
+    derivative max-norm falls below stationarity_tol.  The result's
+    final_state is flat too.  V is measured against the
     minimum-norm least-squares solution of the reassembled system.  Samples
     are evaluated from the flat state in batches of RECORD_BATCH, so
     recording memory stays bounded; a non-finite V raises
@@ -218,22 +251,18 @@ def integrate(
     t = 0.0
     steps = 0
     stop_reason = "max_time"
-    half = 0.5 * h
-    sixth = h / 6.0
     # overflow during a divergent run is reported via NonFiniteStateError,
     # so the intermediate warnings carry no information
     with np.errstate(over="ignore", invalid="ignore"):
+        propagator, gain = rk4_propagator(plan, h)
         record(t, y)
         d = plan.evaluate(y)
         while t < cfg.max_time:
             if float(np.max(np.abs(d))) < cfg.stationarity_tol:
                 stop_reason = "stationary"
                 break
-            k1 = d
-            k2 = plan.evaluate(y + half * k1)
-            k3 = plan.evaluate(y + half * k2)
-            k4 = plan.evaluate(y + h * k3)
-            y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            y = propagator @ y
+            y += gain
             steps += 1
             t = steps * h
             if not np.all(np.isfinite(y)):
@@ -256,33 +285,30 @@ def integrate(
     )
 
 
-def _fit_line(t: np.ndarray, values: np.ndarray) -> tuple:
-    """Least-squares line fit; returns (slope, intercept, r_squared)."""
-    slope, intercept = np.polyfit(t, values, 1)
-    pred = slope * t + intercept
-    ss_res = float(np.sum((values - pred) ** 2))
-    ss_tot = float(np.sum((values - np.mean(values)) ** 2))
-    if ss_tot == 0.0:
-        # all values identical: the constant fit is exact
-        r2 = 1.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
+def fit_log_decay(times, values) -> tuple:
+    """Least-squares line through ln V(t) over the samples with V > V_FLOOR.
+
+    Returns (slope, intercept, r_squared).  Raises InsufficientSamplesError
+    when fewer than MIN_FIT_SAMPLES samples clear the floor.
+    """
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    mask = v > V_FLOOR
+    kept = int(np.count_nonzero(mask))
+    if kept < MIN_FIT_SAMPLES:
+        raise InsufficientSamplesError(
+            f"need >= {MIN_FIT_SAMPLES} samples with V > {V_FLOOR:g}, have {kept}"
+        )
+    t, ln_v = t[mask], np.log(v[mask])
+    slope, intercept = np.polyfit(t, ln_v, 1)
+    ss_res = float(np.sum((ln_v - (slope * t + intercept)) ** 2))
+    ss_tot = float(np.sum((ln_v - np.mean(ln_v)) ** 2))
+    # all values identical: the constant fit is exact
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r2
 
 
 def fit_convergence_rate(traj: Trajectory) -> tuple:
-    """Slope and R^2 of a line fit to ln V(t) over the decaying window.
-
-    The window runs over all samples with V above V_FLOOR; at least
-    MIN_FIT_SAMPLES of them are required.
-    """
-    t = traj.times()
-    v = traj.values()
-    mask = v > V_FLOOR
-    if int(np.count_nonzero(mask)) < MIN_FIT_SAMPLES:
-        raise InsufficientSamplesError(
-            f"need >= {MIN_FIT_SAMPLES} samples with V > {V_FLOOR:g}, "
-            f"have {int(np.count_nonzero(mask))}"
-        )
-    slope, _, r2 = _fit_line(t[mask], np.log(v[mask]))
+    """Slope and R^2 of fit_log_decay over the trajectory's samples."""
+    slope, _, r2 = fit_log_decay(traj.times(), traj.values())
     return slope, r2

@@ -53,6 +53,10 @@ class InconsistentSystemError(ValueError):
     """A x = b has no solution, so no equilibrium certificate exists."""
 
 
+class StructureError(ValueError):
+    """The drift matrix fails a saddle structure check, so it has no verdict."""
+
+
 def _max_abs(m: np.ndarray) -> float:
     """Largest absolute entry of a non-empty m, without an |m|-sized temporary."""
     return float(max(m.max(), -m.min()))
@@ -258,9 +262,9 @@ def assemble_compact(part, topo: Topology) -> CompactSystem:
 
 
 def _structure_check(name: str, residual: float, tol: float) -> float:
-    """residual / tol, or ValueError naming the check when it fails."""
+    """residual / tol, or StructureError naming the check when it fails."""
     if not residual <= tol:
-        raise ValueError(
+        raise StructureError(
             f"drift matrix fails the saddle structure check {name}: "
             f"residual {residual:.3e} > tolerance {tol:.3e}"
         )
@@ -273,7 +277,13 @@ def check_drift_spectrum(cs: CompactSystem) -> SpectralVerdict:
     cs.saddle was validated when it was built; this checks on the assembled
     Q = [[Q11, Q12], [Q21, Q22]] itself that Q22 = -D with D symmetric PSD,
     Q12 = -Q21.T Q22 and P = -(Q11 + Q21.T Q21) symmetric PSD, all relative
-    to PSD_RTOL.  A corrupted drift matrix raises ValueError instead of
+    to PSD_RTOL.  P is an O(1) Laplacian recovered by cancellation: Q11
+    holds -C.T C - P and Q21 holds C, so both the assembled Q11 and the
+    product Q21.T Q21 carry rounding of about k * eps * (max|Q11| +
+    max|Q21|^2), k the nonzeros per column of Q21, and that error grows like
+    |A|^2.  The PSD test of P therefore uses the tolerance PSD_RTOL * (1 +
+    max|Q11| + max|Q21|^2), which bounds it for any k * eps well below
+    PSD_RTOL.  A corrupted drift matrix raises StructureError instead of
     producing a misleading verdict.  The eigenvalues of Q are those of S
     (see the module docstring) plus one zero per kernel vector of D.  Only
     the lower triangle of S is built, in one zeroed buffer, since eigvalsh
@@ -299,7 +309,7 @@ def check_drift_spectrum(cs: CompactSystem) -> SpectralVerdict:
     sym_p = _structure_check(
         "P = -(Q11 + Q21.T Q21) symmetric", _max_abs(p - p.T), PSD_RTOL * (1.0 + _max_abs(q11))
     )
-    tol_p = PSD_RTOL * (1.0 + _max_abs(p))
+    tol_p = PSD_RTOL * (1.0 + _max_abs(q11) + _max_abs(q21) ** 2)
     _structure_check("P positive semi-definite", -_lowest_eigenvalue_bound(p, tol_p), tol_p)
     del p
     lam, u = np.linalg.eigh(q22)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from duolayer import SimConfig
+from duolayer import SimConfig, StructureError, cli
 from duolayer.cli import (
     EXIT_DIVERGED,
     EXIT_INVALID,
@@ -281,6 +281,18 @@ def test_run_inconsistent_system(tmp_path, monkeypatch):
     path = write_scenario(tmp_path, data)
     # conservation cannot be met, so the run finishes invalid
     assert main(["run", str(path)]) == EXIT_INVALID
+
+
+def test_run_structure_failure_exits_invalid(tmp_path, monkeypatch, capsys):
+    def failing_check(cs):
+        raise StructureError("drift matrix fails the saddle structure check P positive")
+
+    monkeypatch.setattr(cli, "check_drift_spectrum", failing_check)
+    path = write_scenario(tmp_path, identity_scenario())
+    assert main(["run", str(path), "--out", str(tmp_path / "run")]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: structure: drift matrix fails")
+    assert not (tmp_path / "run").exists()
 
 
 def test_plot_writes_lnv(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from duolayer import (
+    DerivativePlan,
     InsufficientSamplesError,
     Layout,
     NonFiniteStateError,
@@ -19,12 +20,13 @@ from duolayer import (
     equilibrium_certificate,
     fit_convergence_rate,
     integrate,
+    partition_columns,
     partition_rows,
     residuals,
     solve_least_squares,
 )
 from duolayer.instances import random_instance
-from duolayer.simulator import RECORD_BATCH
+from duolayer.simulator import RECORD_BATCH, rk4_propagator
 from helpers import oracle_closeness, oracle_residuals
 
 
@@ -143,6 +145,44 @@ def test_rk4_matches_matrix_exponential():
         aug[: cs.dim, cs.dim] = cs.forcing
         oracle = (expm(t * aug) @ np.concatenate([y0, [1.0]]))[: cs.dim]
         assert np.max(np.abs(res.final_state - oracle)) < 1e-8
+
+
+def random_offsets(rng, part):
+    """Random b_offsets that sum to the partition's b, per cluster (row
+    scheme: one list of agent offsets each) or overall (column scheme)."""
+
+    def split(total, count):
+        shares = [rng.uniform(-1.0, 1.0, size=total.shape) for _ in range(count - 1)]
+        return shares + [total - sum(shares, np.zeros_like(total))]
+
+    if part.scheme == "row":
+        return [split(sum(offs), len(offs)) for offs in part.offsets]
+    return split(part.reassemble()[1], part.cluster_count)
+
+
+def test_propagator_step_matches_four_stage_rk4():
+    rng = np.random.default_rng(43)
+    for scheme in ("row", "column"):
+        for _ in range(4):
+            inst, part = random_instance(rng, scheme, 8)
+            repartition = partition_rows if scheme == "row" else partition_columns
+            part = repartition(inst, b_offsets=random_offsets(rng, part))
+            plan = DerivativePlan(part, inst.topology)
+            assert np.any(plan.shift != 0.0)
+            y = rng.uniform(-1.0, 1.0, size=plan.dim)
+            h = float(rng.uniform(0.01, 0.1))
+            k1 = plan.evaluate(y)
+            k2 = plan.evaluate(y + 0.5 * h * k1)
+            k3 = plan.evaluate(y + 0.5 * h * k2)
+            k4 = plan.evaluate(y + h * k3)
+            oracle = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            tol = 1e-13 * np.max(np.abs(oracle))
+            propagator, gain = rk4_propagator(plan, h)
+            assert np.max(np.abs(propagator @ y + gain - oracle)) <= tol
+            cfg = SimConfig(step_size=h, max_time=h, stationarity_tol=1e-300)
+            res = integrate(part, inst.topology, cfg, initial_state=y)
+            assert res.steps == 1
+            assert np.max(np.abs(res.final_state - oracle)) <= tol
 
 
 def test_integration_is_deterministic():

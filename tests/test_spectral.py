@@ -175,6 +175,20 @@ def test_structure_violations_raise(scheme, corruption, check):
         check_drift_spectrum(dataclasses.replace(cs, drift_matrix=q))
 
 
+@pytest.mark.parametrize("k", range(-4, 6))
+def test_structured_verdict_passes_at_every_scale(k):
+    # P = -(Q11 + Q21.T Q21) is recovered by cancellation, so its rounding
+    # grows like |A|^2 and the PSD tolerance must grow with it.  The rank is
+    # not compared: its cutoff is relative to rho, which grows like |A|^2 too.
+    for seed in range(20):
+        for scheme in ("row", "column"):
+            inst, _ = random_instance(np.random.default_rng(seed), scheme, 12)
+            scaled = dataclasses.replace(inst, a=inst.a * 10.0**k, b=inst.b * 10.0**k)
+            part = partition_rows(scaled) if scheme == "row" else partition_columns(scaled)
+            verdict = check_drift_spectrum(assemble_compact(part, inst.topology))
+            assert verdict.passed, (k, seed, scheme)
+
+
 @pytest.mark.parametrize("seed", [1234, 1954, 4455])
 @pytest.mark.parametrize("scheme", ["row", "column"])
 def test_square_uniform_instances_pass(seed, scheme):
