@@ -52,7 +52,6 @@ from .simulator import (
     SimConfig,
     SimResult,
     Trajectory,
-    TrajectorySample,
     closeness_metric,
     fit_convergence_rate,
     fit_log_decay,
@@ -100,7 +99,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "Trajectory",
-    "TrajectorySample",
     "closeness_metric",
     "fit_convergence_rate",
     "fit_log_decay",

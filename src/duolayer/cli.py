@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import flat_slices, reassembled_solution, residuals
+from .dynamics import ResidualReport, flat_slices, reassembled_solution, residuals
 from .graph import DisconnectedGraphError, Topology, build_graph
 from .instances import random_instance
 from .partition import (
@@ -44,7 +44,6 @@ EXIT_TOPOLOGY = 3
 EXIT_DIVERGED = 4
 EXIT_INVALID = 5
 
-# A finished run counts as valid when every residual clears this bound.
 VALIDITY_TOL = 1e-6
 
 _SIM_KEYS = {
@@ -268,6 +267,15 @@ def build_problem(sc: Scenario, scheme_override: str | None = None) -> tuple:
     return inst, part
 
 
+def residuals_valid(rr: ResidualReport) -> bool:
+    """A finished run's residuals are valid when each one clears VALIDITY_TOL."""
+    return (
+        rr.max_conservation < VALIDITY_TOL
+        and rr.max_consensus < VALIDITY_TOL
+        and rr.overall < VALIDITY_TOL
+    )
+
+
 def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) -> dict:
     """Write trajectory.csv and summary.json for a finished run.
 
@@ -275,28 +283,23 @@ def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) 
     structure check raises StructureError before anything is written.
     """
     verdict = check_drift_spectrum(assemble_compact(part, topo))
+    samples = result.trajectory.samples
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "trajectory.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["time", "V", "conservation_residual", "consensus_residual", "overall_residual"]
         )
-        for s in result.trajectory.samples:
-            writer.writerow(
-                [
-                    repr(float(s.time)),
-                    repr(float(s.v)),
-                    repr(s.residuals.max_conservation),
-                    repr(s.residuals.max_consensus),
-                    repr(s.residuals.overall),
-                ]
-            )
+        columns = (
+            samples["time"],
+            samples["v"],
+            np.max(samples["conservation"], axis=1, initial=0.0),
+            np.max(samples["consensus"], axis=1, initial=0.0),
+            samples["overall"],
+        )
+        for row in zip(*(col.tolist() for col in columns)):
+            writer.writerow([repr(value) for value in row])
     final_rr = residuals(part, topo, result.final_state)
-    valid = (
-        final_rr.max_conservation < VALIDITY_TOL
-        and final_rr.max_consensus < VALIDITY_TOL
-        and final_rr.overall < VALIDITY_TOL
-    )
     converged = result.stop_reason == "stationary"
     try:
         slope, r_squared = fit_convergence_rate(result.trajectory)
@@ -311,7 +314,7 @@ def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) 
     summary = {
         "scheme": part.scheme,
         "converged": converged,
-        "valid": valid,
+        "valid": residuals_valid(final_rr),
         "stop_reason": result.stop_reason,
         "step_size": result.step_size,
         "steps": result.steps,
@@ -324,8 +327,8 @@ def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) 
             "max_consensus": final_rr.max_consensus,
         },
         "solution": [float(v) for v in reassembled_solution(part, result.final_state)],
-        "v_initial": float(result.trajectory.samples[0].v),
-        "v_final": float(result.trajectory.samples[-1].v),
+        "v_initial": float(samples["v"][0]),
+        "v_final": float(samples["v"][-1]),
         "slope": slope,
         "predicted_slope": predicted_slope,
         "r_squared": r_squared,
@@ -341,26 +344,25 @@ def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) 
     return summary
 
 
+def _parse_error(message: str) -> int:
+    print(f"error: parse: {message}", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def cmd_run(args) -> int:
     path = Path(args.scenario)
     try:
         text = path.read_text()
     except OSError as exc:
-        print(f"error: parse: cannot read {path}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _parse_error(f"cannot read {path}: {exc}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        print(
-            f"error: parse: {path}:{exc.lineno}:{exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_PARSE
+        return _parse_error(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     try:
         sc = parse_scenario(data, str(path))
     except ScenarioError as exc:
-        print(f"error: parse: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _parse_error(str(exc))
     try:
         inst, part = build_problem(sc, args.scheme)
     except (DisconnectedGraphError, LayoutMismatchError, TopologyMismatchError, ValueError) as exc:
@@ -413,12 +415,7 @@ def cmd_verify(args) -> int:
             )
             result = integrate(part, inst.topology, cfg)
             rr = residuals(part, inst.topology, result.final_state)
-            conv_ok = (
-                result.stop_reason == "stationary"
-                and rr.max_conservation < VALIDITY_TOL
-                and rr.max_consensus < VALIDITY_TOL
-                and rr.overall < VALIDITY_TOL
-            )
+            conv_ok = result.stop_reason == "stationary" and residuals_valid(rr)
             checks_total += 2
             checks_passed += int(verdict.passed) + int(conv_ok)
             per_scheme[scheme]["spectrum"] += int(verdict.passed)
@@ -447,19 +444,22 @@ def cmd_plot(args) -> int:
     summary_path = run_dir / "summary.json"
     for p in (traj_path, summary_path):
         if not p.is_file():
-            print(f"error: parse: missing run artifact {p}", file=sys.stderr)
-            return EXIT_PARSE
+            return _parse_error(f"missing run artifact {p}")
     with traj_path.open() as fh:
-        rows = list(csv.DictReader(fh))
+        # short rows read "" in their missing cells, which float() rejects
+        rows = list(csv.DictReader(fh, restval=""))
     if not rows:
-        print(f"error: parse: {traj_path} has no samples", file=sys.stderr)
-        return EXIT_PARSE
-    times = np.array([float(r["time"]) for r in rows])
-    v = np.array([float(r["V"]) for r in rows])
+        return _parse_error(f"{traj_path} has no samples")
+    try:
+        times = np.array([float(r["time"]) for r in rows])
+        v = np.array([float(r["V"]) for r in rows])
+    except KeyError as exc:
+        return _parse_error(f"{traj_path}: no column {exc}")
+    except ValueError as exc:
+        return _parse_error(f"{traj_path}: {exc}")
     keep = v > 0.0
     if not np.any(keep):
-        print(f"error: parse: {traj_path} has no positive V samples", file=sys.stderr)
-        return EXIT_PARSE
+        return _parse_error(f"{traj_path} has no positive V samples")
     t_kept = times[keep]
     ln_v = np.log(v[keep])
     try:
@@ -475,6 +475,14 @@ def cmd_plot(args) -> int:
             writer.writerow([repr(float(t)), repr(float(lv)), repr(float(fv))])
     print(f"wrote {out_path}")
     return EXIT_OK
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -497,8 +505,8 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser(
         "verify", help="spectrum and convergence checks on random instances"
     )
-    p_verify.add_argument("--trials", type=int, default=10)
-    p_verify.add_argument("--max-dim", type=int, default=6, dest="max_dim")
+    p_verify.add_argument("--trials", type=positive_int, default=10)
+    p_verify.add_argument("--max-dim", type=positive_int, default=6, dest="max_dim")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -11,8 +11,8 @@ States, the initial and the final one included, are flat [x; z] vectors laid
 out by dynamics.flat_slices.  Recorded samples are copied into a buffer of
 RECORD_BATCH rows and evaluated a batch at a time (V by one einsum, the
 residuals by one sample_residuals call), so recording memory stays bounded
-by the buffer, whatever the run length; samples keep V and the residuals,
-not the state.
+by the buffer, whatever the run length.  Each batch becomes one chunk of a
+structured array with the SAMPLE_FIELDS columns; the state is not kept.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 
 from .dynamics import (
     DerivativePlan,
-    ResidualReport,
     as_flat_state,
     sample_residuals,
     tiled_reference,
@@ -39,6 +38,9 @@ MIN_FIT_SAMPLES = 10
 # Recorded samples evaluated together; bounds the recording buffer to
 # RECORD_BATCH flat states.
 RECORD_BATCH = 64
+# Columns of a recorded sample; conservation (k,) and consensus (p,) are rows
+# of the arrays sample_residuals returns.
+SAMPLE_FIELDS = ("time", "v", "conservation", "consensus", "overall")
 
 
 class NonFiniteStateError(RuntimeError):
@@ -98,31 +100,24 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    time: float
-    v: float
-    residuals: ResidualReport | None = None
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Recorded samples with strictly increasing times and finite V."""
+    """Recorded samples with strictly increasing times and finite V.
 
-    samples: tuple
+    samples is a read-only (S,) structured array; integrate fills every
+    SAMPLE_FIELDS column, and the fits read only time and v.
+    """
+
+    samples: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        times = [s.time for s in self.samples]
-        if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
+        times = self.samples["time"]
+        if np.any(times[1:] <= times[:-1]):
             raise ValueError("sample times must be strictly increasing")
-        if any(not math.isfinite(s.v) for s in self.samples):
+        if not np.all(np.isfinite(self.samples["v"])):
             raise ValueError("V values must be finite")
-
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.samples])
-
-    def values(self) -> np.ndarray:
-        return np.array([s.v for s in self.samples])
+        view = self.samples.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "samples", view)
 
 
 @dataclass(frozen=True)
@@ -215,7 +210,7 @@ def integrate(
     tiled = tiled_reference(part, solve_least_squares(*part.reassemble()))
     dim_x = tiled.shape[0]
 
-    samples = []
+    chunks = []
     pending = np.empty((RECORD_BATCH, plan.dim))
     times = []
 
@@ -226,20 +221,13 @@ def integrate(
         finite = np.isfinite(vs)
         if not finite.all():
             raise NonFiniteStateError(times[int(np.argmin(finite))])
-        conservation, consensus, overall = sample_residuals(part, block)
-        for k, t_k in enumerate(times):
-            samples.append(
-                TrajectorySample(
-                    time=t_k,
-                    v=float(vs[k]),
-                    residuals=ResidualReport(
-                        scheme=part.scheme,
-                        conservation=tuple(conservation[k].tolist()),
-                        consensus=tuple(consensus[k].tolist()),
-                        overall=float(overall[k]),
-                    ),
-                )
-            )
+        columns = (times, vs, *sample_residuals(part, block))
+        chunk = np.empty(
+            len(times), dtype=[(f, float, np.shape(c)[1:]) for f, c in zip(SAMPLE_FIELDS, columns)]
+        )
+        for field, column in zip(SAMPLE_FIELDS, columns):
+            chunk[field] = column
+        chunks.append(chunk)
         times.clear()
 
     def record(t: float, vec: np.ndarray) -> None:
@@ -276,7 +264,7 @@ def integrate(
             record(t, y)
         flush()
     return SimResult(
-        trajectory=Trajectory(tuple(samples)),
+        trajectory=Trajectory(np.concatenate(chunks)),
         final_state=y,
         final_time=t,
         step_size=h,
@@ -310,5 +298,5 @@ def fit_log_decay(times, values) -> tuple:
 
 def fit_convergence_rate(traj: Trajectory) -> tuple:
     """Slope and R^2 of fit_log_decay over the trajectory's samples."""
-    slope, _, r2 = fit_log_decay(traj.times(), traj.values())
+    slope, _, r2 = fit_log_decay(traj.samples["time"], traj.samples["v"])
     return slope, r2

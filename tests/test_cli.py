@@ -336,6 +336,18 @@ def test_plot_missing_and_empty_artifacts(tmp_path, capsys):
     (run_dir / "summary.json").write_text("{}")
     assert main(["plot", str(run_dir)]) == EXIT_PARSE
     assert not (run_dir / "lnv.csv").exists()
+    capsys.readouterr()
+    # malformed samples: a non-numeric V, no time column, a short row
+    for text, problem in (
+        ("time,V\n0.0,1.0\n0.1,abc\n", "could not convert string to float: 'abc'"),
+        ("t,V\n0.0,1.0\n", "no column 'time'"),
+        ("time,V\n0.0,1.0\n0.1\n", "could not convert string to float: ''"),
+    ):
+        (run_dir / "trajectory.csv").write_text(text)
+        assert main(["plot", str(run_dir)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == f"error: parse: {run_dir / 'trajectory.csv'}: {problem}\n"
+        assert not (run_dir / "lnv.csv").exists()
 
 
 def test_zero_offset_run_stays_at_equilibrium(tmp_path):
@@ -350,6 +362,15 @@ def test_zero_offset_run_stays_at_equilibrium(tmp_path):
     # no positive V at all: plot refuses and writes nothing
     assert main(["plot", str(out)]) == EXIT_PARSE
     assert not (out / "lnv.csv").exists()
+
+
+@pytest.mark.parametrize("option", ["--trials", "--max-dim"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_rejects_non_positive_counts(option, value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", option, value])
+    assert info.value.code == 2
+    assert f"argument {option}: must be >= 1, got {value}" in capsys.readouterr().err
 
 
 def test_verify_single_trial_passes(capsys):

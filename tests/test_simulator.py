@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from duolayer import (
     SimConfig,
     Topology,
     Trajectory,
-    TrajectorySample,
     assemble_compact,
     build_graph,
     closeness_metric,
@@ -32,6 +32,13 @@ from helpers import oracle_closeness, oracle_residuals
 
 def path(n):
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def trajectory(times, values):
+    """A Trajectory of bare (time, v) samples, the two fields the fits read."""
+    return Trajectory(
+        np.array(list(zip(times, values)), dtype=[("time", float), ("v", float)])
+    )
 
 
 def single_agent(a=2.0, b=4.0):
@@ -193,7 +200,7 @@ def test_integration_is_deterministic():
     r2 = integrate(part, inst.topology, cfg)
     assert r1.steps == r2.steps
     assert r1.final_state.tobytes() == r2.final_state.tobytes()
-    assert np.array_equal(r1.trajectory.values(), r2.trajectory.values())
+    assert np.array_equal(r1.trajectory.samples["v"], r2.trajectory.samples["v"])
 
 
 def test_underdetermined_converges_at_residual_level():
@@ -226,7 +233,7 @@ def test_v_measured_against_least_squares_solution():
     # 2 x = 4: V runs from 0.5 * 2^2 at the zero start down to 0 at x = 2
     part, topo = single_agent()
     cfg = SimConfig(max_time=20.0, stationarity_tol=1e-12)
-    values = integrate(part, topo, cfg).trajectory.values()
+    values = integrate(part, topo, cfg).trajectory.samples["v"]
     assert values[0] == 2.0
     assert values[-1] < 1e-15
 
@@ -251,10 +258,15 @@ def test_recording_spacing_and_states():
     part, topo = single_agent()
     cfg = SimConfig(step_size=0.01, max_time=0.2, stationarity_tol=1e-300, record_every=5)
     res = integrate(part, topo, cfg)
-    times = res.trajectory.times()
+    samples = res.trajectory.samples
+    times = samples["time"]
     assert times[0] == 0.0
     assert np.allclose(np.diff(times), 0.05)
-    assert all(s.residuals is not None for s in res.trajectory.samples)
+    assert samples.dtype.names == ("time", "v", "conservation", "consensus", "overall")
+    # one cluster: one conservation entry, no cluster pairs
+    assert samples["conservation"].shape == (len(samples), 1)
+    assert samples["consensus"].shape == (len(samples), 0)
+    assert not samples.flags.writeable
 
 
 def test_batched_samples_match_oracles_on_stored_states():
@@ -276,21 +288,22 @@ def test_batched_samples_match_oracles_on_stored_states():
         steps = list(range(0, res.steps + 1, 2))
         if res.steps % 2:
             steps.append(res.steps)
-        assert [s.time for s in samples] == [k * 0.01 for k in steps]
+        assert samples["time"].tolist() == [k * 0.01 for k in steps]
         tol = 1e-12 * (1.0 + np.linalg.norm(inst.b))
         # step 0: a tolerance above any derivative stops before the first step
         start_only = SimConfig(**{**settings, "stationarity_tol": 1e300})
-        for k, s in zip(steps, samples):
+        for i, k in enumerate(steps):
             cfg = SimConfig(max_time=k * 0.01, **settings) if k else start_only
             rerun = integrate(part, inst.topology, cfg)
-            assert rerun.steps == k and rerun.final_time == s.time
+            assert rerun.steps == k and rerun.final_time == samples["time"][i]
             y = rerun.final_state
             want = oracle_residuals(part, y)
-            assert np.allclose(s.residuals.conservation, want.conservation, rtol=0.0, atol=tol)
-            assert np.allclose(s.residuals.consensus, want.consensus, rtol=0.0, atol=tol)
-            assert abs(s.residuals.overall - want.overall) <= tol
+            conservation = samples["conservation"][i]
+            assert np.allclose(conservation, want.conservation, rtol=0.0, atol=tol)
+            assert np.allclose(samples["consensus"][i], want.consensus, rtol=0.0, atol=tol)
+            assert abs(samples["overall"][i] - want.overall) <= tol
             v = oracle_closeness(y, ref, part)
-            assert abs(s.v - v) <= 1e-14 * v + 1e-300
+            assert abs(samples["v"][i] - v) <= 1e-14 * v + 1e-300
         assert y.tobytes() == res.final_state.tobytes()
 
 
@@ -332,35 +345,52 @@ def test_closeness_metric_column_counts_agents():
 
 def test_fit_convergence_rate_exponential():
     times = np.linspace(0.0, 5.0, 60)
-    samples = tuple(
-        TrajectorySample(time=float(t), v=float(np.exp(-3.0 * t))) for t in times
-    )
-    slope, r2 = fit_convergence_rate(Trajectory(samples))
+    slope, r2 = fit_convergence_rate(trajectory(times, np.exp(-3.0 * times)))
     assert abs(slope + 3.0) < 1e-9
     assert r2 > 0.999999
 
 
 def test_fit_convergence_rate_constant():
-    samples = tuple(TrajectorySample(time=float(t), v=2.0) for t in range(20))
-    slope, r2 = fit_convergence_rate(Trajectory(samples))
+    slope, r2 = fit_convergence_rate(trajectory(range(20), [2.0] * 20))
     assert abs(slope) < 1e-12
     assert r2 == 1.0
 
 
 def test_fit_convergence_rate_needs_samples():
-    samples = tuple(TrajectorySample(time=float(t), v=1.0) for t in range(5))
     with pytest.raises(InsufficientSamplesError):
-        fit_convergence_rate(Trajectory(samples))
+        fit_convergence_rate(trajectory(range(5), [1.0] * 5))
     # below the floor, samples do not count
-    tiny = tuple(TrajectorySample(time=float(t), v=1e-16) for t in range(20))
     with pytest.raises(InsufficientSamplesError):
-        fit_convergence_rate(Trajectory(tiny))
+        fit_convergence_rate(trajectory(range(20), [1e-16] * 20))
 
 
 def test_trajectory_validation():
     with pytest.raises(ValueError):
-        Trajectory(
-            (TrajectorySample(time=1.0, v=1.0), TrajectorySample(time=1.0, v=1.0))
-        )
+        trajectory([1.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError):
-        Trajectory((TrajectorySample(time=0.0, v=float("nan")),))
+        trajectory([0.0], [float("nan")])
+
+
+def test_trajectory_memory_is_one_row_per_sample():
+    # 30 one-row clusters: k = 30 conservation entries and p = 435 cluster
+    # pairs per sample; a sample costs (3 + k + p) float64s as one array row
+    rng = np.random.default_rng(53)
+    k, n = 30, 2
+    layout = Layout(scheme="row", cluster_sizes=[1] * k, agent_sizes=[[n]] * k)
+    topo = Topology(cluster_graph=path(k), agent_graphs=(path(1),) * k)
+    a = rng.uniform(-1.0, 1.0, size=(k, n))
+    inst = ProblemInstance(a=a, b=a @ rng.uniform(-1.0, 1.0, size=n), topology=topo, layout=layout)
+    part = partition_rows(inst)
+    part.reassemble()  # build the cached reassembly untraced
+    cfg = SimConfig(step_size=0.01, max_time=3.0, stationarity_tol=1e-300, record_every=1)
+    tracemalloc.start()
+    try:
+        samples = integrate(part, topo, cfg).trajectory.samples
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    count = len(samples)
+    assert count == 301
+    pairs = k * (k - 1) // 2
+    assert retained <= 1.2 * count * (3 + k + pairs) * 8, retained
+    assert samples["consensus"].shape == (count, pairs)
