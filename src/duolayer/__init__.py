@@ -17,11 +17,10 @@ from .graph import (
     lifted_laplacian,
 )
 from .partition import (
-    ColumnPartition,
     Layout,
     LayoutMismatchError,
+    Partition,
     ProblemInstance,
-    RowPartition,
     TopologyMismatchError,
     partition_columns,
     partition_rows,
@@ -70,11 +69,10 @@ __all__ = [
     "build_graph",
     "laplacian",
     "lifted_laplacian",
-    "ColumnPartition",
     "Layout",
     "LayoutMismatchError",
+    "Partition",
     "ProblemInstance",
-    "RowPartition",
     "TopologyMismatchError",
     "partition_columns",
     "partition_rows",

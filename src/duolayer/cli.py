@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,6 +91,20 @@ def _expect(cond: bool, location: str, message: str) -> None:
         raise ScenarioError(location, message)
 
 
+def _is_finite_number(value) -> bool:
+    """True for a JSON number that converts to a finite float.
+
+    json.loads reads NaN, Infinity and 1e999 as non-finite floats and keeps
+    integers too large for a float; none of them pass.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number_grid(value, location: str) -> np.ndarray:
     _expect(isinstance(value, list) and value, location, "expected a non-empty grid")
     widths = set()
@@ -97,11 +112,7 @@ def _number_grid(value, location: str) -> np.ndarray:
         _expect(isinstance(row, list) and row, f"{location}[{r}]", "expected a non-empty row")
         widths.add(len(row))
         for c, entry in enumerate(row):
-            _expect(
-                isinstance(entry, (int, float)) and not isinstance(entry, bool),
-                f"{location}[{r}][{c}]",
-                "expected a number",
-            )
+            _expect(_is_finite_number(entry), f"{location}[{r}][{c}]", "expected a finite number")
     _expect(len(widths) == 1, location, "rows have uneven lengths")
     return np.array(value, dtype=float)
 
@@ -109,11 +120,7 @@ def _number_grid(value, location: str) -> np.ndarray:
 def _number_list(value, location: str) -> np.ndarray:
     _expect(isinstance(value, list) and value, location, "expected a non-empty list")
     for i, entry in enumerate(value):
-        _expect(
-            isinstance(entry, (int, float)) and not isinstance(entry, bool),
-            f"{location}[{i}]",
-            "expected a number",
-        )
+        _expect(_is_finite_number(entry), f"{location}[{i}]", "expected a finite number")
     return np.array(value, dtype=float)
 
 
@@ -220,9 +227,9 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
                 kwargs[key] = None
             else:
                 _expect(
-                    isinstance(value, (int, float)) and not isinstance(value, bool),
-                    f"{source}.sim.step_size",
-                    "expected a number or 'auto'",
+                    _is_finite_number(value),
+                    f"{source}.sim",
+                    "step_size must be a finite number or 'auto'",
                 )
                 kwargs[key] = float(value)
         else:
@@ -244,9 +251,36 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
     )
 
 
+def _check_node_counts(sc: Scenario, layout: Layout) -> None:
+    """TopologyMismatchError unless the graph specs' node counts fit the layout.
+
+    Runs before any graph is built, because build_graph allocates per node.
+    """
+    clusters = len(layout.cluster_sizes)
+    if sc.cluster_graph.nodes != clusters or len(sc.agent_graphs) != clusters:
+        raise TopologyMismatchError(
+            f"layout has {clusters} clusters, the cluster graph has "
+            f"{sc.cluster_graph.nodes} nodes and there are {len(sc.agent_graphs)} agent graphs"
+        )
+    for i, (spec, sizes) in enumerate(zip(sc.agent_graphs, layout.agent_sizes)):
+        if spec.nodes != len(sizes):
+            raise TopologyMismatchError(
+                f"cluster {i}: layout lists {len(sizes)} agents, "
+                f"agent graph has {spec.nodes} nodes"
+            )
+
+
 def build_problem(sc: Scenario, scheme_override: str | None = None) -> tuple:
     """Build graphs and the partition; raises topology/layout errors."""
     scheme = scheme_override or sc.scheme
+    if sc.b_offsets is not None and scheme != sc.scheme:
+        # row offsets nest per cluster per agent, column ones per cluster
+        raise LayoutMismatchError(
+            f"b_offsets are written for the {sc.scheme} scheme and cannot be "
+            f"used under the {scheme} scheme"
+        )
+    layout = Layout(scheme=scheme, cluster_sizes=sc.cluster_sizes, agent_sizes=sc.agent_sizes)
+    _check_node_counts(sc, layout)
     try:
         cluster_graph = build_graph(sc.cluster_graph.nodes, sc.cluster_graph.edges)
     except DisconnectedGraphError as exc:
@@ -258,7 +292,6 @@ def build_problem(sc: Scenario, scheme_override: str | None = None) -> tuple:
         except DisconnectedGraphError as exc:
             raise DisconnectedGraphError(f"agent graph of cluster {i}: {exc}") from exc
     topo = Topology(cluster_graph=cluster_graph, agent_graphs=tuple(agent_graphs))
-    layout = Layout(scheme=scheme, cluster_sizes=sc.cluster_sizes, agent_sizes=sc.agent_sizes)
     inst = ProblemInstance(a=sc.a, b=sc.b, topology=topo, layout=layout)
     if scheme == "row":
         part = partition_rows(inst, b_offsets=sc.b_offsets)

@@ -1,11 +1,14 @@
 """Block partitions of (A, b) over clusters and agents.
 
-Two schemes are supported.  Under the "row" scheme cluster i owns a band of
-rows of A and its agents split the columns of that band, so every agent holds
-an (m_i x n_ij) block plus an offset share b_ij with sum_j b_ij = b_i.  Under
-the "column" scheme cluster i owns a band of columns and its agents split the
-rows, so every agent holds an (m_ij x n_i) block and the offset rows that go
-with it; the cluster-level shares satisfy sum_i b_i = b.
+One Partition type serves both schemes.  Clusters cut A into bands along one
+axis and each cluster's agents cut their band along the other: under the
+"row" scheme cluster i owns the rows of an (m_i x n) submatrix and agent j a
+band of its columns, an (m_i x n_ij) block; under the "column" scheme
+cluster i owns the columns of an (m x n_i) submatrix and agent j a band of
+its rows, an (m_ij x n_i) block.  Only the offsets follow the scheme: row
+agents hold shares b_ij of their cluster's rows of b with sum_j b_ij = b_i;
+column clusters hold shares b_i of b with sum_i b_i = b, and each agent
+holds the rows of b_i that go with its block.
 
 Agent blocks cover contiguous column (row scheme) or row (column scheme)
 ranges in order, so an agent's slice of a neighboring cluster's stacked
@@ -21,6 +24,10 @@ import numpy as np
 
 from .graph import Topology
 from .linalg import as_matrix, as_vector
+
+# The axis of A that clusters cut into bands; agents cut the other one.
+_CLUSTER_AXIS = {"row": 0, "column": 1}
+_AXIS_NAMES = ("rows", "columns")
 
 
 class LayoutMismatchError(ValueError):
@@ -103,6 +110,29 @@ def _equal_shares(v: np.ndarray, parts: int) -> list:
     return shares
 
 
+def _shares(total: np.ndarray, parts: int, given, where: str) -> list:
+    """`parts` vectors that sum to total.
+
+    A compensated equal split when given is None; otherwise the given
+    vectors, which must be `parts` vectors of total's length summing back to
+    it within 1e-12 relative.
+    """
+    if given is None:
+        return _equal_shares(total, parts)
+    shares = [as_vector(v) for v in given]
+    if len(shares) != parts:
+        raise LayoutMismatchError(f"{where}: expected {parts} shares, got {len(shares)}")
+    for k, v in enumerate(shares):
+        if v.shape != total.shape:
+            raise LayoutMismatchError(
+                f"{where}[{k}]: has {v.shape[0]} entries, expected {total.shape[0]}"
+            )
+    scale = 1.0 + float(np.max(np.abs(total), initial=0.0))
+    if not np.max(np.abs(reduce(np.add, shares) - total), initial=0.0) <= 1e-12 * scale:
+        raise LayoutMismatchError(f"{where}: the shares do not sum to the rows of b they split")
+    return shares
+
+
 def check_topology(cluster_count: int, agent_counts, topo: Topology) -> None:
     """Raise TopologyMismatchError unless topo has these cluster and agent counts."""
     if cluster_count != topo.cluster_count:
@@ -117,60 +147,84 @@ def check_topology(cluster_count: int, agent_counts, topo: Topology) -> None:
             )
 
 
-def _read_only(*arrays) -> tuple:
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
-
-
-def _offset_sum_ok(total: np.ndarray, target: np.ndarray) -> bool:
-    scale = 1.0 + float(np.max(np.abs(target), initial=0.0))
-    return bool(np.max(np.abs(total - target), initial=0.0) <= 1e-12 * scale)
+def _bands(v: np.ndarray, sizes, axis: int = 0) -> list:
+    """Consecutive bands of v along one axis with the given sizes (views)."""
+    return np.split(v, np.cumsum(sizes)[:-1], axis=axis)
 
 
 @dataclass(frozen=True)
-class RowPartition:
-    """Scheme "row": clusters take row bands of A, agents split the columns."""
+class Partition:
+    """(A, b) cut into a block A_ij = blocks[i][j] and an offset
+    b_ij = offsets[i][j] for agent j of cluster i.
 
-    cluster_rows: tuple  # m_i
-    agent_cols: tuple  # n_ij, one tuple per cluster
-    blocks: tuple  # A_ij with shape (m_i, n_ij)
-    offsets: tuple  # b_ij with shape (m_i,)
+    Every size attribute derives from the blocks and means the same under
+    both schemes: cluster_rows[i] / cluster_cols[i] give the shape of
+    cluster i's submatrix of A, (m_i, n) under "row" and (m, n_i) under
+    "column"; x_dim / z_dim are the summed block widths / heights.  Under
+    "column" np.concatenate(offsets[i]) is cluster i's share b_i.
+    """
 
-    scheme = "row"
+    scheme: str
+    blocks: tuple
+    offsets: tuple
 
     @property
     def cluster_count(self) -> int:
-        return len(self.cluster_rows)
+        return len(self.blocks)
 
     @property
     def agent_counts(self) -> tuple:
-        return tuple(len(row) for row in self.agent_cols)
+        return tuple(len(row) for row in self.blocks)
+
+    def _cluster_extents(self, axis: int) -> tuple:
+        """Each cluster's submatrix size along one axis of A."""
+        if axis == _CLUSTER_AXIS[self.scheme]:
+            return tuple(row[0].shape[axis] for row in self.blocks)
+        return tuple(sum(a.shape[axis] for a in row) for row in self.blocks)
+
+    def _extent(self, axis: int) -> int:
+        """A's size along one axis; the clusters' bands add up along theirs."""
+        sizes = self._cluster_extents(axis)
+        return sum(sizes) if axis == _CLUSTER_AXIS[self.scheme] else sizes[0]
+
+    @property
+    def cluster_rows(self) -> tuple:
+        return self._cluster_extents(0)
+
+    @property
+    def cluster_cols(self) -> tuple:
+        return self._cluster_extents(1)
 
     @property
     def total_rows(self) -> int:
-        return sum(self.cluster_rows)
+        return self._extent(0)
 
     @property
     def total_cols(self) -> int:
-        return sum(self.agent_cols[0])
+        return self._extent(1)
 
     @property
     def x_dim(self) -> int:
-        return self.cluster_count * self.total_cols
+        return sum(a.shape[1] for row in self.blocks for a in row)
 
     @property
     def z_dim(self) -> int:
-        return sum(c * m for c, m in zip(self.agent_counts, self.cluster_rows))
+        return sum(a.shape[0] for row in self.blocks for a in row)
 
     @cached_property
     def _reassembled(self) -> tuple:
-        a = np.vstack([np.hstack(row) for row in self.blocks])
-        b = np.concatenate([reduce(np.add, row) for row in self.offsets])
-        return _read_only(a, b)
+        axis = _CLUSTER_AXIS[self.scheme]
+        a = np.concatenate([np.concatenate(row, axis=1 - axis) for row in self.blocks], axis)
+        if self.scheme == "row":
+            b = np.concatenate([reduce(np.add, row) for row in self.offsets])
+        else:
+            b = reduce(np.add, [np.concatenate(row) for row in self.offsets])
+        for arr in (a, b):
+            arr.flags.writeable = False
+        return a, b
 
     def reassemble(self) -> tuple:
-        """Recover (A, b); exact by construction for default offsets.
+        """Recover (A, b); A exact, b exact for default offsets.
 
         Built on the first call; every call returns the same read-only
         arrays.
@@ -178,126 +232,54 @@ class RowPartition:
         return self._reassembled
 
 
-@dataclass(frozen=True)
-class ColumnPartition:
-    """Scheme "column": clusters take column bands of A, agents split the rows."""
+def _cut(inst: ProblemInstance, scheme: str) -> tuple:
+    """The checks and the cut that partition_rows and partition_columns share.
 
-    cluster_cols: tuple  # n_i
-    agent_rows: tuple  # m_ij, one tuple per cluster
-    blocks: tuple  # A_ij with shape (m_ij, n_i)
-    offsets: tuple  # b_ij with shape (m_ij,)
-
-    scheme = "column"
-
-    @property
-    def cluster_count(self) -> int:
-        return len(self.cluster_cols)
-
-    @property
-    def agent_counts(self) -> tuple:
-        return tuple(len(row) for row in self.agent_rows)
-
-    @property
-    def total_rows(self) -> int:
-        return sum(self.agent_rows[0])
-
-    @property
-    def total_cols(self) -> int:
-        return sum(self.cluster_cols)
-
-    @property
-    def x_dim(self) -> int:
-        return sum(c * n for c, n in zip(self.agent_counts, self.cluster_cols))
-
-    @property
-    def z_dim(self) -> int:
-        return self.cluster_count * self.total_rows
-
-    def cluster_share(self, i: int) -> np.ndarray:
-        """The cluster-level offset b_i, reassembled from its agents' rows."""
-        return np.concatenate(self.offsets[i])
-
-    @cached_property
-    def _reassembled(self) -> tuple:
-        a = np.hstack([np.vstack(row) for row in self.blocks])
-        b = reduce(np.add, [self.cluster_share(i) for i in range(self.cluster_count)])
-        return _read_only(a, b)
-
-    def reassemble(self) -> tuple:
-        """Recover (A, b); A exact, b exact for default shares.
-
-        Built on the first call; every call returns the same read-only
-        arrays.
-        """
-        return self._reassembled
+    Checks the layout's scheme, its counts against the topology and its sizes
+    against A, then returns blocks[i][j]: clusters cut A into bands along
+    their axis and each cluster's agents cut its band along the other.
+    """
+    layout = inst.layout
+    if layout.scheme != scheme:
+        raise LayoutMismatchError(f"layout scheme is {layout.scheme!r}, expected {scheme!r}")
+    check_topology(len(layout.cluster_sizes), map(len, layout.agent_sizes), inst.topology)
+    axis = _CLUSTER_AXIS[scheme]
+    outer, inner = inst.a.shape[axis], inst.a.shape[1 - axis]
+    if sum(layout.cluster_sizes) != outer:
+        raise LayoutMismatchError(
+            f"cluster sizes {layout.cluster_sizes} do not sum to the {outer} "
+            f"{_AXIS_NAMES[axis]} of A"
+        )
+    for i, sizes in enumerate(layout.agent_sizes):
+        if sum(sizes) != inner:
+            raise LayoutMismatchError(
+                f"cluster {i}: agent sizes {sizes} do not sum to the {inner} "
+                f"{_AXIS_NAMES[1 - axis]} of A"
+            )
+    return tuple(
+        tuple(block.copy() for block in _bands(band, sizes, 1 - axis))
+        for band, sizes in zip(_bands(inst.a, layout.cluster_sizes, axis), layout.agent_sizes)
+    )
 
 
-def partition_rows(inst: ProblemInstance, b_offsets=None) -> RowPartition:
+def partition_rows(inst: ProblemInstance, b_offsets=None) -> Partition:
     """Split (A, b) for the row scheme.
 
     Offsets default to a compensated equal split of each cluster's b_i across
     its agents; explicit b_offsets (per cluster, per agent) must sum back to
     b_i within 1e-12 relative.
     """
-    layout = inst.layout
-    if layout.scheme != "row":
-        raise LayoutMismatchError(f"layout scheme is {layout.scheme!r}, expected 'row'")
-    check_topology(len(layout.cluster_sizes), map(len, layout.agent_sizes), inst.topology)
-    m, n = inst.a.shape
-    if sum(layout.cluster_sizes) != m:
-        raise LayoutMismatchError(
-            f"cluster row counts {layout.cluster_sizes} do not sum to m={m}"
-        )
-    for i, cols in enumerate(layout.agent_sizes):
-        if sum(cols) != n:
-            raise LayoutMismatchError(
-                f"cluster {i}: agent column counts {cols} do not sum to n={n}"
-            )
-    if b_offsets is not None and len(b_offsets) != len(layout.cluster_sizes):
+    blocks = _cut(inst, "row")
+    if b_offsets is not None and len(b_offsets) != len(blocks):
         raise LayoutMismatchError("b_offsets must list one entry per cluster")
-
-    blocks, offsets = [], []
-    row_start = 0
-    for i, m_i in enumerate(layout.cluster_sizes):
-        a_i = inst.a[row_start : row_start + m_i]
-        b_i = inst.b[row_start : row_start + m_i]
-        row_start += m_i
-        agents = len(layout.agent_sizes[i])
-        col_start = 0
-        blk_i = []
-        for n_ij in layout.agent_sizes[i]:
-            blk_i.append(a_i[:, col_start : col_start + n_ij].copy())
-            col_start += n_ij
-        if b_offsets is None:
-            off_i = _equal_shares(b_i, agents)
-        else:
-            given = [as_vector(v) for v in b_offsets[i]]
-            if len(given) != agents:
-                raise LayoutMismatchError(
-                    f"cluster {i}: {len(given)} offsets for {agents} agents"
-                )
-            for j, v in enumerate(given):
-                if v.shape[0] != m_i:
-                    raise LayoutMismatchError(
-                        f"cluster {i} agent {j}: offset has {v.shape[0]} entries, "
-                        f"expected {m_i}"
-                    )
-            if not _offset_sum_ok(reduce(np.add, given), b_i):
-                raise LayoutMismatchError(
-                    f"cluster {i}: offsets do not sum to the cluster's b rows"
-                )
-            off_i = given
-        blocks.append(tuple(blk_i))
-        offsets.append(tuple(off_i))
-    return RowPartition(
-        cluster_rows=layout.cluster_sizes,
-        agent_cols=layout.agent_sizes,
-        blocks=tuple(blocks),
-        offsets=tuple(offsets),
-    )
+    offsets = []
+    for i, (b_i, row) in enumerate(zip(_bands(inst.b, inst.layout.cluster_sizes), blocks)):
+        given = None if b_offsets is None else b_offsets[i]
+        offsets.append(tuple(_shares(b_i, len(row), given, f"b_offsets[{i}]")))
+    return Partition(scheme="row", blocks=blocks, offsets=tuple(offsets))
 
 
-def partition_columns(inst: ProblemInstance, b_offsets=None) -> ColumnPartition:
+def partition_columns(inst: ProblemInstance, b_offsets=None) -> Partition:
     """Split (A, b) for the column scheme.
 
     Cluster shares b_i default to a compensated equal split of b; explicit
@@ -305,53 +287,10 @@ def partition_columns(inst: ProblemInstance, b_offsets=None) -> ColumnPartition:
     relative.  Each cluster's agents then take the rows of its share that
     match their row bands.
     """
-    layout = inst.layout
-    if layout.scheme != "column":
-        raise LayoutMismatchError(
-            f"layout scheme is {layout.scheme!r}, expected 'column'"
-        )
-    check_topology(len(layout.cluster_sizes), map(len, layout.agent_sizes), inst.topology)
-    m, n = inst.a.shape
-    if sum(layout.cluster_sizes) != n:
-        raise LayoutMismatchError(
-            f"cluster column counts {layout.cluster_sizes} do not sum to n={n}"
-        )
-    for i, rows in enumerate(layout.agent_sizes):
-        if sum(rows) != m:
-            raise LayoutMismatchError(
-                f"cluster {i}: agent row counts {rows} do not sum to m={m}"
-            )
-    c = len(layout.cluster_sizes)
-    if b_offsets is None:
-        shares = _equal_shares(inst.b, c)
-    else:
-        if len(b_offsets) != c:
-            raise LayoutMismatchError("b_offsets must list one m-vector per cluster")
-        shares = [as_vector(v) for v in b_offsets]
-        for i, v in enumerate(shares):
-            if v.shape[0] != m:
-                raise LayoutMismatchError(
-                    f"cluster {i}: share has {v.shape[0]} entries, expected {m}"
-                )
-        if not _offset_sum_ok(reduce(np.add, shares), inst.b):
-            raise LayoutMismatchError("cluster shares do not sum to b")
-
-    blocks, offsets = [], []
-    col_start = 0
-    for i, n_i in enumerate(layout.cluster_sizes):
-        a_i = inst.a[:, col_start : col_start + n_i]
-        col_start += n_i
-        row_start = 0
-        blk_i, off_i = [], []
-        for m_ij in layout.agent_sizes[i]:
-            blk_i.append(a_i[row_start : row_start + m_ij].copy())
-            off_i.append(shares[i][row_start : row_start + m_ij].copy())
-            row_start += m_ij
-        blocks.append(tuple(blk_i))
-        offsets.append(tuple(off_i))
-    return ColumnPartition(
-        cluster_cols=layout.cluster_sizes,
-        agent_rows=layout.agent_sizes,
-        blocks=tuple(blocks),
-        offsets=tuple(offsets),
+    blocks = _cut(inst, "column")
+    shares = _shares(inst.b, len(blocks), b_offsets, "b_offsets")
+    offsets = tuple(
+        tuple(rows.copy() for rows in _bands(share, sizes))
+        for share, sizes in zip(shares, inst.layout.agent_sizes)
     )
+    return Partition(scheme="column", blocks=blocks, offsets=offsets)

@@ -106,7 +106,7 @@ def oracle_residuals(part, y):
     for i in range(part.cluster_count):
         a_i = np.vstack(part.blocks[i])
         mean_i = reduce(np.add, x[i]) / part.agent_counts[i]
-        terms.append(a_i @ mean_i - part.cluster_share(i))
+        terms.append(a_i @ mean_i - np.concatenate(part.offsets[i]))
     conservation = (float(np.linalg.norm(reduce(np.add, terms))),)
     return ResidualReport(
         scheme="column",

@@ -202,7 +202,7 @@ def test_criterion_6_heterogeneous_agent_widths():
     )
     topo = Topology(cluster_graph=path(2), agent_graphs=(path(3), path(2)))
     part = partition_rows(ProblemInstance(a=a, b=b, topology=topo, layout=layout))
-    assert len({w for row in part.agent_cols for w in row}) > 1
+    assert len({blk.shape[1] for row in part.blocks for blk in row}) > 1
     failures = convergence_failures(part, topo, "hetero row", 4)
     ok = not failures
     report(6, ok, "row scheme with unequal per-agent widths meets the same bounds")

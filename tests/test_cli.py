@@ -1,11 +1,12 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from duolayer import SimConfig, StructureError, cli
+from duolayer import LayoutMismatchError, SimConfig, StructureError, cli
 from duolayer.cli import (
     EXIT_DIVERGED,
     EXIT_INVALID,
@@ -216,6 +217,7 @@ def test_run_parse_errors(tmp_path, capsys):
         ("max_time", float("inf")),
         ("stationarity_tol", float("inf")),
         ("step_size", float("inf")),
+        pytest.param("step_size", 10**400, id="step_size-int-overflow"),
     ],
 )
 def test_run_rejects_bad_sim_values(tmp_path, capsys, key, value):
@@ -224,6 +226,70 @@ def test_run_rejects_bad_sim_values(tmp_path, capsys, key, value):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith(f"error: parse: {path}.sim: {key} ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+    ids=["nan", "inf", "-inf", "1e999", "int-overflow"],
+)
+@pytest.mark.parametrize("location", ["A[0][1]", "b[1]", "b_offsets[0][1][0]"])
+def test_run_rejects_non_finite_numbers(tmp_path, capsys, token, location):
+    data = identity_scenario(b_offsets=[[[0.5], [0.5]], [[-1.0], [-1.0]]])
+    key, *indices = re.findall(r"\w+", location)
+    cells = data[key]
+    for k in indices[:-1]:
+        cells = cells[int(k)]
+    # json.dumps cannot write 1e999 or a bare NaN, so a placeholder is swapped in
+    cells[int(indices[-1])] = "@"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data).replace('"@"', token))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == f"error: parse: {path}.{location}: expected a finite number\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "scheme, override, offsets",
+    [
+        ("row", "column", [[[0.5], [0.5]], [[-1.0], [-1.0]]]),
+        ("column", "row", [[1.0, -2.0], [0.0, 0.0]]),
+    ],
+)
+def test_override_rejects_offsets_of_the_other_scheme(tmp_path, capsys, scheme, override, offsets):
+    data = identity_scenario(scheme=scheme, b_offsets=offsets)
+    assert build_problem(parse_scenario(data), scheme)[1].scheme == scheme
+    with pytest.raises(LayoutMismatchError) as err:
+        build_problem(parse_scenario(data), override)
+    message = str(err.value)
+    assert "b_offsets" in message
+    assert f"{scheme} scheme" in message and f"{override} scheme" in message
+    path = write_scenario(tmp_path, data)
+    assert main(["run", str(path), "--scheme", override]) == EXIT_TOPOLOGY
+    assert capsys.readouterr().err == f"error: topology: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "graph", ["cluster_graph", "agent_graphs[1]", "agent_graphs[2]"]
+)
+def test_node_counts_checked_before_graphs_are_built(tmp_path, monkeypatch, capsys, graph):
+    def no_build(*args):
+        raise AssertionError("build_graph ran before the node counts were checked")
+
+    monkeypatch.setattr(cli, "build_graph", no_build)
+    data = identity_scenario()
+    huge = {"nodes": 1_000_000_000, "edges": []}
+    if graph == "cluster_graph":
+        data["cluster_graph"] = huge
+    elif graph == "agent_graphs[1]":
+        data["agent_graphs"][1] = huge
+    else:
+        data["agent_graphs"].append(huge)
+    path = write_scenario(tmp_path, data)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_TOPOLOGY
+    assert capsys.readouterr().err.startswith("error: topology: ")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from duolayer import (
     partition_columns,
     partition_rows,
 )
+from duolayer.instances import random_instance
 
 
 def path(n):
@@ -54,7 +57,7 @@ def test_row_partition_dimensions():
     b = np.arange(4.0)
     part = partition_rows(row_instance(a, b, [3, 1], [[2, 3], [5]]))
     assert part.cluster_rows == (3, 1)
-    assert part.agent_cols == ((2, 3), (5,))
+    assert [[blk.shape[1] for blk in row] for row in part.blocks] == [[2, 3], [5]]
     assert part.total_rows == 4
     assert part.total_cols == 5
     assert part.x_dim == 2 * 5
@@ -69,13 +72,44 @@ def test_column_partition_dimensions():
     b = np.arange(4.0)
     part = partition_columns(col_instance(a, b, [2, 3], [[4], [1, 3]]))
     assert part.cluster_cols == (2, 3)
-    assert part.agent_rows == ((4,), (1, 3))
+    assert [[blk.shape[0] for blk in row] for row in part.blocks] == [[4], [1, 3]]
     assert part.total_rows == 4
     assert part.total_cols == 5
     assert part.x_dim == 1 * 2 + 2 * 3
     assert part.z_dim == 2 * 4
     assert part.blocks[1][1].shape == (3, 3)
-    assert np.array_equal(part.cluster_share(0) + part.cluster_share(1), b)
+    assert np.array_equal(np.concatenate(part.offsets[0]) + np.concatenate(part.offsets[1]), b)
+
+
+@pytest.mark.parametrize("scheme", ["row", "column"])
+def test_shared_cut_takes_bands_of_a(scheme):
+    for seed in range(20):
+        inst, part = random_instance(np.random.default_rng(seed), scheme, 8)
+        layout = inst.layout
+        outer = np.cumsum((0,) + layout.cluster_sizes)
+        widths = heights = 0
+        for i, row in enumerate(part.blocks):
+            band = slice(outer[i], outer[i + 1])
+            sub = inst.a[band] if scheme == "row" else inst.a[:, band]
+            assert (part.cluster_rows[i], part.cluster_cols[i]) == sub.shape
+            inner = np.cumsum((0,) + layout.agent_sizes[i])
+            for j, block in enumerate(row):
+                cut = slice(inner[j], inner[j + 1])
+                expected = sub[:, cut] if scheme == "row" else sub[cut]
+                assert block.shape == expected.shape
+                assert block.tobytes() == np.ascontiguousarray(expected).tobytes()
+                assert part.offsets[i][j].shape == (block.shape[0],)
+                widths += block.shape[1]
+                heights += block.shape[0]
+            if scheme == "row":
+                # the agents' offsets split the cluster's rows of b
+                assert reduce(np.add, part.offsets[i]).tobytes() == inst.b[band].tobytes()
+        if scheme == "column":
+            # the clusters' shares, each cut into its agents' rows, split b
+            total = reduce(np.add, [np.concatenate(row) for row in part.offsets])
+            assert total.tobytes() == inst.b.tobytes()
+        assert (part.x_dim, part.z_dim) == (widths, heights)
+        assert (part.total_rows, part.total_cols) == inst.a.shape
 
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -125,7 +159,7 @@ def test_selection_cuts_own_slice_from_stacked_state():
     stacked = np.array([10.0, 11.0, 12.0, 13.0])
     # agents cover consecutive column ranges, so each one's slice of a
     # stacked state is the range its block covers in A
-    starts = np.cumsum((0,) + part.agent_cols[0])
+    starts = np.cumsum([0] + [blk.shape[1] for blk in part.blocks[0]])
     bands = [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
     assert [list(r) for r in bands] == [[0, 1], [2, 3]]
     for j, cols in enumerate(bands):
@@ -155,7 +189,7 @@ def test_explicit_column_shares_accepted_and_validated():
     b = np.array([1.0, 3.0])
     good = [[1.0, 1.0], [0.0, 2.0]]
     part = partition_columns(col_instance(a, b, [1, 1], [[2], [2]]), b_offsets=good)
-    assert np.array_equal(part.cluster_share(1), [0.0, 2.0])
+    assert np.array_equal(np.concatenate(part.offsets[1]), [0.0, 2.0])
     with pytest.raises(LayoutMismatchError):
         partition_columns(
             col_instance(a, b, [1, 1], [[2], [2]]), b_offsets=[[1.0, 1.0], [1.0, 2.0]]
