@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +19,7 @@ import numpy as np
 from .dynamics import ResidualReport, flat_slices, reassembled_solution, residuals
 from .graph import DisconnectedGraphError, Topology, build_graph
 from .instances import random_instance
+from .linalg import is_finite_number
 from .partition import (
     Layout,
     LayoutMismatchError,
@@ -91,20 +91,6 @@ def _expect(cond: bool, location: str, message: str) -> None:
         raise ScenarioError(location, message)
 
 
-def _is_finite_number(value) -> bool:
-    """True for a JSON number that converts to a finite float.
-
-    json.loads reads NaN, Infinity and 1e999 as non-finite floats and keeps
-    integers too large for a float; none of them pass.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _number_grid(value, location: str) -> np.ndarray:
     _expect(isinstance(value, list) and value, location, "expected a non-empty grid")
     widths = set()
@@ -112,7 +98,7 @@ def _number_grid(value, location: str) -> np.ndarray:
         _expect(isinstance(row, list) and row, f"{location}[{r}]", "expected a non-empty row")
         widths.add(len(row))
         for c, entry in enumerate(row):
-            _expect(_is_finite_number(entry), f"{location}[{r}][{c}]", "expected a finite number")
+            _expect(is_finite_number(entry), f"{location}[{r}][{c}]", "expected a finite number")
     _expect(len(widths) == 1, location, "rows have uneven lengths")
     return np.array(value, dtype=float)
 
@@ -120,7 +106,7 @@ def _number_grid(value, location: str) -> np.ndarray:
 def _number_list(value, location: str) -> np.ndarray:
     _expect(isinstance(value, list) and value, location, "expected a non-empty list")
     for i, entry in enumerate(value):
-        _expect(_is_finite_number(entry), f"{location}[{i}]", "expected a finite number")
+        _expect(is_finite_number(entry), f"{location}[{i}]", "expected a finite number")
     return np.array(value, dtype=float)
 
 
@@ -227,7 +213,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
                 kwargs[key] = None
             else:
                 _expect(
-                    _is_finite_number(value),
+                    is_finite_number(value),
                     f"{source}.sim",
                     "step_size must be a finite number or 'auto'",
                 )

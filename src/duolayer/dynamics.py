@@ -150,8 +150,17 @@ class DerivativePlan:
                 self.shift[sz] = -part.offsets[i][j]
 
     def evaluate(self, y: np.ndarray) -> np.ndarray:
-        """Derivative of the flat state [x; z] under the per-agent law."""
-        return self.matrix @ y + self.shift
+        """Derivative under the per-agent law of a flat state [x; z], or of
+        each row of an (S, dim) block of them.
+
+        A flat state takes one matrix-vector product, matrix @ y + shift; a
+        block takes one matrix-matrix product, y @ matrix.T + shift.  The two
+        may differ in the last bits, since the products sum in different
+        orders.
+        """
+        if y.ndim == 1:
+            return self.matrix @ y + self.shift
+        return y @ self.matrix.T + self.shift
 
 
 def reassembled_solution(part, y) -> np.ndarray:

@@ -7,6 +7,7 @@ modules rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,22 @@ KERNEL_MARGIN = 1e-8
 # yet it keeps the shifted copy of a singular M invertible.
 KERNEL_SHIFT = float(np.finfo(float).eps)
 KERNEL_STEPS = 2
+
+
+def is_finite_number(value) -> bool:
+    """True for a real number, not a bool, that converts to a finite float.
+
+    NaN, the infinities and integers too large for a float (json.loads keeps
+    10**400 as an int, and 0 < 10**400 < math.inf holds) do not pass.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def as_matrix(values) -> np.ndarray:

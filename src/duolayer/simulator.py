@@ -6,7 +6,10 @@ is never consulted, so trajectories exercise the agent-level code path.
 The law is linear and time-invariant, y' = M y + c with M = plan.matrix and
 c = plan.shift, so one classical RK4 step is exactly the affine map
 y -> R y + g; both are built once per run from the plan, and each step is
-one product plus one plan.evaluate for the stationarity test.
+one matrix-vector product.  Steps run in blocks of up to RECORD_BATCH;
+the stationarity and finiteness tests run once per block, over all of its
+states (one batched plan.evaluate), and stop where one test per step
+would, bit for bit (see integrate).
 States, the initial and the final one included, are flat [x; z] vectors laid
 out by dynamics.flat_slices.  Recorded samples are copied into a buffer of
 RECORD_BATCH rows and evaluated a batch at a time (V by one einsum, the
@@ -17,7 +20,6 @@ structured array with the SAMPLE_FIELDS columns; the state is not kept.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +31,14 @@ from .dynamics import (
     tiled_reference,
 )
 from .graph import Topology
-from .linalg import solve_least_squares
+from .linalg import is_finite_number, solve_least_squares
 
 # Samples with V below this floor are excluded from rate fitting.
 V_FLOOR = 1e-14
 # Fewest samples above V_FLOOR that a rate fit accepts.
 MIN_FIT_SAMPLES = 10
-# Recorded samples evaluated together; bounds the recording buffer to
-# RECORD_BATCH flat states.
+# Recorded samples evaluated together, and steps tested together; bounds the
+# recording and the step buffers to RECORD_BATCH (+ 1) flat states each.
 RECORD_BATCH = 64
 # Columns of a recorded sample; conservation (k,) and consensus (p,) are rows
 # of the arrays sample_residuals returns.
@@ -62,7 +64,8 @@ class SimConfig:
     step_size None means auto: h = 0.9 * 2 / rho with rho a Gershgorin bound
     on the drift spectral radius, capped at 0.1.  init_mode is "zeros" or
     "random" (uniform in [-amplitude, amplitude], seeded by rng_seed).
-    step_size, max_time, stationarity_tol and init_amplitude must be finite;
+    step_size, max_time, stationarity_tol and init_amplitude must be finite
+    as floats (an integer too large for a float is rejected);
     record_every and rng_seed must be integers, rng_seed >= 0; no field
     accepts a bool.
     """
@@ -83,11 +86,11 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer")
-        if self.step_size is not None and not 0 < self.step_size < math.inf:
+        if self.step_size is not None and not (is_finite_number(self.step_size) and self.step_size > 0):
             raise ValueError("step_size must be positive and finite, or None for auto")
-        if not 0 < self.max_time < math.inf:
+        if not (is_finite_number(self.max_time) and self.max_time > 0):
             raise ValueError("max_time must be positive and finite")
-        if not 0 < self.stationarity_tol < math.inf:
+        if not (is_finite_number(self.stationarity_tol) and self.stationarity_tol > 0):
             raise ValueError("stationarity_tol must be positive and finite")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
@@ -95,7 +98,7 @@ class SimConfig:
             raise ValueError("rng_seed must be >= 0")
         if self.init_mode not in ("zeros", "random"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
-        if not 0 <= self.init_amplitude < math.inf:
+        if not (is_finite_number(self.init_amplitude) and self.init_amplitude >= 0):
             raise ValueError("init_amplitude must be >= 0 and finite")
 
 
@@ -143,8 +146,9 @@ def closeness_metric(y, x_star, part) -> float:
     return 0.5 * float(diff @ diff)
 
 
-def _step_from_matrix(matrix: np.ndarray) -> float:
-    rho = float(np.max(np.sum(np.abs(matrix), axis=1))) if matrix.size else 0.0
+def _auto_step(rho: float) -> float:
+    """0.9 * 2 / rho capped at 0.1, for a Gershgorin bound rho on the drift
+    spectral radius (0.1 when rho is 0)."""
     if rho == 0.0:
         return 0.1
     return min(0.9 * 2.0 / rho, 0.1)
@@ -186,20 +190,39 @@ def integrate(
 ) -> SimResult:
     """Propagate the per-agent flow with classical fixed-step RK4.
 
-    Each step applies rk4_propagator's affine map once, then evaluates the
-    plan at the new state for the stationarity test.  initial_state is a
-    flat [x; z] vector (copied, never modified); when it is None the start
-    is drawn by cfg.init_mode.  Stops at max_time or as soon as the
-    derivative max-norm falls below stationarity_tol.  The result's
-    final_state is flat too.  V is measured against the
-    minimum-norm least-squares solution of the reassembled system.  Samples
-    are evaluated from the flat state in batches of RECORD_BATCH, so
-    recording memory stays bounded; a non-finite V raises
+    Each step applies rk4_propagator's affine map once: y -> R y + g, one
+    matrix-vector product.  Steps run in blocks of up to RECORD_BATCH, and
+    a block ends early at the step that reaches max_time.  After each block
+    come one finiteness test of its states, one batched plan.evaluate of
+    their derivatives and one row max-norm.  The block is cut at its first
+    non-finite state, or at its first state before max_time whose
+    derivative max-norm is below stationarity_tol.
+
+    The batched and the flat evaluate round differently.  In the max-norm
+    they differ by at most (dim + 1) eps (||M|| ||y|| + ||c||), with
+    M = plan.matrix, c = plan.shift and infinity norms.  A state whose
+    batched max-norm lies within twice that bound of stationarity_tol is
+    decided by the flat evaluate.  The band also adds
+    2 (dim + 1) eps (tol + tiny), with tiny the smallest normal float, which
+    keeps it wider than the rounding of tol +- band and than the error of
+    products that underflow.  So the steps, stop, final state and samples
+    equal those of one flat evaluate per step, bit for bit.
+
+    initial_state is a flat [x; z] vector (copied, never modified); when it
+    is None the start is drawn by cfg.init_mode.  The flat evaluate tests
+    the start.  The result's final_state is flat too.  V is measured
+    against the minimum-norm least-squares solution of the reassembled
+    system.  Samples are evaluated from the flat state in batches of
+    RECORD_BATCH, so recording memory stays bounded.  A non-finite V raises
     NonFiniteStateError with the time of the first such sample, also when
-    the state itself overflows later in the same batch.
+    the state itself overflows later in the same batch; otherwise a
+    non-finite state raises it with that state's time.
     """
     plan = DerivativePlan(part, topo)
-    h = cfg.step_size if cfg.step_size is not None else _step_from_matrix(plan.matrix)
+    # ||M||_inf: the Gershgorin bound of the auto step and the scale of the
+    # evaluate rounding bound
+    norm_m = float(np.max(np.sum(np.abs(plan.matrix), axis=1), initial=0.0))
+    h = cfg.step_size if cfg.step_size is not None else _auto_step(norm_m)
     if initial_state is not None:
         y = np.array(as_flat_state(part, initial_state))
     elif cfg.init_mode == "zeros":
@@ -209,6 +232,13 @@ def integrate(
         y = rng.uniform(-cfg.init_amplitude, cfg.init_amplitude, size=plan.dim)
     tiled = tiled_reference(part, solve_least_squares(*part.reassemble()))
     dim_x = tiled.shape[0]
+    tol, every = cfg.stationarity_tol, cfg.record_every
+    # a state's rounding band is slack * (||M|| ||y|| + offset)
+    slack = 2.0 * (plan.dim + 1) * np.finfo(float).eps
+    offset = float(np.max(np.abs(plan.shift), initial=0.0)) + tol + np.finfo(float).tiny
+
+    def stationary(d: np.ndarray) -> bool:
+        return float(np.max(np.abs(d))) < tol
 
     chunks = []
     pending = np.empty((RECORD_BATCH, plan.dim))
@@ -239,28 +269,50 @@ def integrate(
     t = 0.0
     steps = 0
     stop_reason = "max_time"
+    # states[0] is the block's start, states[1:] its steps
+    states = np.empty((RECORD_BATCH + 1, plan.dim))
+    states[0] = y
+    end = 0
     # overflow during a divergent run is reported via NonFiniteStateError,
     # so the intermediate warnings carry no information
     with np.errstate(over="ignore", invalid="ignore"):
         propagator, gain = rk4_propagator(plan, h)
         record(t, y)
-        d = plan.evaluate(y)
-        while t < cfg.max_time:
-            if float(np.max(np.abs(d))) < cfg.stationarity_tol:
-                stop_reason = "stationary"
-                break
-            y = propagator @ y
-            y += gain
-            steps += 1
+        if stationary(plan.evaluate(y)):
+            stop_reason = "stationary"
+        while stop_reason == "max_time" and t < cfg.max_time:
+            first = steps
+            for n in range(1, RECORD_BATCH + 1):
+                np.matmul(propagator, states[n - 1], out=states[n])
+                states[n] += gain
+                if (first + n) * h >= cfg.max_time:
+                    break
+            block = states[1 : n + 1]
+            norms = np.max(np.abs(block), axis=1)
+            finite = np.isfinite(norms)
+            # states taken from the block: those before the first non-finite
+            # one, or up to the first stationary one
+            end = n if finite.all() else int(np.argmin(finite))
+            # the state that reaches max_time is not tested for stationarity
+            tested = min(end, n - ((first + n) * h >= cfg.max_time))
+            d_max = np.max(np.abs(plan.evaluate(block[:tested])), axis=1)
+            band = slack * (norm_m * norms[:tested] + offset)
+            for i in np.flatnonzero(~(d_max > tol + band)):
+                if d_max[i] < tol - band[i] or stationary(plan.evaluate(block[i])):
+                    end = int(i) + 1
+                    stop_reason = "stationary"
+                    break
+            for k in range(first + every - first % every, first + end + 1, every):
+                record(k * h, states[k - first])
+            steps = first + end
             t = steps * h
-            if not np.all(np.isfinite(y)):
+            if end < n and stop_reason == "max_time":
                 # an earlier sample's V may already have overflowed
                 flush()
-                raise NonFiniteStateError(t)
-            d = plan.evaluate(y)
-            if steps % cfg.record_every == 0:
-                record(t, y)
-        if steps % cfg.record_every:
+                raise NonFiniteStateError((steps + 1) * h)
+            states[0] = states[end]
+        y = states[end].copy()
+        if steps % every:
             record(t, y)
         flush()
     return SimResult(

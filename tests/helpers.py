@@ -11,14 +11,28 @@ them, stay the same.
 The residual and closeness oracles cut a flat [x; z] state into agent
 blocks with flat_slices and loop over agents and pairs one at a time; the
 package's stacked implementations are checked against them.
+
+stepwise_integrate is the integrator with one flat plan.evaluate and one
+finiteness test per step; the block-stepping integrate must match it bit
+for bit.
 """
 
 from functools import reduce
 
 import numpy as np
 
-from duolayer import ResidualReport, SaddleBlocks, reassembled_solution
-from duolayer.dynamics import flat_slices
+from duolayer import (
+    DerivativePlan,
+    NonFiniteStateError,
+    ResidualReport,
+    SaddleBlocks,
+    SimResult,
+    Trajectory,
+    reassembled_solution,
+    solve_least_squares,
+)
+from duolayer.dynamics import as_flat_state, flat_slices, sample_residuals, tiled_reference
+from duolayer.simulator import RECORD_BATCH, SAMPLE_FIELDS, rk4_propagator
 
 
 def random_orthogonal(rng, n):
@@ -133,3 +147,76 @@ def oracle_closeness(y, x_star, part):
                 diff = x_ij - ref
                 total += float(diff @ diff)
     return 0.5 * total
+
+
+def stepwise_integrate(part, topo, cfg, *, initial_state=None):
+    """integrate with one step, one finiteness test and one flat
+    plan.evaluate per loop turn: the same start, step rule, stop tests,
+    sample batches and errors."""
+    plan = DerivativePlan(part, topo)
+    h = cfg.step_size
+    if h is None:
+        rho = float(np.max(np.sum(np.abs(plan.matrix), axis=1)))
+        h = 0.1 if rho == 0.0 else min(0.9 * 2.0 / rho, 0.1)
+    if initial_state is not None:
+        y = np.array(as_flat_state(part, initial_state))
+    elif cfg.init_mode == "zeros":
+        y = np.zeros(plan.dim)
+    else:
+        rng = np.random.default_rng(cfg.rng_seed)
+        y = rng.uniform(-cfg.init_amplitude, cfg.init_amplitude, size=plan.dim)
+    tiled = tiled_reference(part, solve_least_squares(*part.reassemble()))
+    chunks, pending, times = [], np.empty((RECORD_BATCH, plan.dim)), []
+
+    def flush():
+        block = pending[: len(times)]
+        diff = block[:, : tiled.shape[0]] - tiled
+        vs = 0.5 * np.einsum("ij,ij->i", diff, diff)
+        finite = np.isfinite(vs)
+        if not finite.all():
+            raise NonFiniteStateError(times[int(np.argmin(finite))])
+        columns = (times, vs, *sample_residuals(part, block))
+        chunk = np.empty(
+            len(times), dtype=[(f, float, np.shape(c)[1:]) for f, c in zip(SAMPLE_FIELDS, columns)]
+        )
+        for field, column in zip(SAMPLE_FIELDS, columns):
+            chunk[field] = column
+        chunks.append(chunk)
+        times.clear()
+
+    def record(t, vec):
+        pending[len(times)] = vec
+        times.append(t)
+        if len(times) == RECORD_BATCH:
+            flush()
+
+    t, steps, stop_reason = 0.0, 0, "max_time"
+    with np.errstate(over="ignore", invalid="ignore"):
+        propagator, gain = rk4_propagator(plan, h)
+        record(t, y)
+        d = plan.evaluate(y)
+        while t < cfg.max_time:
+            if float(np.max(np.abs(d))) < cfg.stationarity_tol:
+                stop_reason = "stationary"
+                break
+            y = propagator @ y
+            y += gain
+            steps += 1
+            t = steps * h
+            if not np.all(np.isfinite(y)):
+                flush()
+                raise NonFiniteStateError(t)
+            d = plan.evaluate(y)
+            if steps % cfg.record_every == 0:
+                record(t, y)
+        if steps % cfg.record_every:
+            record(t, y)
+        flush()
+    return SimResult(
+        trajectory=Trajectory(np.concatenate(chunks)),
+        final_state=y,
+        final_time=t,
+        step_size=h,
+        stop_reason=stop_reason,
+        steps=steps,
+    )

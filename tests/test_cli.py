@@ -218,6 +218,9 @@ def test_run_parse_errors(tmp_path, capsys):
         ("stationarity_tol", float("inf")),
         ("step_size", float("inf")),
         pytest.param("step_size", 10**400, id="step_size-int-overflow"),
+        pytest.param("max_time", 10**400, id="max_time-int-overflow"),
+        pytest.param("stationarity_tol", 10**400, id="stationarity_tol-int-overflow"),
+        pytest.param("init_amplitude", 10**400, id="init_amplitude-int-overflow"),
     ],
 )
 def test_run_rejects_bad_sim_values(tmp_path, capsys, key, value):

@@ -26,8 +26,8 @@ from duolayer import (
     solve_least_squares,
 )
 from duolayer.instances import random_instance
-from duolayer.simulator import RECORD_BATCH, rk4_propagator
-from helpers import oracle_closeness, oracle_residuals
+from duolayer.simulator import RECORD_BATCH, SAMPLE_FIELDS, rk4_propagator
+from helpers import oracle_closeness, oracle_residuals, stepwise_integrate
 
 
 def path(n):
@@ -66,8 +66,9 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(rng_seed=-1)
     for name in ("step_size", "max_time", "stationarity_tol", "init_amplitude"):
-        with pytest.raises(ValueError, match=f"{name} .*finite"):
-            SimConfig(**{name: math.inf})
+        for value in (math.inf, 10**400):
+            with pytest.raises(ValueError, match=f"{name} .*finite"):
+                SimConfig(**{name: value})
     for bad in ({"rng_seed": 1.5}, {"record_every": 2.5}, {"record_every": True},
                 {"stationarity_tol": True}, {"init_amplitude": np.True_}):
         with pytest.raises(TypeError):
@@ -238,12 +239,114 @@ def test_v_measured_against_least_squares_solution():
     assert values[-1] < 1e-15
 
 
+def error_time(run, *args, **kwargs) -> float:
+    with pytest.raises(NonFiniteStateError) as info:
+        run(*args, **kwargs)
+    return info.value.time
+
+
 def test_divergence_raises_with_time():
+    # the state overflows at step 62, mid-way through the first block, after
+    # the samples of steps 10 to 60; V overflows first, at the step-40 sample
     part, topo = single_agent()
     cfg = SimConfig(step_size=10.0, max_time=1e5, stationarity_tol=1e-300)
-    with pytest.raises(NonFiniteStateError) as info:
-        integrate(part, topo, cfg)
-    assert info.value.time > 0.0
+    assert error_time(integrate, part, topo, cfg) == error_time(stepwise_integrate, part, topo, cfg)
+    # b = 0 from x = 1e-200: the step-70 sample keeps a finite V and the
+    # state overflows at step 102, mid-way through the block of steps 65 to
+    # 128, so the error carries the state's time
+    part, topo = single_agent(2.0, 0.0)
+    cfg = SimConfig(step_size=10.0, max_time=1e5, stationarity_tol=1e-300, record_every=70)
+    start = np.array([1e-200, 0.0])
+    want = error_time(stepwise_integrate, part, topo, cfg, initial_state=start)
+    assert want == 1020.0
+    assert error_time(integrate, part, topo, cfg, initial_state=start) == want
+
+
+def assert_same_run(got, want):
+    assert (got.steps, got.stop_reason) == (want.steps, want.stop_reason)
+    assert (got.final_time, got.step_size) == (want.final_time, want.step_size)
+    assert got.final_state.tobytes() == want.final_state.tobytes()
+    for field in SAMPLE_FIELDS:
+        column = got.trajectory.samples[field]
+        assert column.tobytes() == want.trajectory.samples[field].tobytes(), field
+
+
+@pytest.mark.parametrize("record_every", [1, 7, 64, 65])
+@pytest.mark.parametrize("scheme", ["row", "column"])
+def test_block_stepping_matches_stepwise_oracle(scheme, record_every):
+    # the stationary start, one step, a max_time at the end of the first
+    # block, one step into the second, mid-way through it, and a stop at the
+    # first state below a tolerance the run reaches after about 300 steps
+    stops = []
+    for seed in range(20):
+        inst, part = random_instance(np.random.default_rng(seed), scheme, 6)
+        topo = inst.topology
+        base = {"init_mode": "random", "rng_seed": seed, "record_every": record_every}
+        at_start = SimConfig(stationarity_tol=1e300, **base)
+        want = stepwise_integrate(part, topo, at_start)
+        assert_same_run(integrate(part, topo, at_start), want)
+        assert want.steps == 0 and want.stop_reason == "stationary"
+        h = want.step_size
+        probe = stepwise_integrate(part, topo, SimConfig(max_time=300 * h, stationarity_tol=1e-300, **base))
+        d_end = float(np.max(np.abs(DerivativePlan(part, topo).evaluate(probe.final_state))))
+        cases = [{"max_time": k * h, "stationarity_tol": 1e-300} for k in (1, 64, 65, 100.5)]
+        cases.append({"max_time": 400 * h, "stationarity_tol": 2.0 * d_end})
+        for settings in cases:
+            cfg = SimConfig(**settings, **base)
+            want = stepwise_integrate(part, topo, cfg)
+            assert_same_run(integrate(part, topo, cfg), want)
+        assert want.stop_reason == "stationary" and want.steps <= 300
+        stops.append(want.steps)
+    # a few small draws are already below twice their step-300 norm at the start
+    assert sum(step > 0 for step in stops) >= 15
+
+
+def test_stop_at_a_tie_is_decided_by_the_flat_evaluate(monkeypatch):
+    # tolerances one ulp above and below a state's derivative max-norm fall
+    # inside the batched evaluate's rounding band, so that state is decided
+    # by the flat evaluate, which the one-step loop uses
+    flat_calls = []
+    evaluate = DerivativePlan.evaluate
+
+    def counted(plan, y):
+        flat_calls.append(y.ndim == 1)
+        return evaluate(plan, y)
+
+    monkeypatch.setattr(DerivativePlan, "evaluate", counted)
+    for seed in range(5):
+        for scheme in ("row", "column"):
+            inst, part = random_instance(np.random.default_rng(seed), scheme, 12)
+            topo = inst.topology
+            base = {"init_mode": "random", "rng_seed": seed, "record_every": 3}
+            plan = DerivativePlan(part, topo)
+            h = integrate(part, topo, SimConfig(stationarity_tol=1e300, **base)).step_size
+            propagator, gain = rk4_propagator(plan, h)
+            y = integrate(part, topo, SimConfig(max_time=h, stationarity_tol=1e300, **base)).final_state
+            # the last running minimum of the derivative max-norm off a block
+            # boundary, so the tolerance just above it stops there first
+            lowest, step = math.inf, 0
+            for k in range(150):
+                norm = float(np.max(np.abs(plan.evaluate(y))))
+                if norm < lowest:
+                    lowest = norm
+                    if k % RECORD_BATCH:
+                        step, at_step = k, norm
+                y = propagator @ y + gain
+            assert step > 0
+            for direction in (math.inf, 0.0):
+                tol = float(np.nextafter(at_step, direction))
+                cfg = SimConfig(max_time=200 * h, stationarity_tol=tol, **base)
+                want = stepwise_integrate(part, topo, cfg)
+                assert (want.steps == step) == (direction == math.inf)
+                flat_calls.clear()
+                assert_same_run(integrate(part, topo, cfg), want)
+                # the start and at least the tied state went through the flat path
+                assert sum(flat_calls) >= 2
+            # a state that reaches max_time is not tested for stationarity
+            cfg = SimConfig(max_time=step * h, stationarity_tol=np.nextafter(at_step, math.inf), **base)
+            want = stepwise_integrate(part, topo, cfg)
+            assert (want.steps, want.stop_reason) == (step, "max_time")
+            assert_same_run(integrate(part, topo, cfg), want)
 
 
 def test_max_time_stop():
