@@ -3,20 +3,23 @@
 For each scheme, draws consistent random problems, assembles the stacked
 drift matrix, and tallies the spectral verdict together with the slowest
 nonzero decay rate.  The slow mode tracks the smallest singular value of A,
-which is why a --min-sigma floor tightens the worst case so sharply.
+which is why a --min-sigma floor tightens the worst case so sharply.  Each
+draw's equilibrium certificate is built right after its verdict, on the same
+system, and the stationary ones are tallied.
 """
 
 import argparse
 
 import numpy as np
 
-from duolayer import assemble_compact, check_drift_spectrum
+from duolayer import assemble_compact, check_drift_spectrum, equilibrium_certificate
 from duolayer.instances import random_instance
 
 
 def survey(scheme, samples, max_dim, min_sigma, seed):
     rng = np.random.default_rng([seed, 0 if scheme == "row" else 1])
     passed = 0
+    stationary = 0
     worst_real = 0.0
     worst_imag = 0.0
     slowest = np.inf
@@ -25,6 +28,11 @@ def survey(scheme, samples, max_dim, min_sigma, seed):
         cs = assemble_compact(part, inst.topology)
         verdict = check_drift_spectrum(cs)
         passed += verdict.passed
+        try:
+            equilibrium_certificate(cs, part)
+            stationary += 1
+        except ArithmeticError as exc:
+            print(f"  {exc}")
         worst_real = max(worst_real, verdict.max_real)
         worst_imag = max(worst_imag, verdict.max_imag)
         rates = [
@@ -35,6 +43,7 @@ def survey(scheme, samples, max_dim, min_sigma, seed):
         if rates:
             slowest = min(slowest, min(rates))
     print(f"{scheme}: {passed}/{samples} verdicts passed")
+    print(f"{scheme}: {stationary}/{samples} certificates stationary")
     print(f"  max Re(lambda)  {worst_real:.3e}")
     print(f"  max |Im(lambda)| {worst_imag:.3e}")
     print(f"  slowest decay rate across draws {slowest:.3e}")

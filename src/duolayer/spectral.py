@@ -30,11 +30,18 @@ Two routes lead to a verdict:
   reference the structured one is tested against, and it is the only one
   that can judge matrices without the saddle structure, such as defective
   or rotating ones.
+
+The eigendecomposition D = U diag(lam) U.T is taken once per CompactSystem
+(CompactSystem.dual_eigh, from the assembled Q22) and serves twice: the
+structured verdict builds S from it, and equilibrium_certificate solves the
+Laplacian balance D z = C x - b with it as z = U+ diag(lam+)^-1 U+.T
+(C x - b), keeping the same lam+ as the verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +54,13 @@ from .partition import check_topology
 VERDICT_RTOL = 1e-8
 # Relative tolerance for symmetry / positive semi-definiteness validation.
 PSD_RTOL = 1e-10
+# A certificate is stationary when max|Q v + f| <= STATIONARY_RTOL *
+# max(|Q||v| + |f|).  That bound scales the rounding of Q v + f with A:
+# correct certificates reach about 1e-15 of it at every scale of A, and a
+# balance left off by 1e-3 max|b_stack| at least 5e-11.
+STATIONARY_RTOL = 1e-12
+# Rows of |Q| taken at a time for that bound, so no |Q|-sized temporary is made.
+STATIONARY_ROWS = 256
 
 
 class InconsistentSystemError(ValueError):
@@ -197,13 +211,32 @@ class CompactSystem:
     saddle.coupling C stacks every agent block block-diagonally.  The two
     lifted Laplacians take the damping roles: row scheme P = the cluster
     layer, D = the agent layers; column scheme P = the agent layers, D = the
-    cluster layer.  drift_matrix is saddle.matrix().
+    cluster layer.  drift_matrix is saddle.matrix(), read-only.
+
+    dual_eigh is the one eigendecomposition of D that both the structured
+    verdict and the equilibrium certificate read: whichever runs first pays
+    for it.  Since drift_matrix cannot be written in place, the cached
+    factors cannot go stale; dataclasses.replace builds a new instance with
+    an empty cache.
     """
 
     scheme: str
     saddle: SaddleBlocks
     b_stack: np.ndarray  # stacked offsets
     drift_matrix: np.ndarray
+
+    @cached_property
+    def dual_eigh(self) -> tuple:
+        """(lam, U) with D = -Q22 = U diag(lam) U.T and lam descending.
+
+        Taken from the assembled drift_matrix by one eigh of Q22; built on
+        the first call, every call returns the same read-only arrays.
+        """
+        lam, u = np.linalg.eigh(self.drift_matrix[self.dim_x :, self.dim_x :])
+        lam = -lam
+        for arr in (lam, u):
+            arr.flags.writeable = False
+        return lam, u
 
     @property
     def dim_x(self) -> int:
@@ -253,12 +286,23 @@ def assemble_compact(part, topo: Topology) -> CompactSystem:
         primal_damping=primal,
         dual_damping=dual,
     )
+    drift = saddle.matrix()
+    drift.flags.writeable = False
     return CompactSystem(
         scheme=part.scheme,
         saddle=saddle,
         b_stack=np.concatenate([off for offsets in part.offsets for off in offsets]),
-        drift_matrix=saddle.matrix(),
+        drift_matrix=drift,
     )
+
+
+def _kept(lam: np.ndarray) -> int:
+    """How many of D's descending eigenvalues lam are above RANK_RTOL * lam_max.
+
+    The verdict's S and the certificate's minimum-norm balance both keep
+    exactly these leading eigenpairs.
+    """
+    return int(np.count_nonzero(lam > RANK_RTOL * max(float(lam[0]), 0.0)))
 
 
 def _structure_check(name: str, residual: float, tol: float) -> float:
@@ -285,9 +329,9 @@ def check_drift_spectrum(cs: CompactSystem) -> SpectralVerdict:
     max|Q11| + max|Q21|^2), which bounds it for any k * eps well below
     PSD_RTOL.  A corrupted drift matrix raises StructureError instead of
     producing a misleading verdict.  The eigenvalues of Q are those of S
-    (see the module docstring) plus one zero per kernel vector of D.  Only
-    the lower triangle of S is built, in one zeroed buffer, since eigvalsh
-    reads nothing else.
+    (see the module docstring) plus one zero per kernel vector of D, with
+    D = U diag(lam) U.T read from cs.dual_eigh.  Only the lower triangle of
+    S is built, in one zeroed buffer, since eigvalsh reads nothing else.
     """
     q = as_matrix(cs.drift_matrix)
     dim_x = cs.dim_x
@@ -312,16 +356,15 @@ def check_drift_spectrum(cs: CompactSystem) -> SpectralVerdict:
     tol_p = PSD_RTOL * (1.0 + _max_abs(q11) + _max_abs(q21) ** 2)
     _structure_check("P positive semi-definite", -_lowest_eigenvalue_bound(p, tol_p), tol_p)
     del p
-    lam, u = np.linalg.eigh(q22)
-    lam = -lam  # the eigenvalues of D = -Q22, in descending order
+    lam, u = cs.dual_eigh
     _structure_check("D = -Q22 positive semi-definite", -float(lam[-1]), PSD_RTOL * scale22)
-    kept = int(np.count_nonzero(lam > RANK_RTOL * max(float(lam[0]), 0.0)))
+    kept = _kept(lam)
     s = np.zeros((dim_x + kept, dim_x + kept))
     s[:dim_x, :dim_x] = q11
     lower = s[dim_x:, :dim_x]
     np.matmul(u[:, :kept].T, q21, out=lower)
     lower *= np.sqrt(lam[:kept])[:, None]
-    del u, lower
+    del lower
     diag = np.arange(dim_x, dim_x + kept)
     s[diag, diag] = -lam[:kept]
     values = np.linalg.eigvalsh(s)
@@ -356,8 +399,12 @@ def equilibrium_certificate(cs: CompactSystem, part) -> tuple:
 
     x_hat replicates a least-squares solution y of A x = b across clusters
     (row scheme) or across each cluster's agents (column scheme); z_hat is the
-    minimum-norm solve of the Laplacian balance equation.  Raises
-    InconsistentSystemError when A x = b has no solution.
+    minimum-norm solve of the Laplacian balance D z = C x_hat - b_stack,
+    U+ diag(lam+)^-1 U+.T (C x_hat - b_stack), from cs.dual_eigh with the
+    verdict's own cutoff for lam+.  Raises InconsistentSystemError when
+    A x = b has no solution, and ArithmeticError when the certificate is not
+    stationary: max|Q v + f| above STATIONARY_RTOL * max(|Q||v| + |f|), a
+    bound on the rounding of Q v + f that scales with A at every size.
     """
     a_full, b_full = part.reassemble()
     y = solve_least_squares(a_full, b_full)
@@ -368,12 +415,20 @@ def equilibrium_certificate(cs: CompactSystem, part) -> tuple:
         )
     x_hat = tiled_reference(part, y)
     rhs = cs.saddle.coupling @ x_hat - cs.b_stack
-    z_hat = solve_least_squares(cs.saddle.dual_damping, rhs)
+    lam, u = cs.dual_eigh
+    kept = _kept(lam)
+    u_kept = u[:, :kept]
+    z_hat = u_kept @ ((rhs @ u_kept) / lam[:kept])
     v = np.concatenate([x_hat, z_hat])
-    drift_norm = float(np.linalg.norm(cs.drift_matrix @ v + cs.forcing))
-    if drift_norm > 1e-8 * (1.0 + float(np.linalg.norm(cs.b_stack))):
+    q, f = cs.drift_matrix, cs.forcing
+    drift = _max_abs(q @ v + f)
+    size = np.abs(f)
+    abs_v = np.abs(v)
+    for start in range(0, len(f), STATIONARY_ROWS):
+        size[start : start + STATIONARY_ROWS] += np.abs(q[start : start + STATIONARY_ROWS]) @ abs_v
+    tol = STATIONARY_RTOL * float(size.max())
+    if not drift <= tol:
         raise ArithmeticError(
-            f"certificate failed to be stationary: drift norm {drift_norm:.3e}"
+            f"certificate failed to be stationary: max drift {drift:.3e} > tolerance {tol:.3e}"
         )
     return x_hat, z_hat
-

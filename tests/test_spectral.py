@@ -20,6 +20,7 @@ from duolayer import (
     lifted_laplacian,
     partition_columns,
     partition_rows,
+    solve_least_squares,
     spectrum_verdict,
 )
 from duolayer.instances import random_composition, random_connected_graph, random_instance
@@ -175,18 +176,92 @@ def test_structure_violations_raise(scheme, corruption, check):
         check_drift_spectrum(dataclasses.replace(cs, drift_matrix=q))
 
 
-@pytest.mark.parametrize("k", range(-4, 6))
-def test_structured_verdict_passes_at_every_scale(k):
-    # P = -(Q11 + Q21.T Q21) is recovered by cancellation, so its rounding
-    # grows like |A|^2 and the PSD tolerance must grow with it.  The rank is
-    # not compared: its cutoff is relative to rho, which grows like |A|^2 too.
+def scaled_systems(k=0):
+    """(label, part, compact system) for 40 draws, A and b scaled by 10**k."""
     for seed in range(20):
         for scheme in ("row", "column"):
             inst, _ = random_instance(np.random.default_rng(seed), scheme, 12)
             scaled = dataclasses.replace(inst, a=inst.a * 10.0**k, b=inst.b * 10.0**k)
             part = partition_rows(scaled) if scheme == "row" else partition_columns(scaled)
-            verdict = check_drift_spectrum(assemble_compact(part, inst.topology))
-            assert verdict.passed, (k, seed, scheme)
+            yield (k, seed, scheme), part, assemble_compact(part, inst.topology)
+
+
+@pytest.mark.parametrize("k", range(-4, 6))
+def test_structured_verdict_passes_at_every_scale(k):
+    # P = -(Q11 + Q21.T Q21) is recovered by cancellation, so its rounding
+    # grows like |A|^2 and the PSD tolerance must grow with it.  The rank is
+    # not compared: its cutoff is relative to rho, which grows like |A|^2 too.
+    for label, _, cs in scaled_systems(k):
+        assert check_drift_spectrum(cs).passed, label
+
+
+@pytest.mark.parametrize("k", range(-6, 11))
+def test_equilibrium_certificate_at_every_scale(k):
+    # the rounding of Q v + f grows like |A|^2: an absolute stationarity
+    # tolerance failed correct certificates from 10^7 up
+    for label, part, cs in scaled_systems(k):
+        _, z_hat = equilibrium_certificate(cs, part)
+        assert z_hat.shape == (cs.dim - cs.dim_x,), label
+
+
+@pytest.mark.parametrize("k", range(-6, 11))
+def test_corrupted_certificate_raises_at_every_scale(k):
+    # shifting b_stack along ker D leaves D z = C x - b_stack unsolvable; the
+    # minimum-norm z drops the shift, so only the stationarity test sees it.
+    # An absolute tolerance accepted all 40 such certificates at 10^-6.
+    for label, part, cs in scaled_systems(k):
+        kernel = np.linalg.eigh(cs.saddle.dual_damping)[1][:, 0]
+        shift = 1e-3 * np.max(np.abs(cs.b_stack)) / np.max(np.abs(kernel)) * kernel
+        corrupted = dataclasses.replace(cs, b_stack=cs.b_stack + shift)
+        with pytest.raises(ArithmeticError, match="failed to be stationary"):
+            equilibrium_certificate(corrupted, part)
+            pytest.fail(f"corrupted certificate accepted: {label}")
+
+
+def test_verdict_and_certificate_share_one_eigh(monkeypatch):
+    # in either order: one eigh of D per system, and the one lstsq left is
+    # the certificate's solve of A x = b
+    calls = []
+
+    def counted(name):
+        wrapped = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return wrapped(*args, **kwargs)
+
+        return call
+
+    for name in ("eigh", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    for label, part, cs in scaled_systems():
+        verdict = check_drift_spectrum(cs).to_dict()
+        equilibrium_certificate(cs, part)
+        assert calls == ["eigh", "lstsq"], label
+        fresh = dataclasses.replace(cs)
+        equilibrium_certificate(fresh, part)
+        assert check_drift_spectrum(fresh).to_dict() == verdict, label
+        assert calls == ["eigh", "lstsq", "lstsq", "eigh"], label
+        calls.clear()
+
+
+def test_certificate_balance_matches_least_squares():
+    for label, part, cs in scaled_systems():
+        x_hat, z_hat = equilibrium_certificate(cs, part)
+        reference = solve_least_squares(
+            cs.saddle.dual_damping, cs.saddle.coupling @ x_hat - cs.b_stack
+        )
+        assert np.linalg.norm(z_hat - reference) <= 1e-12 * np.linalg.norm(reference), label
+
+
+def test_compact_system_arrays_are_read_only():
+    inst, part = random_instance(np.random.default_rng(3), "column", 6)
+    cs = assemble_compact(part, inst.topology)
+    lam, u = cs.dual_eigh
+    for arr in (cs.drift_matrix, lam, u):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    assert cs.dual_eigh[0] is lam and cs.dual_eigh[1] is u
 
 
 @pytest.mark.parametrize("seed", [1234, 1954, 4455])
