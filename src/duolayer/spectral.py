@@ -16,11 +16,12 @@ Two routes lead to a verdict:
 
 * check_drift_spectrum (structured route) checks on the assembled Q itself
   that it has that shape, then reads the spectrum off one symmetric
-  eigensolve.  With D = U diag(lam) U.T, Q is similar to a block-triangular
-  matrix whose diagonal blocks are a zero block (one column per kernel
-  vector of D) and S = [[Q11, B.T], [B, -diag(lam+)]], B = lam+^1/2 U+.T C,
-  which is symmetric negative semi-definite: Q is self-adjoint in a
-  weighted inner product (Benzi & Simoncini, Numer. Math. 2006).  Every
+  eigensolve.  With D = U diag(lam) U.T for any orthonormal eigenbasis U,
+  Q is similar to a block-triangular matrix whose diagonal blocks are a
+  zero block (one column per kernel vector of D) and
+  S = [[Q11, B.T], [B, -diag(lam+)]], B = lam+^1/2 U+.T C, which is
+  symmetric negative semi-definite: Q is self-adjoint in a weighted inner
+  product (Benzi & Simoncini, Numer. Math. 2006).  Every
   kernel vector of S has P x = 0 and C x in range D, so the zero eigenvalue
   is non-defective by the theorem once the structure holds, not by a rank
   cutoff.
@@ -31,11 +32,16 @@ Two routes lead to a verdict:
   that can judge matrices without the saddle structure, such as defective
   or rotating ones.
 
-The eigendecomposition D = U diag(lam) U.T is taken once per CompactSystem
-(CompactSystem.dual_eigh, from the assembled Q22) and serves twice: the
-structured verdict builds S from it, and equilibrium_certificate solves the
-Laplacian balance D z = C x - b with it as z = U+ diag(lam+)^-1 U+.T
-(C x - b), keeping the same lam+ as the verdict.
+D is a lifted Laplacian of the small agent or cluster graphs, so up to a
+permutation it is block diagonal with blocks of graph size.  Its
+eigendecomposition is taken once per CompactSystem, block by block
+(CompactSystem.dual_eigh: the connected blocks of the assembled Q22's
+nonzero pattern, one batched eigh per block size), so U is block diagonal
+and is never formed as a dim_z x dim_z matrix.  It serves twice: the
+structured verdict builds the rows of B block by block from it, and
+equilibrium_certificate solves the Laplacian balance D z = C x - b with it
+as z = U+ diag(lam+)^-1 U+.T (C x - b), block by block, keeping the same
+lam+ as the verdict.  A dense Q22 is simply one block.
 """
 
 from __future__ import annotations
@@ -47,20 +53,24 @@ import numpy as np
 
 from .dynamics import tiled_reference
 from .graph import Topology, lifted_laplacian
-from .linalg import RANK_RTOL, Spectrum, as_matrix, eig, solve_least_squares
+from .linalg import RANK_RTOL, Spectrum, as_matrix, eig, pattern_blocks, solve_least_squares
 from .partition import check_topology
 
 # Relative tolerance for the spectral verdicts.
 VERDICT_RTOL = 1e-8
 # Relative tolerance for symmetry / positive semi-definiteness validation.
 PSD_RTOL = 1e-10
+# A x = b counts as consistent when its least-squares residual is at most
+# CONSISTENT_RTOL * (||A||_F ||y|| + ||b||), relative at every scale of A.
+CONSISTENT_RTOL = 1e-8
 # A certificate is stationary when max|Q v + f| <= STATIONARY_RTOL *
 # max(|Q||v| + |f|).  That bound scales the rounding of Q v + f with A:
 # correct certificates reach about 1e-15 of it at every scale of A, and a
 # balance left off by 1e-3 max|b_stack| at least 5e-11.
 STATIONARY_RTOL = 1e-12
-# Rows of |Q| taken at a time for that bound, so no |Q|-sized temporary is made.
-STATIONARY_ROWS = 256
+# Rows of Q taken at a time where a product reads all of it (|Q| in that
+# bound, Q21 in the verdict's B), so no Q-sized temporary is made.
+CHUNK_ROWS = 256
 
 
 class InconsistentSystemError(ValueError):
@@ -213,11 +223,11 @@ class CompactSystem:
     layer, D = the agent layers; column scheme P = the agent layers, D = the
     cluster layer.  drift_matrix is saddle.matrix(), read-only.
 
-    dual_eigh is the one eigendecomposition of D that both the structured
-    verdict and the equilibrium certificate read: whichever runs first pays
-    for it.  Since drift_matrix cannot be written in place, the cached
-    factors cannot go stale; dataclasses.replace builds a new instance with
-    an empty cache.
+    dual_eigh is the one block-wise eigendecomposition of D that both the
+    structured verdict and the equilibrium certificate read: whichever runs
+    first pays for it.  Since drift_matrix cannot be written in place, the
+    cached factors cannot go stale; dataclasses.replace builds a new
+    instance with an empty cache.
     """
 
     scheme: str
@@ -227,16 +237,23 @@ class CompactSystem:
 
     @cached_property
     def dual_eigh(self) -> tuple:
-        """(lam, U) with D = -Q22 = U diag(lam) U.T and lam descending.
+        """D = -Q22 factored block by block: one (idx, lam, vecs) per block size.
 
-        Taken from the assembled drift_matrix by one eigh of Q22; built on
-        the first call, every call returns the same read-only arrays.
+        idx (count, size) lists the connected blocks of Q22's nonzero pattern
+        (linalg.pattern_blocks), lam (count, size) and vecs (count, size,
+        size) their eigenpairs: D[i][:, i] = vecs[k] diag(lam[k]) vecs[k].T
+        for i = idx[k].  One batched eigh per block size, taken from the
+        assembled drift_matrix alone; no dim_z x dim_z factor is formed.
+        Built on the first call, every call returns the same read-only arrays.
         """
-        lam, u = np.linalg.eigh(self.drift_matrix[self.dim_x :, self.dim_x :])
-        lam = -lam
-        for arr in (lam, u):
-            arr.flags.writeable = False
-        return lam, u
+        q22 = self.drift_matrix[self.dim_x :, self.dim_x :]
+        factor = []
+        for idx in pattern_blocks(q22):
+            lam, vecs = np.linalg.eigh(-q22[idx[:, :, None], idx[:, None, :]])
+            for arr in (idx, lam, vecs):
+                arr.flags.writeable = False
+            factor.append((idx, lam, vecs))
+        return tuple(factor)
 
     @property
     def dim_x(self) -> int:
@@ -296,13 +313,15 @@ def assemble_compact(part, topo: Topology) -> CompactSystem:
     )
 
 
-def _kept(lam: np.ndarray) -> int:
-    """How many of D's descending eigenvalues lam are above RANK_RTOL * lam_max.
+def _kept(factor: tuple) -> tuple:
+    """Masks of D's eigenvalues above RANK_RTOL * lam_max, one per block size
+    of factor = CompactSystem.dual_eigh.
 
     The verdict's S and the certificate's minimum-norm balance both keep
-    exactly these leading eigenpairs.
+    exactly these eigenpairs.
     """
-    return int(np.count_nonzero(lam > RANK_RTOL * max(float(lam[0]), 0.0)))
+    lam_max = max((float(lam.max()) for _, lam, _ in factor), default=0.0)
+    return tuple(lam > RANK_RTOL * max(lam_max, 0.0) for _, lam, _ in factor)
 
 
 def _structure_check(name: str, residual: float, tol: float) -> float:
@@ -330,8 +349,10 @@ def check_drift_spectrum(cs: CompactSystem) -> SpectralVerdict:
     PSD_RTOL.  A corrupted drift matrix raises StructureError instead of
     producing a misleading verdict.  The eigenvalues of Q are those of S
     (see the module docstring) plus one zero per kernel vector of D, with
-    D = U diag(lam) U.T read from cs.dual_eigh.  Only the lower triangle of
-    S is built, in one zeroed buffer, since eigvalsh reads nothing else.
+    D = U diag(lam) U.T read block by block from cs.dual_eigh.  Only the
+    lower triangle of S is built, in one zeroed buffer, since eigvalsh reads
+    nothing else; the rows of B are written into it a chunk of blocks at a
+    time.
     """
     q = as_matrix(cs.drift_matrix)
     dim_x = cs.dim_x
@@ -356,17 +377,28 @@ def check_drift_spectrum(cs: CompactSystem) -> SpectralVerdict:
     tol_p = PSD_RTOL * (1.0 + _max_abs(q11) + _max_abs(q21) ** 2)
     _structure_check("P positive semi-definite", -_lowest_eigenvalue_bound(p, tol_p), tol_p)
     del p
-    lam, u = cs.dual_eigh
-    _structure_check("D = -Q22 positive semi-definite", -float(lam[-1]), PSD_RTOL * scale22)
-    kept = _kept(lam)
+    factor = cs.dual_eigh
+    lam_min = min((float(lam.min()) for _, lam, _ in factor), default=0.0)
+    _structure_check("D = -Q22 positive semi-definite", -lam_min, PSD_RTOL * scale22)
+    masks = _kept(factor)
+    kept = sum(int(np.count_nonzero(mask)) for mask in masks)
     s = np.zeros((dim_x + kept, dim_x + kept))
     s[:dim_x, :dim_x] = q11
-    lower = s[dim_x:, :dim_x]
-    np.matmul(u[:, :kept].T, q21, out=lower)
-    lower *= np.sqrt(lam[:kept])[:, None]
-    del lower
-    diag = np.arange(dim_x, dim_x + kept)
-    s[diag, diag] = -lam[:kept]
+    row = dim_x
+    for (idx, lam, vecs), mask in zip(factor, masks):
+        # B's rows are the kept rows of lam^1/2 vecs[k].T Q21[idx[k]]
+        scaled = (vecs * np.sqrt(np.where(mask, lam, 0.0))[:, None, :]).transpose(0, 2, 1)
+        step = max(1, CHUNK_ROWS // idx.shape[1])
+        for start in range(0, len(idx), step):
+            chunk = slice(start, start + step)
+            keep = mask[chunk].ravel()
+            end = row + int(np.count_nonzero(keep))
+            b = np.matmul(scaled[chunk], q21[idx[chunk]]).reshape(-1, dim_x)
+            np.compress(keep, b, axis=0, out=s[row:end, :dim_x])
+            del b  # before the next chunk's product, so at most two chunks are held
+            diag = np.arange(row, end)
+            s[diag, diag] = -lam[chunk].ravel()[keep]
+            row = end
     values = np.linalg.eigvalsh(s)
     del s
     rho = float(max(-values[0], values[-1]))
@@ -400,32 +432,38 @@ def equilibrium_certificate(cs: CompactSystem, part) -> tuple:
     x_hat replicates a least-squares solution y of A x = b across clusters
     (row scheme) or across each cluster's agents (column scheme); z_hat is the
     minimum-norm solve of the Laplacian balance D z = C x_hat - b_stack,
-    U+ diag(lam+)^-1 U+.T (C x_hat - b_stack), from cs.dual_eigh with the
-    verdict's own cutoff for lam+.  Raises InconsistentSystemError when
-    A x = b has no solution, and ArithmeticError when the certificate is not
-    stationary: max|Q v + f| above STATIONARY_RTOL * max(|Q||v| + |f|), a
-    bound on the rounding of Q v + f that scales with A at every size.
+    U+ diag(lam+)^-1 U+.T (C x_hat - b_stack), block by block from
+    cs.dual_eigh with the verdict's own cutoff for lam+.  Raises
+    InconsistentSystemError when A x = b has no solution: ||A y - b|| above
+    CONSISTENT_RTOL * (||A||_F ||y|| + ||b||).  Raises ArithmeticError when
+    the certificate is not stationary: max|Q v + f| above STATIONARY_RTOL *
+    max(|Q||v| + |f|).  Both bounds scale with A, so they hold at every size.
     """
     a_full, b_full = part.reassemble()
     y = solve_least_squares(a_full, b_full)
     resid = float(np.linalg.norm(a_full @ y - b_full))
-    if resid > 1e-8 * (1.0 + float(np.linalg.norm(b_full))):
+    resid_tol = CONSISTENT_RTOL * float(
+        np.linalg.norm(a_full) * np.linalg.norm(y) + np.linalg.norm(b_full)
+    )
+    if not resid <= resid_tol:
         raise InconsistentSystemError(
-            f"A x = b is inconsistent: least-squares residual {resid:.3e}"
+            f"A x = b is inconsistent: least-squares residual {resid:.3e} > "
+            f"tolerance {resid_tol:.3e}"
         )
     x_hat = tiled_reference(part, y)
     rhs = cs.saddle.coupling @ x_hat - cs.b_stack
-    lam, u = cs.dual_eigh
-    kept = _kept(lam)
-    u_kept = u[:, :kept]
-    z_hat = u_kept @ ((rhs @ u_kept) / lam[:kept])
+    z_hat = np.zeros(len(rhs))
+    for (idx, lam, vecs), mask in zip(cs.dual_eigh, _kept(cs.dual_eigh)):
+        coef = np.matmul(rhs[idx][:, None, :], vecs)[:, 0]
+        coef = np.divide(coef, lam, out=np.zeros_like(coef), where=mask)
+        z_hat[idx] = np.matmul(vecs, coef[:, :, None])[:, :, 0]
     v = np.concatenate([x_hat, z_hat])
     q, f = cs.drift_matrix, cs.forcing
     drift = _max_abs(q @ v + f)
     size = np.abs(f)
     abs_v = np.abs(v)
-    for start in range(0, len(f), STATIONARY_ROWS):
-        size[start : start + STATIONARY_ROWS] += np.abs(q[start : start + STATIONARY_ROWS]) @ abs_v
+    for start in range(0, len(f), CHUNK_ROWS):
+        size[start : start + CHUNK_ROWS] += np.abs(q[start : start + CHUNK_ROWS]) @ abs_v
     tol = STATIONARY_RTOL * float(size.max())
     if not drift <= tol:
         raise ArithmeticError(

@@ -11,6 +11,7 @@ from duolayer import (
     Layout,
     ProblemInstance,
     SaddleBlocks,
+    StructureError,
     Topology,
     assemble_compact,
     build_graph,
@@ -23,6 +24,7 @@ from duolayer import (
     solve_least_squares,
     spectrum_verdict,
 )
+from duolayer import spectral
 from duolayer.instances import random_composition, random_connected_graph, random_instance
 from helpers import random_orthogonal, random_saddle_blocks
 
@@ -219,29 +221,36 @@ def test_corrupted_certificate_raises_at_every_scale(k):
 
 
 def test_verdict_and_certificate_share_one_eigh(monkeypatch):
-    # in either order: one eigh of D per system, and the one lstsq left is
-    # the certificate's solve of A x = b
+    # in either order: D is factored once per system, and the one lstsq left
+    # is the certificate's solve of A x = b.  A factorization takes one
+    # batched eigh per block size, so factorizations are counted (each reads
+    # Q22's pattern once), and the eigh calls must match its block sizes.
     calls = []
 
-    def counted(name):
-        wrapped = getattr(np.linalg, name)
+    def counted(name, owner):
+        wrapped = getattr(owner, name)
 
         def call(*args, **kwargs):
             calls.append(name)
             return wrapped(*args, **kwargs)
 
-        return call
+        monkeypatch.setattr(owner, name, call)
 
-    for name in ("eigh", "lstsq"):
-        monkeypatch.setattr(np.linalg, name, counted(name))
+    counted("pattern_blocks", spectral)
+    counted("eigh", np.linalg)
+    counted("lstsq", np.linalg)
     for label, part, cs in scaled_systems():
         verdict = check_drift_spectrum(cs).to_dict()
         equilibrium_certificate(cs, part)
-        assert calls == ["eigh", "lstsq"], label
+        factor = ["pattern_blocks"] + ["eigh"] * len(cs.dual_eigh)
+        assert calls == factor + ["lstsq"], label
         fresh = dataclasses.replace(cs)
         equilibrium_certificate(fresh, part)
         assert check_drift_spectrum(fresh).to_dict() == verdict, label
-        assert calls == ["eigh", "lstsq", "lstsq", "eigh"], label
+        assert calls == factor + ["lstsq", "lstsq"] + factor, label
+        for system in (cs, fresh):
+            for arr in (arr for group in system.dual_eigh for arr in group):
+                assert not arr.flags.writeable, label
         calls.clear()
 
 
@@ -257,11 +266,13 @@ def test_certificate_balance_matches_least_squares():
 def test_compact_system_arrays_are_read_only():
     inst, part = random_instance(np.random.default_rng(3), "column", 6)
     cs = assemble_compact(part, inst.topology)
-    lam, u = cs.dual_eigh
-    for arr in (cs.drift_matrix, lam, u):
+    factor = cs.dual_eigh
+    arrays = [cs.drift_matrix] + [arr for group in factor for arr in group]
+    assert len(arrays) >= 4
+    for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
-    assert cs.dual_eigh[0] is lam and cs.dual_eigh[1] is u
+    assert cs.dual_eigh is factor
 
 
 @pytest.mark.parametrize("seed", [1234, 1954, 4455])
@@ -286,9 +297,9 @@ def test_square_uniform_instances_pass(seed, scheme):
     assert gap < 1e-12 * verdict.scale
 
 
-def test_dim_1600_row_instance_passes_within_budget():
-    # m = n = 100, 8 clusters x 8 agents: kernel of dimension 100 and a
-    # smallest nonzero singular value 1.7e-5 relative to the largest
+def dim_1600_row_system():
+    """(partition, compact system) of a seeded m = n = 100 row instance with
+    8 clusters x 8 agents: dim 1600, D made of 100 blocks of 8."""
     rng = np.random.default_rng(0)
     a = rng.uniform(-1.0, 1.0, size=(100, 100))
     topo = Topology(
@@ -301,15 +312,93 @@ def test_dim_1600_row_instance_passes_within_budget():
         agent_sizes=[random_composition(rng, 100, 8) for _ in range(8)],
     )
     inst = ProblemInstance(a=a, b=a @ rng.uniform(-1.0, 1.0, 100), topology=topo, layout=layout)
-    cs = assemble_compact(partition_rows(inst), topo)
+    part = partition_rows(inst)
+    return part, assemble_compact(part, topo)
+
+
+def test_dim_1600_row_instance_passes_within_budget():
+    # m = n = 100, 8 clusters x 8 agents: kernel of dimension 100 and a
+    # smallest nonzero singular value 1.7e-5 relative to the largest
+    _, cs = dim_1600_row_system()
     assert cs.dim == 1600
     started = time.perf_counter()
     verdict = check_drift_spectrum(cs)
     elapsed = time.perf_counter() - started
     assert verdict.passed, {k: v for k, v in verdict.to_dict().items() if k != "eigenvalues"}
     assert verdict.spectrum.rank == verdict.spectrum.rank_squared == 1500
-    # about 0.5 s on a 2-vCPU host (the generic route takes about 3 s)
+    # about 0.35 s on a 2-vCPU host (the generic route takes about 3 s)
     assert elapsed < 15.0, f"took {elapsed:.1f}s"
+
+
+def test_dim_1600_factor_eigensolves_only_graph_sized_blocks(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    part, cs = dim_1600_row_system()
+    assert check_drift_spectrum(cs).passed
+    equilibrium_certificate(cs, part)
+    # one batched eigh of the 100 agent-layer blocks, no 800 x 800 one
+    assert shapes == [(100, 8, 8)]
+    assert max(arr.shape[-1] for group in cs.dual_eigh for arr in group) == 8
+
+
+@pytest.mark.parametrize("k", [-6, 0, 6])
+def test_dual_factor_matches_dense_eigh(k):
+    for label, _, cs in scaled_systems(k):
+        d = -cs.drift_matrix[cs.dim_x :, cs.dim_x :]
+        dense = np.linalg.eigvalsh(d)
+        tol = 1e-13 * np.max(np.abs(dense))
+        factor = cs.dual_eigh
+        covered = np.sort(np.concatenate([idx.ravel() for idx, _, _ in factor]))
+        assert np.array_equal(covered, np.arange(len(d))), label
+        lam = np.sort(np.concatenate([lam.ravel() for _, lam, _ in factor]))
+        assert np.max(np.abs(lam - dense)) <= tol, label
+        # the blocks rebuild D, which is therefore zero outside them
+        rebuilt = np.zeros_like(d)
+        for idx, lam, vecs in factor:
+            eye = np.eye(idx.shape[1])
+            assert np.max(np.abs(vecs.transpose(0, 2, 1) @ vecs - eye)) < 1e-14 * len(eye), label
+            rebuilt[idx[:, :, None], idx[:, None, :]] = (vecs * lam[:, None, :]) @ vecs.transpose(0, 2, 1)
+        assert np.max(np.abs(rebuilt - d)) <= tol, label
+
+
+@pytest.mark.parametrize("scheme", ["row", "column"])
+def test_dense_dual_is_one_block_with_the_same_verdict(scheme):
+    inst, part = random_instance(np.random.default_rng(7), scheme, 12)
+    cs = assemble_compact(part, inst.topology)
+    c, p, d = cs.saddle.coupling, cs.saddle.primal_damping, cs.saddle.dual_damping
+    dx = cs.dim_x
+    w = np.random.default_rng(8).uniform(0.5, 1.0, size=len(d))
+    spread = np.outer(w, w)
+    # a dense PSD D keeps the saddle structure: one block, and the verdict of
+    # the generic route
+    dense_d = d + 0.1 * spread
+    dense = dataclasses.replace(cs, drift_matrix=SaddleBlocks(c, p, dense_d).matrix())
+    assert [idx.shape for idx, _, _ in dense.dual_eigh] == [(1, len(d))]
+    structured = check_drift_spectrum(dense)
+    generic = spectrum_verdict(dense.drift_matrix)
+    assert structured.passed and generic.passed
+    assert structured.spectrum.rank == generic.spectrum.rank
+    gap = np.max(np.abs(structured.spectrum.eigenvalues - generic.spectrum.eigenvalues))
+    assert gap < 1e-12 * generic.scale
+    x_hat, z_hat = equilibrium_certificate(dense, part)
+    reference = solve_least_squares(dense_d, c @ x_hat - cs.b_stack)
+    assert np.linalg.norm(z_hat - reference) <= 1e-12 * np.linalg.norm(reference)
+    # Q22 alone made dense breaks Q12 = -Q21.T Q22, which is checked first
+    q = cs.drift_matrix.copy()
+    q[dx:, dx:] -= 0.1 * spread
+    with pytest.raises(StructureError, match="check Q12 = -Q21.T Q22"):
+        check_drift_spectrum(dataclasses.replace(cs, drift_matrix=q))
+    # a dense indefinite D with a matching Q12: D's own PSD check fails
+    bad_d = d - 0.1 * spread
+    q = np.block([[-c.T @ c - p, c.T @ bad_d], [c, -bad_d]])
+    with pytest.raises(StructureError, match="check D = -Q22 positive semi-definite"):
+        check_drift_spectrum(dataclasses.replace(cs, drift_matrix=q))
 
 
 @pytest.mark.parametrize("extra_zeros", [0, 1])
@@ -489,6 +578,29 @@ def test_inconsistent_system_raises():
     cs = assemble_compact(part, topo)
     with pytest.raises(InconsistentSystemError):
         equilibrium_certificate(cs, part)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e6])
+def test_inconsistent_system_raises_at_every_scale(scale):
+    # two one-agent clusters: D = 0, so the factor is two 1 x 1 blocks with
+    # lam = 0.  The consistency test is relative to ||A|| ||y|| + ||b||; an
+    # absolute one let [[1], [1]] x = [0, 1] through at 1e-9.
+    layout = Layout(scheme="row", cluster_sizes=[1, 1], agent_sizes=[[1], [1]])
+    topo = topology(2, [1, 1])
+    a = scale * np.array([[1.0], [1.0]])
+    for b, consistent in (([0.0, 1.0], False), ([1.0, 1.0], True)):
+        inst = ProblemInstance(a=a, b=scale * np.array(b), topology=topo, layout=layout)
+        part = partition_rows(inst)
+        cs = assemble_compact(part, topo)
+        assert [(idx.tolist(), lam.tolist()) for idx, lam, _ in cs.dual_eigh] == [
+            ([[0], [1]], [[0.0], [0.0]])
+        ]
+        if consistent:
+            x_hat, z_hat = equilibrium_certificate(cs, part)
+            assert np.allclose(x_hat, [1.0, 1.0]) and np.array_equal(z_hat, [0.0, 0.0])
+        else:
+            with pytest.raises(InconsistentSystemError):
+                equilibrium_certificate(cs, part)
 
 
 def test_kernel_offset_is_annihilated():
