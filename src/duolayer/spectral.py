@@ -42,10 +42,17 @@ structured verdict builds the rows of B block by block from it, and
 equilibrium_certificate solves the Laplacian balance D z = C x - b with it
 as z = U+ diag(lam+)^-1 U+.T (C x - b), block by block, keeping the same
 lam+ as the verdict.  A dense Q22 is simply one block.
+
+The same blocks bound the two products with D: SaddleBlocks.matrix()
+writes C.T D into Q's one buffer, and the verdict checks Q12 = -Q21.T Q22,
+one chunk of blocks at a time (_block_products), so neither forms a
+dim_x x dim_z product.  The Gram products C.T C and Q21.T Q21 and the
+eigvalsh of S are still dense.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,7 +76,8 @@ CONSISTENT_RTOL = 1e-8
 # balance left off by 1e-3 max|b_stack| at least 5e-11.
 STATIONARY_RTOL = 1e-12
 # Rows of Q taken at a time where a product reads all of it (|Q| in that
-# bound, Q21 in the verdict's B), so no Q-sized temporary is made.
+# bound, Q21 in the verdict's B, the rows of D in C.T D and Q21.T Q22), so
+# no Q-sized temporary is made.
 CHUNK_ROWS = 256
 
 
@@ -86,6 +94,19 @@ def _max_abs(m: np.ndarray) -> float:
     return float(max(m.max(), -m.min()))
 
 
+def _is_symmetric(m: np.ndarray) -> bool:
+    """m equals m.T bit for bit, so m - m.T and 0.5 (m + m.T) need no copy."""
+    return np.array_equal(m.view(np.int64), m.T.view(np.int64))
+
+
+def _asymmetry(m: np.ndarray) -> float:
+    """max|m - m.T| of a non-empty m, without the copy when m is symmetric
+    (then m - m.T is +0.0, or NaN where m is not finite)."""
+    if _is_symmetric(m):
+        return 0.0 if np.isfinite(_max_abs(m)) else np.nan
+    return _max_abs(m - m.T)
+
+
 def _lowest_eigenvalue_bound(m: np.ndarray, tol: float) -> float:
     """A lower bound on the smallest eigenvalue of the symmetric part of m.
 
@@ -93,7 +114,7 @@ def _lowest_eigenvalue_bound(m: np.ndarray, tol: float) -> float:
     which already settles diagonally dominant matrices like Laplacians; only
     when that bound falls below -tol is the exact eigvalsh minimum taken.
     """
-    sym = 0.5 * (m + m.T)
+    sym = m if _is_symmetric(m) else 0.5 * (m + m.T)
     diag = np.diag(sym)
     radius = np.sum(np.abs(sym), axis=1) - np.abs(diag)
     low = float(np.min(diag - radius))
@@ -199,14 +220,47 @@ class SaddleBlocks:
             if not m.size:
                 continue
             tol = PSD_RTOL * (1.0 + _max_abs(m))
-            if _max_abs(m - m.T) > tol:
+            if _asymmetry(m) > tol:
                 raise ValueError(f"{name} is not symmetric within tolerance")
             if _lowest_eigenvalue_bound(m, tol) < -tol:
                 raise ValueError(f"{name} is not positive semi-definite within tolerance")
 
     def matrix(self) -> np.ndarray:
+        """M, written into one (s + r) x (s + r) buffer with no other temporary
+        of its size; bit for bit np.block([[-C.T @ C - P, C.T @ D], [C, -D]]).
+
+        -C.T C is the product of the negated copy of C.T, as in that
+        expression (negating the product would flip the sign of its zeros),
+        and C.T D is taken block by block over linalg.pattern_blocks(D).
+        """
         c, p, d = self.coupling, self.primal_damping, self.dual_damping
-        return np.block([[-c.T @ c - p, c.T @ d], [c, -d]])
+        r, s = c.shape
+        m = np.empty((s + r, s + r))
+        np.matmul(-c.T, c, out=m[:s, :s])
+        m[:s, :s] -= p
+        m12 = m[:s, s:]
+        for cols, block in _block_products(c, d, pattern_blocks(d)):
+            m12[:, cols] = block.transpose(1, 0, 2)
+        m[s:, :s] = c
+        np.negative(d, out=m[s:, s:])
+        return m
+
+
+def _block_products(x: np.ndarray, m: np.ndarray, blocks) -> Iterator[tuple]:
+    """X.T M for a square M that is zero off the blocks `blocks`, a chunk of
+    about CHUNK_ROWS rows of M at a time (at least one block).
+
+    blocks is linalg.pattern_blocks(M), or the idx arrays of a factor built
+    from it: every column j of M is zero outside the rows of j's block, so
+    X.T M[:, j] = X[block].T M[block, j] exactly.  Yields (cols, product)
+    with cols (k, size) a chunk of blocks and product[i] = X.T M[:, cols[i]],
+    shape (k, x.shape[1], size).
+    """
+    for idx in blocks:
+        step = max(1, CHUNK_ROWS // idx.shape[1])
+        for start in range(0, len(idx), step):
+            cols = idx[start : start + step]
+            yield cols, np.matmul(x[cols].transpose(0, 2, 1), m[cols[:, :, None], cols[:, None, :]])
 
 
 def check_saddle_spectrum(blocks: SaddleBlocks) -> SpectralVerdict:
@@ -340,44 +394,45 @@ def check_drift_spectrum(cs: CompactSystem) -> SpectralVerdict:
     cs.saddle was validated when it was built; this checks on the assembled
     Q = [[Q11, Q12], [Q21, Q22]] itself that Q22 = -D with D symmetric PSD,
     Q12 = -Q21.T Q22 and P = -(Q11 + Q21.T Q21) symmetric PSD, all relative
-    to PSD_RTOL.  P is an O(1) Laplacian recovered by cancellation: Q11
-    holds -C.T C - P and Q21 holds C, so both the assembled Q11 and the
-    product Q21.T Q21 carry rounding of about k * eps * (max|Q11| +
-    max|Q21|^2), k the nonzeros per column of Q21, and that error grows like
-    |A|^2.  The PSD test of P therefore uses the tolerance PSD_RTOL * (1 +
-    max|Q11| + max|Q21|^2), which bounds it for any k * eps well below
-    PSD_RTOL.  A corrupted drift matrix raises StructureError instead of
-    producing a misleading verdict.  The eigenvalues of Q are those of S
-    (see the module docstring) plus one zero per kernel vector of D, with
-    D = U diag(lam) U.T read block by block from cs.dual_eigh.  Only the
-    lower triangle of S is built, in one zeroed buffer, since eigvalsh reads
-    nothing else; the rows of B are written into it a chunk of blocks at a
-    time.
+    to PSD_RTOL.  Q12 = -Q21.T Q22 is checked one connected block of Q22
+    at a time, over the blocks of cs.dual_eigh: every column of Q12 lies in
+    one block and Q22 is zero off them, so this covers every entry of Q12.
+    P is an O(1) Laplacian recovered by cancellation: Q11 holds -C.T C - P
+    and Q21 holds C, so both the assembled Q11 and the product Q21.T Q21
+    carry rounding of about k * eps * (max|Q11| + max|Q21|^2), k the
+    nonzeros per column of Q21, and that error grows like |A|^2.  The PSD
+    test of P therefore uses the tolerance PSD_RTOL * (1 + max|Q11| +
+    max|Q21|^2), which bounds it for any k * eps well below PSD_RTOL.  A
+    corrupted drift matrix raises StructureError instead of producing a
+    misleading verdict.  The eigenvalues of Q are those of S (see the module
+    docstring) plus one zero per kernel vector of D, with D = U diag(lam)
+    U.T read block by block from cs.dual_eigh.  Only the lower triangle of S
+    is built, in one zeroed buffer, since eigvalsh reads nothing else; the
+    rows of B are written into it a chunk of blocks at a time.
     """
     q = as_matrix(cs.drift_matrix)
     dim_x = cs.dim_x
     q11, q12 = q[:dim_x, :dim_x], q[:dim_x, dim_x:]
     q21, q22 = q[dim_x:, :dim_x], q[dim_x:, dim_x:]
     scale22 = 1.0 + _max_abs(q22)
-    sym22 = _structure_check("Q22 symmetric", _max_abs(q22 - q22.T), PSD_RTOL * scale22)
-    coupling = q21.T @ q22
-    coupling += q12
+    sym22 = _structure_check("Q22 symmetric", _asymmetry(q22), PSD_RTOL * scale22)
+    factor = cs.dual_eigh
+    residual = 0.0
+    for cols, coupling in _block_products(q21, q22, [idx for idx, _, _ in factor]):
+        coupling += q12[:, cols].transpose(1, 0, 2)
+        residual = np.maximum(residual, _max_abs(coupling))
     coupled = _structure_check(
-        "Q12 = -Q21.T Q22",
-        _max_abs(coupling),
-        PSD_RTOL * (1.0 + _max_abs(q21)) * scale22,
+        "Q12 = -Q21.T Q22", float(residual), PSD_RTOL * (1.0 + _max_abs(q21)) * scale22
     )
-    del coupling
     p = q21.T @ q21
     p += q11
     p *= -1.0
     sym_p = _structure_check(
-        "P = -(Q11 + Q21.T Q21) symmetric", _max_abs(p - p.T), PSD_RTOL * (1.0 + _max_abs(q11))
+        "P = -(Q11 + Q21.T Q21) symmetric", _asymmetry(p), PSD_RTOL * (1.0 + _max_abs(q11))
     )
     tol_p = PSD_RTOL * (1.0 + _max_abs(q11) + _max_abs(q21) ** 2)
     _structure_check("P positive semi-definite", -_lowest_eigenvalue_bound(p, tol_p), tol_p)
     del p
-    factor = cs.dual_eigh
     lam_min = min((float(lam.min()) for _, lam, _ in factor), default=0.0)
     _structure_check("D = -Q22 positive semi-definite", -lam_min, PSD_RTOL * scale22)
     masks = _kept(factor)

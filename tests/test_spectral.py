@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,87 @@ def test_structure_violations_raise(scheme, corruption, check):
         check_drift_spectrum(dataclasses.replace(cs, drift_matrix=q))
 
 
+def saddle_reference(c, p, d):
+    """The stacked drift from its blocks by np.block: -C.T @ C is the product
+    of the negated copy of C.T, so its zeros keep the product's signs."""
+    return np.block([[-c.T @ c - p, c.T @ d], [c, -d]])
+
+
+def assert_same_bits(m, reference):
+    assert m.shape == reference.shape
+    assert np.array_equal(m.view(np.int64), reference.view(np.int64))
+
+
+def mixed_block_system(scheme, single):
+    """(partition, topology) of a small consistent system whose Q22 has
+    blocks of 3 (row: a three-agent cluster) or of 2 (column: two
+    clusters), with 1 x 1 blocks as well when single: a one-agent cluster's
+    zero rows (row) or a one-node cluster graph (column)."""
+    rng = np.random.default_rng(11)
+    if scheme == "row":
+        layout = Layout(scheme="row", cluster_sizes=[3, 2], agent_sizes=[[1, 1, 1], [3]])
+        topo, m, n = topology(2, [3, 1]), 5, 3
+    elif single:
+        layout = Layout(scheme="column", cluster_sizes=[3], agent_sizes=[[2, 3]])
+        topo, m, n = topology(1, [2]), 5, 3
+    else:
+        layout = Layout(scheme="column", cluster_sizes=[2, 1], agent_sizes=[[2, 3], [4, 1]])
+        topo, m, n = topology(2, [2, 2]), 5, 3
+    a = rng.uniform(-1.0, 1.0, size=(m, n))
+    inst = ProblemInstance(a=a, b=a @ rng.uniform(-1.0, 1.0, n), topology=topo, layout=layout)
+    return (partition_rows if scheme == "row" else partition_columns)(inst), topo
+
+
+@pytest.mark.parametrize("single", [False, True], ids=["multi-node-block", "1x1-block"])
+@pytest.mark.parametrize("scheme", ["row", "column"])
+def test_q12_check_covers_every_row_of_a_block_column(scheme, single):
+    # Q12 = -Q21.T Q22 is checked one block of Q22 at a time: a column of
+    # Q12 is judged with the block of Q22 that holds its column, also when
+    # that block is a zero row of Q22
+    part, topo = mixed_block_system(scheme, single)
+    cs = assemble_compact(part, topo)
+    dx = cs.dim_x
+    blocks = {idx.shape[1]: idx for idx, _, _ in cs.dual_eigh}
+    size = 1 if single else max(blocks)
+    assert (size == 1) == single and size in blocks
+    delta = 1e-6 * check_drift_spectrum(cs).scale
+    for column in blocks[size][[0, -1], 0]:
+        for row in range(dx):
+            q = cs.drift_matrix.copy()
+            q[row, dx + column] += delta
+            with pytest.raises(StructureError, match="check Q12 = -Q21.T Q22"):
+                check_drift_spectrum(dataclasses.replace(cs, drift_matrix=q))
+
+
+@pytest.mark.parametrize("scheme", ["row", "column"])
+def test_q22_edge_joining_two_blocks_is_judged(scheme):
+    part, topo = mixed_block_system(scheme, False)
+    cs = assemble_compact(part, topo)
+    c, p, d = cs.saddle.coupling, cs.saddle.primal_damping, cs.saddle.dual_damping
+    dx = cs.dim_x
+    rows = [row for idx, _, _ in cs.dual_eigh for row in idx]
+    i, j = rows[0][0], rows[-1][0]
+    # D plus the Laplacian of one edge between two of its blocks
+    edge = np.zeros(len(d))
+    edge[[i, j]] = 1.0, -1.0
+    joined_d = d + 0.5 * np.outer(edge, edge)
+    # in Q22 alone the join breaks Q12 = -Q21.T Q22 on the merged block
+    q = cs.drift_matrix.copy()
+    q[dx:, dx:] = -joined_d
+    joined = dataclasses.replace(cs, drift_matrix=q)
+    assert sum(len(idx) for idx, _, _ in joined.dual_eigh) == len(rows) - 1
+    with pytest.raises(StructureError, match="check Q12 = -Q21.T Q22"):
+        check_drift_spectrum(joined)
+    # with a matching Q12 the joined system is a saddle: the generic verdict
+    consistent = dataclasses.replace(cs, drift_matrix=SaddleBlocks(c, p, joined_d).matrix())
+    structured = check_drift_spectrum(consistent)
+    generic = spectrum_verdict(consistent.drift_matrix)
+    assert structured.passed and generic.passed
+    assert structured.spectrum.rank == generic.spectrum.rank
+    gap = np.max(np.abs(structured.spectrum.eigenvalues - generic.spectrum.eigenvalues))
+    assert gap < 1e-12 * generic.scale
+
+
 def scaled_systems(k=0):
     """(label, part, compact system) for 40 draws, A and b scaled by 10**k."""
     for seed in range(20):
@@ -225,6 +307,8 @@ def test_verdict_and_certificate_share_one_eigh(monkeypatch):
     # is the certificate's solve of A x = b.  A factorization takes one
     # batched eigh per block size, so factorizations are counted (each reads
     # Q22's pattern once), and the eigh calls must match its block sizes.
+    # The systems are built first: assembly reads D's pattern too.
+    systems = list(scaled_systems())
     calls = []
 
     def counted(name, owner):
@@ -239,7 +323,7 @@ def test_verdict_and_certificate_share_one_eigh(monkeypatch):
     counted("pattern_blocks", spectral)
     counted("eigh", np.linalg)
     counted("lstsq", np.linalg)
-    for label, part, cs in scaled_systems():
+    for label, part, cs in systems:
         verdict = check_drift_spectrum(cs).to_dict()
         equilibrium_certificate(cs, part)
         factor = ["pattern_blocks"] + ["eigh"] * len(cs.dual_eigh)
@@ -297,22 +381,28 @@ def test_square_uniform_instances_pass(seed, scheme):
     assert gap < 1e-12 * verdict.scale
 
 
-def dim_1600_row_system():
-    """(partition, compact system) of a seeded m = n = 100 row instance with
-    8 clusters x 8 agents: dim 1600, D made of 100 blocks of 8."""
+def square_instance(scheme, n, clusters, agents):
+    """(partition, topology) of a seeded m = n instance with clusters x
+    agents: dim (clusters + agents) * n."""
     rng = np.random.default_rng(0)
-    a = rng.uniform(-1.0, 1.0, size=(100, 100))
+    a = rng.uniform(-1.0, 1.0, size=(n, n))
     topo = Topology(
-        cluster_graph=random_connected_graph(rng, 8),
-        agent_graphs=tuple(random_connected_graph(rng, 8) for _ in range(8)),
+        cluster_graph=random_connected_graph(rng, clusters),
+        agent_graphs=tuple(random_connected_graph(rng, agents) for _ in range(clusters)),
     )
     layout = Layout(
-        scheme="row",
-        cluster_sizes=random_composition(rng, 100, 8),
-        agent_sizes=[random_composition(rng, 100, 8) for _ in range(8)],
+        scheme=scheme,
+        cluster_sizes=random_composition(rng, n, clusters),
+        agent_sizes=[random_composition(rng, n, agents) for _ in range(clusters)],
     )
-    inst = ProblemInstance(a=a, b=a @ rng.uniform(-1.0, 1.0, 100), topology=topo, layout=layout)
-    part = partition_rows(inst)
+    inst = ProblemInstance(a=a, b=a @ rng.uniform(-1.0, 1.0, n), topology=topo, layout=layout)
+    return (partition_rows if scheme == "row" else partition_columns)(inst), topo
+
+
+def dim_1600_row_system():
+    """(partition, compact system) of the seeded m = n = 100 row instance with
+    8 clusters x 8 agents: dim 1600, D made of 100 blocks of 8."""
+    part, topo = square_instance("row", 100, 8, 8)
     return part, assemble_compact(part, topo)
 
 
@@ -326,8 +416,35 @@ def test_dim_1600_row_instance_passes_within_budget():
     elapsed = time.perf_counter() - started
     assert verdict.passed, {k: v for k, v in verdict.to_dict().items() if k != "eigenvalues"}
     assert verdict.spectrum.rank == verdict.spectrum.rank_squared == 1500
-    # about 0.35 s on a 2-vCPU host (the generic route takes about 3 s)
+    # about 0.3 s on a 2-vCPU host, 0.24 s of it the eigvalsh of S; Q12 is
+    # checked block by block (the generic route takes about 3 s)
     assert elapsed < 15.0, f"took {elapsed:.1f}s"
+
+
+def test_dim_1600_assembly_peak_memory():
+    # Q is written into one buffer and C.T D taken block by block: beside the
+    # system it returns, assembly holds about one dim_x x dim_z temporary
+    # (the negated C.T).  np.block and its quarter-size blocks peaked 14.6 MiB
+    # above it.
+    part, topo = square_instance("row", 100, 8, 8)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        cs = assemble_compact(part, topo)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    saddle = cs.saddle
+    kept = sum(
+        arr.nbytes
+        for arr in (cs.drift_matrix, cs.b_stack, saddle.coupling, saddle.primal_damping, saddle.dual_damping)
+    )
+    quarter = cs.dim_x * (cs.dim - cs.dim_x) * 8
+    assert peak - kept <= 1.5 * quarter, f"{(peak - kept) / 2**20:.1f} MiB above the system"
 
 
 def test_dim_1600_factor_eigensolves_only_graph_sized_blocks(monkeypatch):
@@ -396,7 +513,7 @@ def test_dense_dual_is_one_block_with_the_same_verdict(scheme):
         check_drift_spectrum(dataclasses.replace(cs, drift_matrix=q))
     # a dense indefinite D with a matching Q12: D's own PSD check fails
     bad_d = d - 0.1 * spread
-    q = np.block([[-c.T @ c - p, c.T @ bad_d], [c, -bad_d]])
+    q = saddle_reference(c, p, bad_d)
     with pytest.raises(StructureError, match="check D = -Q22 positive semi-definite"):
         check_drift_spectrum(dataclasses.replace(cs, drift_matrix=q))
 
@@ -427,11 +544,23 @@ def test_hidden_jordan_block_fails_and_semisimple_twin_passes(jordan, extra_zero
 
 
 def test_block_stacking_matches_scipy_block_diag():
+    # the assembled drift equals np.block of the reference blocks bit for
+    # bit, signed zeros included: eigvalsh's Householder signs follow them
     rng = np.random.default_rng(17)
-    for scheme in ("row", "column"):
-        inst, part = random_instance(rng, scheme, 8, max_agents=3)
-        topo = inst.topology
+    draws = [random_instance(rng, scheme, 8, max_agents=3) for scheme in ("row", "column")]
+    draws += [
+        random_instance(np.random.default_rng([seed, k]), scheme, 12, max_agents=4)
+        for seed in range(20)
+        for k, scheme in enumerate(("row", "column"))
+    ]
+    systems = [(part, inst.topology) for inst, part in draws]
+    systems += [square_instance(scheme, 40, 4, 4) for scheme in ("row", "column")]
+    systems.append(square_instance("row", 100, 8, 8))
+    sizes = set()
+    for part, topo in systems:
+        scheme = part.scheme
         cs = assemble_compact(part, topo)
+        sizes.add(cs.dim)
         a_stack = block_diag(*[block for row in part.blocks for block in row])
         if scheme == "row":
             widths, cluster_width = part.cluster_rows, part.total_cols
@@ -442,13 +571,25 @@ def test_block_stacking_matches_scipy_block_diag():
         )
         cluster_lap = lifted_laplacian(topo.cluster_graph, cluster_width)
         x_damping, z_lap = (cluster_lap, agent_lap) if scheme == "row" else (agent_lap, cluster_lap)
-        drift = np.block(
-            [[-a_stack.T @ a_stack - x_damping, a_stack.T @ z_lap], [a_stack, -z_lap]]
-        )
         assert np.array_equal(cs.saddle.coupling, a_stack)
         assert np.array_equal(cs.saddle.primal_damping, x_damping)
         assert np.array_equal(cs.saddle.dual_damping, z_lap)
-        assert np.array_equal(cs.drift_matrix, drift)
+        assert_same_bits(cs.drift_matrix, saddle_reference(a_stack, x_damping, z_lap))
+    assert {320, 1600} <= sizes
+    # dense D (one block), the seeded saddle triples and the empty shapes
+    saddle_rng = np.random.default_rng(18)
+    triples = [random_saddle_blocks(saddle_rng) for _ in range(20)]
+    d = triples[0].dual_damping
+    assert len(spectral.pattern_blocks(d)) == 1 and d.shape[0] > 1
+    lap = lifted_laplacian(path(3), 1)
+    triples += [
+        SaddleBlocks(np.zeros((0, 3)), lap, np.zeros((0, 0))),  # r = 0
+        SaddleBlocks(np.zeros((3, 0)), np.zeros((0, 0)), lap),  # s = 0
+        SaddleBlocks(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))),
+    ]
+    for blocks in triples:
+        c, p, d = blocks.coupling, blocks.primal_damping, blocks.dual_damping
+        assert_same_bits(blocks.matrix(), saddle_reference(c, p, d))
 
 
 def test_saddle_blocks_validation():
