@@ -51,7 +51,6 @@ from .simulator import (
     SimConfig,
     SimResult,
     Trajectory,
-    closeness_metric,
     fit_convergence_rate,
     fit_log_decay,
     integrate,
@@ -97,7 +96,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "Trajectory",
-    "closeness_metric",
     "fit_convergence_rate",
     "fit_log_decay",
     "integrate",

@@ -8,8 +8,13 @@ c = plan.shift, so one classical RK4 step is exactly the affine map
 y -> R y + g; both are built once per run from the plan, and each step is
 one matrix-vector product.  Steps run in blocks of up to RECORD_BATCH;
 the stationarity and finiteness tests run once per block, over all of its
-states (one batched plan.evaluate), and stop where one test per step
-would, bit for bit (see integrate).
+states, and stop where one test per step would, bit for bit (see
+integrate).  A step's increment bounds the derivative from below, since
+y_{k+1} - y_k = h phi(hM) (M y_k + c) with ||phi(hM)|| <= p(h ||M||), a
+cubic; with an allowance for rounding (_increment_bound) that floor clears
+stationarity_tol for almost every state, and only the states it leaves
+open, those of the last blocks before the stop, go through one batched
+plan.evaluate.  So a block costs its steps plus O(RECORD_BATCH dim) work.
 States, the initial and the final one included, are flat [x; z] vectors laid
 out by dynamics.flat_slices.  Recorded samples are copied into a buffer of
 RECORD_BATCH rows and evaluated a batch at a time (V by one einsum, the
@@ -21,6 +26,7 @@ structured array with the SAMPLE_FIELDS columns; the state is not kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,19 +139,6 @@ class SimResult:
     steps: int
 
 
-def closeness_metric(y, x_star, part) -> float:
-    """Half squared distance of the flat state's solution states to a
-    reference solution.
-
-    Row scheme: sums over the clusters' stacked states against the full
-    x_star.  Column scheme: sums over every agent against its cluster's slice
-    of x_star.  Both are 0.5 * ||x - tiled x_star||^2 over the x block.
-    """
-    tiled = tiled_reference(part, x_star)
-    diff = as_flat_state(part, y)[: tiled.shape[0]] - tiled
-    return 0.5 * float(diff @ diff)
-
-
 def _auto_step(rho: float) -> float:
     """0.9 * 2 / rho capped at 0.1, for a Gershgorin bound rho on the drift
     spectral radius (0.1 when rho is 0)."""
@@ -181,6 +174,40 @@ def rk4_propagator(plan: DerivativePlan, h: float) -> tuple:
     return phi, gain
 
 
+class _IncrementBound(NamedTuple):
+    """Lower bound on a state's derivative from its RK4 increment.
+
+    For a state y and its computed step y' = R y + g (R, g from
+    rk4_propagator), max|M y + c| >= floor(max|y' - y|, max|y|) with
+    floor(jump, norm) = (jump - slope * norm - intercept) / scale, for
+    arrays of jumps and norms too.  integrate's docstring derives it.
+    """
+
+    scale: float
+    slope: float
+    intercept: float
+
+    def floor(self, jumps, norms):
+        return (jumps - self.slope * norms - self.intercept) / self.scale
+
+
+def _increment_bound(
+    norm_m: float, h: float, dim: int, gain_max: float, shift_max: float
+) -> _IncrementBound:
+    """The _IncrementBound of rk4_propagator(plan, h)'s step, from scalars:
+    norm_m = ||M||_inf, gain_max = max|g| and shift_max = max|c|, with
+    M = plan.matrix, c = plan.shift and dim = plan.dim.  No dim x dim array
+    is read; where p overflows, the floor is NaN or -inf and clears nothing.
+    """
+    eps = np.finfo(float).eps
+    x = h * norm_m
+    p = 1.0 + x * (0.5 + x * (1.0 / 6.0 + x / 24.0))
+    u = (dim + 2) * eps
+    slope = 16.0 * u * (1.0 + x * p)
+    intercept = 16.0 * u * (gain_max + h * p * shift_max + np.finfo(float).tiny)
+    return _IncrementBound(scale=h * p * (1.0 + 8.0 * u), slope=slope, intercept=intercept)
+
+
 def integrate(
     part,
     topo: Topology,
@@ -192,21 +219,55 @@ def integrate(
 
     Each step applies rk4_propagator's affine map once: y -> R y + g, one
     matrix-vector product.  Steps run in blocks of up to RECORD_BATCH, and
-    a block ends early at the step that reaches max_time.  After each block
-    come one finiteness test of its states, one batched plan.evaluate of
-    their derivatives and one row max-norm.  The block is cut at its first
-    non-finite state, or at its first state before max_time whose
-    derivative max-norm is below stationarity_tol.
+    a block ends early at the step that reaches max_time.  A block tests
+    its start and every step but its last, which is the next block's start
+    or the state that reaches max_time and is not tested; the first block's
+    start is the run's, which the flat evaluate has already passed, and it
+    gets the same answer again.  After each block
+    come one finiteness test of its states and one row max-norm of the
+    states and of their increments y_{k+1} - y_k.  The block is cut at its
+    first non-finite state, or at its first tested state whose derivative
+    max-norm is below stationarity_tol.
+
+    Most states are judged without their derivative: a state's increment
+    gives a floor under max|M y + c|, with M = plan.matrix and
+    c = plan.shift.  Exactly, R = I + hM phi(hM) and g = h phi(hM) c with
+    phi(X) = I + X/2 + X^2/6 + X^3/24, so y' - y = h phi(hM) (M y + c) for
+    y' = R y + g, and ||phi(hM)||_inf <= p(x) = 1 + x/2 + x^2/6 + x^3/24
+    with x = h ||M||_inf.  With the computed phi of R's Horner build
+    (R = I + hM phi + E_R, g = h phi c + E_g) and the rounding e of the
+    step itself,
+
+        y' - y = h phi (M y + c) + h (M phi - phi M) y + E_R y + E_g + e.
+
+    To first order in u = (dim + 2) eps, ||phi - phi(hM)|| <= 3 u p, so the
+    commutator is at most 6 u x p ||y||; ||E_R|| <= u (1 + 2 x p) by
+    ||R||_inf <= 1 + x p; ||E_g|| <= u (h p max|c| + max|g|); and
+    ||e|| <= u ((1 + x p) ||y|| + max|g|).  Gradual underflow adds at most
+    2 (dim + 2) eps tiny, tiny the smallest normal float.  The allowance
+
+        err = 16 u ((1 + x p) max|y| + max|g| + h p max|c| + tiny)
+
+    is about twice their sum, which also covers the rounding of ||M||, p
+    and y' - y.  Dividing by h ||phi|| <= h p (1 + 8 u) gives the floor
+    max|M y + c| >= (max|y' - y| - err) / (h p (1 + 8 u)), from scalars
+    only (_increment_bound).  A state whose floor exceeds twice tol + band
+    (band below) is not stationary, and nothing more is computed for it;
+    the factor 2 also absorbs the rounding of that test.  The other tested
+    states, in practice those of the last blocks before the stop and a
+    state whose successor is not finite, go through one batched
+    plan.evaluate and its row max-norm.
 
     The batched and the flat evaluate round differently.  In the max-norm
-    they differ by at most (dim + 1) eps (||M|| ||y|| + ||c||), with
-    M = plan.matrix, c = plan.shift and infinity norms.  A state whose
-    batched max-norm lies within twice that bound of stationarity_tol is
-    decided by the flat evaluate.  The band also adds
+    they differ by at most (dim + 1) eps (||M|| ||y|| + ||c||), infinity
+    norms.  A state whose batched max-norm lies within twice that bound of
+    stationarity_tol is decided by the flat evaluate.  The band also adds
     2 (dim + 1) eps (tol + tiny), with tiny the smallest normal float, which
     keeps it wider than the rounding of tol +- band and than the error of
-    products that underflow.  So the steps, stop, final state and samples
-    equal those of one flat evaluate per step, bit for bit.
+    products that underflow.  A skipped state's flat max-norm is at least
+    its floor less half the band, so above tol.  So the steps, stop, final
+    state and samples equal those of one flat evaluate per step, bit for
+    bit.
 
     initial_state is a flat [x; z] vector (copied, never modified); when it
     is None the start is drawn by cfg.init_mode.  The flat evaluate tests
@@ -232,10 +293,11 @@ def integrate(
         y = rng.uniform(-cfg.init_amplitude, cfg.init_amplitude, size=plan.dim)
     tiled = tiled_reference(part, solve_least_squares(*part.reassemble()))
     dim_x = tiled.shape[0]
-    tol, every = cfg.stationarity_tol, cfg.record_every
+    tol, every, max_time = cfg.stationarity_tol, cfg.record_every, cfg.max_time
     # a state's rounding band is slack * (||M|| ||y|| + offset)
     slack = 2.0 * (plan.dim + 1) * np.finfo(float).eps
-    offset = float(np.max(np.abs(plan.shift), initial=0.0)) + tol + np.finfo(float).tiny
+    shift_max = float(np.max(np.abs(plan.shift), initial=0.0))
+    offset = shift_max + tol + np.finfo(float).tiny
 
     def stationary(d: np.ndarray) -> bool:
         return float(np.max(np.abs(d))) < tol
@@ -269,49 +331,68 @@ def integrate(
     t = 0.0
     steps = 0
     stop_reason = "max_time"
-    # states[0] is the block's start, states[1:] its steps
-    states = np.empty((RECORD_BATCH + 1, plan.dim))
-    states[0] = y
-    end = 0
     # overflow during a divergent run is reported via NonFiniteStateError,
     # so the intermediate warnings carry no information
     with np.errstate(over="ignore", invalid="ignore"):
         propagator, gain = rk4_propagator(plan, h)
+        gain_max = float(np.max(np.abs(gain), initial=0.0))
+        bound = _increment_bound(norm_m, h, plan.dim, gain_max, shift_max)
+        # a state is skipped when its floor exceeds 2 (tol + band), that is
+        # when its increment exceeds jump_slope max|y| + jump_intercept
+        jump_slope = bound.slope + 2.0 * bound.scale * slack * norm_m
+        jump_intercept = bound.intercept + 2.0 * bound.scale * (tol + slack * offset)
+        # the step buffers are made after R, whose build peaks higher.
+        # states[0] is the block's start, states[1:] its steps; rows holds a
+        # view of each row, so a step indexes no array.  work holds |states|,
+        # then the increments |states[k + 1] - states[k]|, then the states to
+        # evaluate.
+        states = np.empty((RECORD_BATCH + 1, plan.dim))
+        rows = list(states)
+        states[0] = y
+        work = np.empty_like(states)
         record(t, y)
         if stationary(plan.evaluate(y)):
             stop_reason = "stationary"
-        while stop_reason == "max_time" and t < cfg.max_time:
+        while stop_reason == "max_time" and t < max_time:
             first = steps
             for n in range(1, RECORD_BATCH + 1):
-                np.matmul(propagator, states[n - 1], out=states[n])
-                states[n] += gain
-                if (first + n) * h >= cfg.max_time:
+                np.matmul(propagator, rows[n - 1], out=rows[n])
+                rows[n] += gain
+                if (first + n) * h >= max_time:
                     break
-            block = states[1 : n + 1]
-            norms = np.max(np.abs(block), axis=1)
-            finite = np.isfinite(norms)
-            # states taken from the block: those before the first non-finite
-            # one, or up to the first stationary one
-            end = n if finite.all() else int(np.argmin(finite))
-            # the state that reaches max_time is not tested for stationarity
-            tested = min(end, n - ((first + n) * h >= cfg.max_time))
-            d_max = np.max(np.abs(plan.evaluate(block[:tested])), axis=1)
-            band = slack * (norm_m * norms[:tested] + offset)
-            for i in np.flatnonzero(~(d_max > tol + band)):
-                if d_max[i] < tol - band[i] or stationary(plan.evaluate(block[i])):
-                    end = int(i) + 1
-                    stop_reason = "stationary"
-                    break
-            for k in range(first + every - first % every, first + end + 1, every):
-                record(k * h, states[k - first])
-            steps = first + end
+            norms = np.max(np.abs(states[: n + 1], out=work[: n + 1]), axis=1)
+            increments = np.subtract(states[1 : n + 1], states[:n], out=work[:n])
+            jumps = np.max(np.abs(increments, out=increments), axis=1)
+            finite = np.isfinite(norms[1:])
+            if finite.all():
+                tested = n
+            else:
+                # states up to the first non-finite one; the last of them
+                # has no finite successor, so no floor
+                tested = int(np.argmin(finite)) + 1
+                jumps[tested - 1] = np.nan
+            taken = n if tested == n else tested - 1
+            skip = jumps[:tested] > jump_slope * norms[:tested] + jump_intercept
+            if not skip.all():
+                check = np.flatnonzero(~skip)
+                d = plan.evaluate(np.take(states, check, axis=0, out=work[: len(check)]))
+                d_max = np.max(np.abs(d, out=d), axis=1)
+                band = slack * (norm_m * norms[check] + offset)
+                for i in np.flatnonzero(~(d_max > tol + band)):
+                    if d_max[i] < tol - band[i] or stationary(plan.evaluate(states[check[i]])):
+                        taken = int(check[i])
+                        stop_reason = "stationary"
+                        break
+            for k in range(first + every - first % every, first + taken + 1, every):
+                record(k * h, rows[k - first])
+            steps = first + taken
             t = steps * h
-            if end < n and stop_reason == "max_time":
+            if taken < n and stop_reason == "max_time":
                 # an earlier sample's V may already have overflowed
                 flush()
                 raise NonFiniteStateError((steps + 1) * h)
-            states[0] = states[end]
-        y = states[end].copy()
+            states[0] = rows[taken]
+        y = states[0].copy()
         if steps % every:
             record(t, y)
         flush()

@@ -44,7 +44,9 @@ as z = U+ diag(lam+)^-1 U+.T (C x - b), block by block, keeping the same
 lam+ as the verdict.  A dense Q22 is simply one block.
 
 The same blocks bound the two products with D: SaddleBlocks.matrix()
-writes C.T D into Q's one buffer, and the verdict checks Q12 = -Q21.T Q22,
+writes C.T D into Q's one buffer over the blocks of the Q22 it has just
+written, which assemble_compact hands to the system (CompactSystem.dual_blocks)
+so the pattern is labelled once, and the verdict checks Q12 = -Q21.T Q22,
 one chunk of blocks at a time (_block_products), so neither forms a
 dim_x x dim_z product.  The Gram products C.T C and Q21.T Q21 and the
 eigvalsh of S are still dense.
@@ -231,19 +233,25 @@ class SaddleBlocks:
 
         -C.T C is the product of the negated copy of C.T, as in that
         expression (negating the product would flip the sign of its zeros),
-        and C.T D is taken block by block over linalg.pattern_blocks(D).
+        and C.T D is taken block by block over linalg.pattern_blocks of the
+        -D just written (negation keeps zeros zero, so the pattern is D's).
         """
+        return self._matrix_and_blocks()[0]
+
+    def _matrix_and_blocks(self) -> tuple:
+        """(matrix(), linalg.pattern_blocks of its lower right block -D)."""
         c, p, d = self.coupling, self.primal_damping, self.dual_damping
         r, s = c.shape
         m = np.empty((s + r, s + r))
         np.matmul(-c.T, c, out=m[:s, :s])
         m[:s, :s] -= p
-        m12 = m[:s, s:]
-        for cols, block in _block_products(c, d, pattern_blocks(d)):
-            m12[:, cols] = block.transpose(1, 0, 2)
         m[s:, :s] = c
         np.negative(d, out=m[s:, s:])
-        return m
+        blocks = pattern_blocks(m[s:, s:])
+        m12 = m[:s, s:]
+        for cols, block in _block_products(c, d, blocks):
+            m12[:, cols] = block.transpose(1, 0, 2)
+        return m, blocks
 
 
 def _block_products(x: np.ndarray, m: np.ndarray, blocks) -> Iterator[tuple]:
@@ -279,9 +287,12 @@ class CompactSystem:
 
     dual_eigh is the one block-wise eigendecomposition of D that both the
     structured verdict and the equilibrium certificate read: whichever runs
-    first pays for it.  Since drift_matrix cannot be written in place, the
-    cached factors cannot go stale; dataclasses.replace builds a new
-    instance with an empty cache.
+    first pays for it.  It factors the blocks of dual_blocks, which
+    assemble_compact hands over from the assembly, so Q22's pattern is
+    labelled once per system.  Since drift_matrix cannot be written in
+    place, the cached blocks and factors cannot go stale;
+    dataclasses.replace builds a new instance with an empty cache, which
+    labels its own Q22.
     """
 
     scheme: str
@@ -290,19 +301,25 @@ class CompactSystem:
     drift_matrix: np.ndarray
 
     @cached_property
+    def dual_blocks(self) -> tuple:
+        """linalg.pattern_blocks of the assembled Q22: the connected blocks of
+        its nonzero pattern, one (count, size) index array per block size."""
+        return pattern_blocks(self.drift_matrix[self.dim_x :, self.dim_x :])
+
+    @cached_property
     def dual_eigh(self) -> tuple:
         """D = -Q22 factored block by block: one (idx, lam, vecs) per block size.
 
         idx (count, size) lists the connected blocks of Q22's nonzero pattern
-        (linalg.pattern_blocks), lam (count, size) and vecs (count, size,
-        size) their eigenpairs: D[i][:, i] = vecs[k] diag(lam[k]) vecs[k].T
-        for i = idx[k].  One batched eigh per block size, taken from the
+        (dual_blocks), lam (count, size) and vecs (count, size, size) their
+        eigenpairs: D[i][:, i] = vecs[k] diag(lam[k]) vecs[k].T for
+        i = idx[k].  One batched eigh per block size, taken from the
         assembled drift_matrix alone; no dim_z x dim_z factor is formed.
         Built on the first call, every call returns the same read-only arrays.
         """
         q22 = self.drift_matrix[self.dim_x :, self.dim_x :]
         factor = []
-        for idx in pattern_blocks(q22):
+        for idx in self.dual_blocks:
             lam, vecs = np.linalg.eigh(-q22[idx[:, :, None], idx[:, None, :]])
             for arr in (idx, lam, vecs):
                 arr.flags.writeable = False
@@ -357,14 +374,17 @@ def assemble_compact(part, topo: Topology) -> CompactSystem:
         primal_damping=primal,
         dual_damping=dual,
     )
-    drift = saddle.matrix()
+    drift, blocks = saddle._matrix_and_blocks()
     drift.flags.writeable = False
-    return CompactSystem(
+    cs = CompactSystem(
         scheme=part.scheme,
         saddle=saddle,
         b_stack=np.concatenate([off for offsets in part.offsets for off in offsets]),
         drift_matrix=drift,
     )
+    # the blocks of the Q22 just written, handed to the cached_property
+    cs.__dict__["dual_blocks"] = blocks
+    return cs
 
 
 def _kept(factor: tuple) -> tuple:

@@ -15,8 +15,12 @@ package's stacked implementations are checked against them.
 stepwise_integrate is the integrator with one flat plan.evaluate and one
 finiteness test per step; the block-stepping integrate must match it bit
 for bit.
+
+scaled_instance and scaled_systems draw random_instance systems with A and
+b scaled by a power of ten, for the tests that must hold at every scale.
 """
 
+import dataclasses
 from functools import reduce
 
 import numpy as np
@@ -28,11 +32,31 @@ from duolayer import (
     SaddleBlocks,
     SimResult,
     Trajectory,
+    assemble_compact,
+    partition_columns,
+    partition_rows,
     reassembled_solution,
     solve_least_squares,
 )
 from duolayer.dynamics import as_flat_state, flat_slices, sample_residuals, tiled_reference
+from duolayer.instances import random_instance
 from duolayer.simulator import RECORD_BATCH, SAMPLE_FIELDS, rk4_propagator
+
+
+def scaled_instance(seed, scheme, size, k):
+    """(instance, partition) of random_instance(default_rng(seed), scheme,
+    size) with A and b scaled by 10**k."""
+    inst, _ = random_instance(np.random.default_rng(seed), scheme, size)
+    scaled = dataclasses.replace(inst, a=inst.a * 10.0**k, b=inst.b * 10.0**k)
+    return scaled, (partition_rows if scheme == "row" else partition_columns)(scaled)
+
+
+def scaled_systems(k=0):
+    """(label, part, compact system) for 40 draws, A and b scaled by 10**k."""
+    for seed in range(20):
+        for scheme in ("row", "column"):
+            inst, part = scaled_instance(seed, scheme, 12, k)
+            yield (k, seed, scheme), part, assemble_compact(part, inst.topology)
 
 
 def random_orthogonal(rng, n):

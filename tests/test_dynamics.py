@@ -12,13 +12,13 @@ from duolayer import (
     Topology,
     assemble_compact,
     build_graph,
-    closeness_metric,
     integrate,
     partition_columns,
     partition_rows,
     reassembled_solution,
     residuals,
     sample_residuals,
+    solve_least_squares,
 )
 from duolayer.dynamics import flat_slices
 from duolayer.instances import random_instance
@@ -117,8 +117,6 @@ def test_state_shape_validation():
             residuals(part, topo, wrong)
         with pytest.raises(ShapeMismatchError):
             reassembled_solution(part, wrong)
-        with pytest.raises(ShapeMismatchError):
-            closeness_metric(wrong, [0.0, 0.0], part)
         with pytest.raises(ShapeMismatchError):
             integrate(part, topo, SimConfig(max_time=1.0), initial_state=wrong)
 
@@ -234,7 +232,7 @@ def test_stacked_residuals_and_closeness_match_loop_oracles():
     for part, topo, b in cases:
         tol = 1e-12 * (1.0 + np.linalg.norm(b))
         ys = rng.normal(size=(3, part.x_dim + part.z_dim))
-        x_star = rng.normal(size=part.total_cols)
+        x_star = solve_least_squares(*part.reassemble())
         conservation, consensus, overall = sample_residuals(part, ys)
         for k, y in enumerate(ys):
             want = oracle_residuals(part, y)
@@ -249,7 +247,10 @@ def test_stacked_residuals_and_closeness_match_loop_oracles():
                 assert np.allclose(cons, want.conservation, rtol=0.0, atol=tol)
                 assert np.allclose(agree, want.consensus, rtol=0.0, atol=tol)
                 assert abs(total - want.overall) <= tol
-            v = closeness_metric(y, x_star, part)
+            # V is recorded against the least-squares solution; a tolerance
+            # above any derivative stops the run at its start
+            run = integrate(part, topo, SimConfig(stationarity_tol=1e300), initial_state=y)
+            v = run.trajectory.samples["v"][0]
             assert abs(v - oracle_closeness(y, x_star, part)) <= tol
 
 

@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from duolayer import (
     Trajectory,
     assemble_compact,
     build_graph,
-    closeness_metric,
     equilibrium_certificate,
     fit_convergence_rate,
     integrate,
@@ -25,9 +26,11 @@ from duolayer import (
     residuals,
     solve_least_squares,
 )
+from duolayer.cli import build_problem, parse_scenario
+from duolayer.dynamics import tiled_reference
 from duolayer.instances import random_instance
-from duolayer.simulator import RECORD_BATCH, SAMPLE_FIELDS, rk4_propagator
-from helpers import oracle_closeness, oracle_residuals, stepwise_integrate
+from duolayer.simulator import RECORD_BATCH, SAMPLE_FIELDS, _increment_bound, rk4_propagator
+from helpers import oracle_closeness, oracle_residuals, scaled_instance, stepwise_integrate
 
 
 def path(n):
@@ -276,10 +279,13 @@ def assert_same_run(got, want):
 def test_block_stepping_matches_stepwise_oracle(scheme, record_every):
     # the stationary start, one step, a max_time at the end of the first
     # block, one step into the second, mid-way through it, and a stop at the
-    # first state below a tolerance the run reaches after about 300 steps
+    # first state below a tolerance the run reaches after about 300 steps.
+    # Besides the 20 draws as drawn, five have A and b scaled by 10^-3 and
+    # five by 10^3, which scale the derivative, its rounding and the step.
     stops = []
-    for seed in range(20):
-        inst, part = random_instance(np.random.default_rng(seed), scheme, 6)
+    draws = [(seed, 0) for seed in range(20)] + [(seed, k) for k in (-3, 3) for seed in range(5)]
+    for seed, k in draws:
+        inst, part = scaled_instance(seed, scheme, 6, k)
         topo = inst.topology
         base = {"init_mode": "random", "rng_seed": seed, "record_every": record_every}
         at_start = SimConfig(stationarity_tol=1e300, **base)
@@ -298,24 +304,33 @@ def test_block_stepping_matches_stepwise_oracle(scheme, record_every):
         assert want.stop_reason == "stationary" and want.steps <= 300
         stops.append(want.steps)
     # a few small draws are already below twice their step-300 norm at the start
-    assert sum(step > 0 for step in stops) >= 15
+    assert sum(step > 0 for step in stops[:20]) >= 15
+    assert sum(step > 0 for step in stops[20:]) >= 7
+
+
+def count_evaluated_rows(monkeypatch) -> list:
+    """Rows each later plan.evaluate call receives: 0 for a flat state."""
+    rows = []
+    evaluate = DerivativePlan.evaluate
+
+    def counted(plan, y):
+        rows.append(0 if y.ndim == 1 else y.shape[0])
+        return evaluate(plan, y)
+
+    monkeypatch.setattr(DerivativePlan, "evaluate", counted)
+    return rows
 
 
 def test_stop_at_a_tie_is_decided_by_the_flat_evaluate(monkeypatch):
     # tolerances one ulp above and below a state's derivative max-norm fall
     # inside the batched evaluate's rounding band, so that state is decided
     # by the flat evaluate, which the one-step loop uses
-    flat_calls = []
-    evaluate = DerivativePlan.evaluate
-
-    def counted(plan, y):
-        flat_calls.append(y.ndim == 1)
-        return evaluate(plan, y)
-
-    monkeypatch.setattr(DerivativePlan, "evaluate", counted)
-    for seed in range(5):
+    rows = count_evaluated_rows(monkeypatch)
+    # five draws as drawn, and two each with A and b scaled by 10^-3 and 10^3
+    draws = [(seed, 0) for seed in range(5)] + [(seed, k) for k in (-3, 3) for seed in range(2)]
+    for seed, k in draws:
         for scheme in ("row", "column"):
-            inst, part = random_instance(np.random.default_rng(seed), scheme, 12)
+            inst, part = scaled_instance(seed, scheme, 12, k)
             topo = inst.topology
             base = {"init_mode": "random", "rng_seed": seed, "record_every": 3}
             plan = DerivativePlan(part, topo)
@@ -338,15 +353,87 @@ def test_stop_at_a_tie_is_decided_by_the_flat_evaluate(monkeypatch):
                 cfg = SimConfig(max_time=200 * h, stationarity_tol=tol, **base)
                 want = stepwise_integrate(part, topo, cfg)
                 assert (want.steps == step) == (direction == math.inf)
-                flat_calls.clear()
+                rows.clear()
                 assert_same_run(integrate(part, topo, cfg), want)
                 # the start and at least the tied state went through the flat path
-                assert sum(flat_calls) >= 2
+                assert rows.count(0) >= 2
             # a state that reaches max_time is not tested for stationarity
             cfg = SimConfig(max_time=step * h, stationarity_tol=np.nextafter(at_step, math.inf), **base)
             want = stepwise_integrate(part, topo, cfg)
             assert (want.steps, want.stop_reason) == (step, "max_time")
             assert_same_run(integrate(part, topo, cfg), want)
+
+
+@pytest.mark.parametrize("k", [-6, 0, 6])
+def test_increment_floor_never_exceeds_the_flat_derivative(k):
+    # the skip rule's floor under max|M y + c|, read from a state's RK4
+    # increment, on the scaled_systems draws: along random-start
+    # trajectories, and at states within a few ulps of the equilibrium
+    # certificate's point, where the derivative is all rounding
+    for seed in range(20):
+        for scheme in ("row", "column"):
+            inst, part = scaled_instance(seed, scheme, 12, k)
+            plan = DerivativePlan(part, inst.topology)
+            norm_m = float(np.max(np.sum(np.abs(plan.matrix), axis=1)))
+            h = integrate(part, inst.topology, SimConfig(stationarity_tol=1e300)).step_size
+            propagator, gain = rk4_propagator(plan, h)
+            bound = _increment_bound(
+                norm_m, h, plan.dim, float(np.max(np.abs(gain))), float(np.max(np.abs(plan.shift)))
+            )
+            rng = np.random.default_rng(seed)
+            ys = np.empty((601, plan.dim))
+            ys[0] = rng.uniform(-1.0, 1.0, size=plan.dim)
+            for i in range(600):
+                ys[i + 1] = propagator @ ys[i] + gain
+            cs = assemble_compact(part, inst.topology)
+            certificate = np.concatenate(equilibrium_certificate(cs, part))
+            ulps = rng.integers(-3, 4, size=(20, plan.dim)) * np.spacing(np.abs(certificate))
+            for states in (ys[:-1], certificate + ulps):
+                for y in states:
+                    # the step integrate takes, one matrix-vector product
+                    y_next = propagator @ y + gain
+                    floor = bound.floor(np.max(np.abs(y_next - y)), np.max(np.abs(y)))
+                    assert floor <= np.max(np.abs(plan.evaluate(y))), (seed, scheme, k)
+
+
+@pytest.mark.parametrize("scheme", ["row", "column"])
+def test_batched_evaluate_sees_few_steps(monkeypatch, scheme):
+    # the increment floor clears all but the states near the stop, so the
+    # batched evaluate no longer takes every step
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "three_cluster_5x5.json"
+    sc = parse_scenario(json.loads(scenario.read_text()))
+    problem, part = build_problem(sc, scheme)
+    rows = count_evaluated_rows(monkeypatch)
+    res = integrate(part, problem.topology, sc.sim)
+    assert res.steps == {"row": 5288, "column": 5466}[scheme]
+    assert sum(rows) <= 0.15 * res.steps, sum(rows)
+
+
+def test_integrate_peak_memory_at_dim_320():
+    # a dim-320 row instance on ring graphs (m = n = 40, 4 clusters x 4
+    # agents).  The budget is R's build, three dim x dim arrays, beside a
+    # recording buffer and a step buffer of RECORD_BATCH (+ 1) rows.  The
+    # step buffers are made after the build and the increment floor's work
+    # is O(RECORD_BATCH dim), so the peak stays below it.
+    rng = np.random.default_rng(71)
+    n, ring = 40, build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    a = 2.0 * np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    layout = Layout(scheme="row", cluster_sizes=[10] * 4, agent_sizes=[[10] * 4] * 4)
+    topo = Topology(cluster_graph=ring, agent_graphs=(ring,) * 4)
+    inst = ProblemInstance(a=a, b=a @ rng.uniform(-1.0, 1.0, size=n), topology=topo, layout=layout)
+    part = partition_rows(inst)
+    dim = part.x_dim + part.z_dim
+    assert dim == 320
+    cfg = SimConfig(max_time=8000.0, stationarity_tol=1e-10, record_every=5)
+    integrate(part, topo, cfg)  # build the cached reassembly untraced
+    tracemalloc.start()
+    try:
+        res = integrate(part, topo, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.stop_reason == "stationary"
+    assert peak <= 8 * (3 * dim**2 + (2 * RECORD_BATCH + 1) * dim), peak
 
 
 def test_max_time_stop():
@@ -425,25 +512,32 @@ def test_non_finite_v_reports_first_overflowing_sample():
     assert info.value.time == 400.0
 
 
-def test_closeness_metric_row_hand_value():
-    part, _ = single_agent()
-    state = np.array([3.0, 0.0])
-    # one cluster: V = 0.5 * (3 - 2)^2
-    assert closeness_metric(state, [2.0], part) == 0.5
+def recorded_v_at(part, topo, state) -> float:
+    """V of the sample integrate records at a start state; a tolerance above
+    any derivative stops the run there."""
+    run = integrate(part, topo, SimConfig(stationarity_tol=1e300), initial_state=state)
+    assert run.steps == 0
+    return run.trajectory.samples["v"][0]
+
+
+def test_recorded_v_row_hand_value():
+    part, topo = single_agent()
+    # one cluster: 2 x = 4 gives x* = 2, so V = 0.5 * (3 - 2)^2
+    assert recorded_v_at(part, topo, np.array([3.0, 0.0])) == 0.5
     with pytest.raises(ValueError):
-        closeness_metric(state, [1.0, 2.0], part)
+        tiled_reference(part, [1.0, 2.0])
 
 
-def test_closeness_metric_column_counts_agents():
+def test_recorded_v_column_counts_agents():
     layout = Layout(scheme="column", cluster_sizes=[1], agent_sizes=[[1, 1]])
     topo = Topology(cluster_graph=path(1), agent_graphs=(path(2),))
     inst = ProblemInstance(
         a=np.array([[1.0], [1.0]]), b=np.array([1.0, 1.0]), topology=topo, layout=layout
     )
-    part = __import__("duolayer").partition_columns(inst)
+    part = partition_columns(inst)
     y = np.array([2.0, 0.0, 0.0, 0.0])
-    # agents hold 2 and 0 against reference 1: V = 0.5 * (1 + 1)
-    assert closeness_metric(y, [1.0], part) == 1.0
+    # agents hold 2 and 0 against x* = 1: V = 0.5 * (1 + 1)
+    assert recorded_v_at(part, topo, y) == 1.0
 
 
 def test_fit_convergence_rate_exponential():

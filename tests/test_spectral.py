@@ -27,7 +27,7 @@ from duolayer import (
 )
 from duolayer import spectral
 from duolayer.instances import random_composition, random_connected_graph, random_instance
-from helpers import random_orthogonal, random_saddle_blocks
+from helpers import random_orthogonal, random_saddle_blocks, scaled_systems
 
 
 def path(n):
@@ -260,16 +260,6 @@ def test_q22_edge_joining_two_blocks_is_judged(scheme):
     assert gap < 1e-12 * generic.scale
 
 
-def scaled_systems(k=0):
-    """(label, part, compact system) for 40 draws, A and b scaled by 10**k."""
-    for seed in range(20):
-        for scheme in ("row", "column"):
-            inst, _ = random_instance(np.random.default_rng(seed), scheme, 12)
-            scaled = dataclasses.replace(inst, a=inst.a * 10.0**k, b=inst.b * 10.0**k)
-            part = partition_rows(scaled) if scheme == "row" else partition_columns(scaled)
-            yield (k, seed, scheme), part, assemble_compact(part, inst.topology)
-
-
 @pytest.mark.parametrize("k", range(-4, 6))
 def test_structured_verdict_passes_at_every_scale(k):
     # P = -(Q11 + Q21.T Q21) is recovered by cancellation, so its rounding
@@ -305,10 +295,9 @@ def test_corrupted_certificate_raises_at_every_scale(k):
 def test_verdict_and_certificate_share_one_eigh(monkeypatch):
     # in either order: D is factored once per system, and the one lstsq left
     # is the certificate's solve of A x = b.  A factorization takes one
-    # batched eigh per block size, so factorizations are counted (each reads
-    # Q22's pattern once), and the eigh calls must match its block sizes.
-    # The systems are built first: assembly reads D's pattern too.
-    systems = list(scaled_systems())
+    # batched eigh per block size, so the eigh calls must match its block
+    # sizes.  Q22's pattern is labelled once per system: by assembly, which
+    # hands its blocks to the system, or by a replaced system on its own Q22.
     calls = []
 
     def counted(name, owner):
@@ -323,15 +312,17 @@ def test_verdict_and_certificate_share_one_eigh(monkeypatch):
     counted("pattern_blocks", spectral)
     counted("eigh", np.linalg)
     counted("lstsq", np.linalg)
-    for label, part, cs in systems:
+    for label, part, cs in scaled_systems():
+        assert calls == ["pattern_blocks"], label
+        calls.clear()
         verdict = check_drift_spectrum(cs).to_dict()
         equilibrium_certificate(cs, part)
-        factor = ["pattern_blocks"] + ["eigh"] * len(cs.dual_eigh)
+        factor = ["eigh"] * len(cs.dual_eigh)
         assert calls == factor + ["lstsq"], label
         fresh = dataclasses.replace(cs)
         equilibrium_certificate(fresh, part)
         assert check_drift_spectrum(fresh).to_dict() == verdict, label
-        assert calls == factor + ["lstsq", "lstsq"] + factor, label
+        assert calls == factor + ["lstsq", "lstsq", "pattern_blocks"] + factor, label
         for system in (cs, fresh):
             for arr in (arr for group in system.dual_eigh for arr in group):
                 assert not arr.flags.writeable, label
