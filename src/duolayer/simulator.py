@@ -11,7 +11,7 @@ the stationarity and finiteness tests run once per block, over all of its
 states, and stop where one test per step would, bit for bit (see
 integrate).  A step's increment bounds the derivative from below, since
 y_{k+1} - y_k = h phi(hM) (M y_k + c) with ||phi(hM)|| <= p(h ||M||), a
-cubic; with an allowance for rounding (_increment_bound) that floor clears
+cubic; with an allowance for rounding (_skip_threshold) that floor clears
 stationarity_tol for almost every state, and only the states it leaves
 open, those of the last blocks before the stop, go through one batched
 plan.evaluate.  So a block costs its steps plus O(RECORD_BATCH dim) work.
@@ -26,7 +26,6 @@ structured array with the SAMPLE_FIELDS columns; the state is not kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -174,38 +173,32 @@ def rk4_propagator(plan: DerivativePlan, h: float) -> tuple:
     return phi, gain
 
 
-class _IncrementBound(NamedTuple):
-    """Lower bound on a state's derivative from its RK4 increment.
+def _skip_threshold(
+    norm_m: float, h: float, dim: int, gain_max: float, tol: float, slack: float, offset: float
+) -> tuple:
+    """(slope, intercept) of integrate's skip rule, from scalars only.
 
-    For a state y and its computed step y' = R y + g (R, g from
-    rk4_propagator), max|M y + c| >= floor(max|y' - y|, max|y|) with
-    floor(jump, norm) = (jump - slope * norm - intercept) / scale, for
-    arrays of jumps and norms too.  integrate's docstring derives it.
-    """
-
-    scale: float
-    slope: float
-    intercept: float
-
-    def floor(self, jumps, norms):
-        return (jumps - self.slope * norms - self.intercept) / self.scale
-
-
-def _increment_bound(
-    norm_m: float, h: float, dim: int, gain_max: float, shift_max: float
-) -> _IncrementBound:
-    """The _IncrementBound of rk4_propagator(plan, h)'s step, from scalars:
-    norm_m = ||M||_inf, gain_max = max|g| and shift_max = max|c|, with
-    M = plan.matrix, c = plan.shift and dim = plan.dim.  No dim x dim array
-    is read; where p overflows, the floor is NaN or -inf and clears nothing.
+    A state y whose step y' = R y + g has
+    max|y' - y| > slope max|y| + intercept has a flat derivative max-norm
+    above 2 (tol + band), band = slack (norm_m max|y| + offset), so it is
+    not stationary.  Here (R, g) is rk4_propagator(plan, h),
+    norm_m = ||M||_inf, gain_max = max|g|, offset >= max|c| and
+    dim = plan.dim, with M = plan.matrix and c = plan.shift; no dim x dim
+    array is read.  integrate's docstring derives the rule.  Where p
+    overflows, slope is inf and nothing is skipped.
     """
     eps = np.finfo(float).eps
     x = h * norm_m
     p = 1.0 + x * (0.5 + x * (1.0 / 6.0 + x / 24.0))
     u = (dim + 2) * eps
-    slope = 16.0 * u * (1.0 + x * p)
-    intercept = 16.0 * u * (gain_max + h * p * shift_max + np.finfo(float).tiny)
-    return _IncrementBound(scale=h * p * (1.0 + 8.0 * u), slope=slope, intercept=intercept)
+    # the floor (max|y' - y| - err) / scale, err = allowance_slope max|y|
+    # + allowance_intercept, must exceed 2 (tol + band)
+    scale = h * p * (1.0 + 8.0 * u)
+    allowance_slope = 16.0 * u * (1.0 + x * p)
+    allowance_intercept = 16.0 * u * (gain_max + h * p * offset + np.finfo(float).tiny)
+    slope = allowance_slope + 2.0 * scale * slack * norm_m
+    intercept = allowance_intercept + 2.0 * scale * (tol + slack * offset)
+    return slope, intercept
 
 
 def integrate(
@@ -246,12 +239,13 @@ def integrate(
     ||e|| <= u ((1 + x p) ||y|| + max|g|).  Gradual underflow adds at most
     2 (dim + 2) eps tiny, tiny the smallest normal float.  The allowance
 
-        err = 16 u ((1 + x p) max|y| + max|g| + h p max|c| + tiny)
+        err = 16 u ((1 + x p) max|y| + max|g| + h p offset + tiny),
 
-    is about twice their sum, which also covers the rounding of ||M||, p
-    and y' - y.  Dividing by h ||phi|| <= h p (1 + 8 u) gives the floor
+    with offset = max|c| + tol + tiny >= max|c| (the band's, below), is
+    about twice their sum, which also covers the rounding of ||M||, p and
+    y' - y.  Dividing by h ||phi|| <= h p (1 + 8 u) gives the floor
     max|M y + c| >= (max|y' - y| - err) / (h p (1 + 8 u)), from scalars
-    only (_increment_bound).  A state whose floor exceeds twice tol + band
+    only (_skip_threshold).  A state whose floor exceeds twice tol + band
     (band below) is not stationary, and nothing more is computed for it;
     the factor 2 also absorbs the rounding of that test.  The other tested
     states, in practice those of the last blocks before the stop and a
@@ -296,8 +290,7 @@ def integrate(
     tol, every, max_time = cfg.stationarity_tol, cfg.record_every, cfg.max_time
     # a state's rounding band is slack * (||M|| ||y|| + offset)
     slack = 2.0 * (plan.dim + 1) * np.finfo(float).eps
-    shift_max = float(np.max(np.abs(plan.shift), initial=0.0))
-    offset = shift_max + tol + np.finfo(float).tiny
+    offset = float(np.max(np.abs(plan.shift), initial=0.0)) + tol + np.finfo(float).tiny
 
     def stationary(d: np.ndarray) -> bool:
         return float(np.max(np.abs(d))) < tol
@@ -336,11 +329,7 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         propagator, gain = rk4_propagator(plan, h)
         gain_max = float(np.max(np.abs(gain), initial=0.0))
-        bound = _increment_bound(norm_m, h, plan.dim, gain_max, shift_max)
-        # a state is skipped when its floor exceeds 2 (tol + band), that is
-        # when its increment exceeds jump_slope max|y| + jump_intercept
-        jump_slope = bound.slope + 2.0 * bound.scale * slack * norm_m
-        jump_intercept = bound.intercept + 2.0 * bound.scale * (tol + slack * offset)
+        jump_slope, jump_intercept = _skip_threshold(norm_m, h, plan.dim, gain_max, tol, slack, offset)
         # the step buffers are made after R, whose build peaks higher.
         # states[0] is the block's start, states[1:] its steps; rows holds a
         # view of each row, so a step indexes no array.  work holds |states|,
@@ -365,13 +354,14 @@ def integrate(
             jumps = np.max(np.abs(increments, out=increments), axis=1)
             finite = np.isfinite(norms[1:])
             if finite.all():
-                tested = n
+                tested = taken = n
             else:
-                # states up to the first non-finite one; the last of them
-                # has no finite successor, so no floor
+                # states up to the first non-finite one, which may be the
+                # block's last; the last tested has no finite successor, so
+                # no floor, and is the last taken
                 tested = int(np.argmin(finite)) + 1
-                jumps[tested - 1] = np.nan
-            taken = n if tested == n else tested - 1
+                taken = tested - 1
+                jumps[taken] = np.nan
             skip = jumps[:tested] > jump_slope * norms[:tested] + jump_intercept
             if not skip.all():
                 check = np.flatnonzero(~skip)

@@ -29,7 +29,7 @@ from duolayer import (
 from duolayer.cli import build_problem, parse_scenario
 from duolayer.dynamics import tiled_reference
 from duolayer.instances import random_instance
-from duolayer.simulator import RECORD_BATCH, SAMPLE_FIELDS, _increment_bound, rk4_propagator
+from duolayer.simulator import RECORD_BATCH, SAMPLE_FIELDS, _skip_threshold, rk4_propagator
 from helpers import oracle_closeness, oracle_residuals, scaled_instance, stepwise_integrate
 
 
@@ -254,15 +254,19 @@ def test_divergence_raises_with_time():
     part, topo = single_agent()
     cfg = SimConfig(step_size=10.0, max_time=1e5, stationarity_tol=1e-300)
     assert error_time(integrate, part, topo, cfg) == error_time(stepwise_integrate, part, topo, cfg)
-    # b = 0 from x = 1e-200: the step-70 sample keeps a finite V and the
-    # state overflows at step 102, mid-way through the block of steps 65 to
-    # 128, so the error carries the state's time
+    # b = 0, step 10: each step multiplies x by about 1e5, and the samples
+    # every 70 steps keep a finite V, so each error carries the state's
+    # time.  From x = 1e-200 the state overflows at step 102, mid-way
+    # through the block of steps 65 to 128; from x = 1e-8 at step 64, the
+    # first block's last; from x = 1e-197 at step 100, the step that
+    # reaches max_time mid-way through the second block
     part, topo = single_agent(2.0, 0.0)
-    cfg = SimConfig(step_size=10.0, max_time=1e5, stationarity_tol=1e-300, record_every=70)
-    start = np.array([1e-200, 0.0])
-    want = error_time(stepwise_integrate, part, topo, cfg, initial_state=start)
-    assert want == 1020.0
-    assert error_time(integrate, part, topo, cfg, initial_state=start) == want
+    for x0, max_time, step in ((1e-200, 1e5, 102), (1e-8, 1e5, 64), (1e-197, 1000.0, 100)):
+        cfg = SimConfig(step_size=10.0, max_time=max_time, stationarity_tol=1e-300, record_every=70)
+        start = np.array([x0, 0.0])
+        want = error_time(stepwise_integrate, part, topo, cfg, initial_state=start)
+        assert want == 10.0 * step
+        assert error_time(integrate, part, topo, cfg, initial_state=start) == want
 
 
 def assert_same_run(got, want):
@@ -365,11 +369,13 @@ def test_stop_at_a_tie_is_decided_by_the_flat_evaluate(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [-6, 0, 6])
-def test_increment_floor_never_exceeds_the_flat_derivative(k):
-    # the skip rule's floor under max|M y + c|, read from a state's RK4
-    # increment, on the scaled_systems draws: along random-start
-    # trajectories, and at states within a few ulps of the equilibrium
-    # certificate's point, where the derivative is all rounding
+def test_skip_rule_never_skips_at_half_the_flat_derivative(k):
+    # integrate's skip rule, read from a state's RK4 increment, on the
+    # scaled_systems draws: along random-start trajectories, and at states
+    # within a few ulps of the equilibrium certificate's point, where the
+    # derivative is all rounding.  A state is skipped when the floor under
+    # max|M y + c| exceeds 2 (tol + band); with no band and tol half the
+    # flat max-norm, a skip would mean the floor exceeds the flat max-norm
     for seed in range(20):
         for scheme in ("row", "column"):
             inst, part = scaled_instance(seed, scheme, 12, k)
@@ -377,9 +383,7 @@ def test_increment_floor_never_exceeds_the_flat_derivative(k):
             norm_m = float(np.max(np.sum(np.abs(plan.matrix), axis=1)))
             h = integrate(part, inst.topology, SimConfig(stationarity_tol=1e300)).step_size
             propagator, gain = rk4_propagator(plan, h)
-            bound = _increment_bound(
-                norm_m, h, plan.dim, float(np.max(np.abs(gain))), float(np.max(np.abs(plan.shift)))
-            )
+            gain_max, shift_max = float(np.max(np.abs(gain))), float(np.max(np.abs(plan.shift)))
             rng = np.random.default_rng(seed)
             ys = np.empty((601, plan.dim))
             ys[0] = rng.uniform(-1.0, 1.0, size=plan.dim)
@@ -392,8 +396,10 @@ def test_increment_floor_never_exceeds_the_flat_derivative(k):
                 for y in states:
                     # the step integrate takes, one matrix-vector product
                     y_next = propagator @ y + gain
-                    floor = bound.floor(np.max(np.abs(y_next - y)), np.max(np.abs(y)))
-                    assert floor <= np.max(np.abs(plan.evaluate(y))), (seed, scheme, k)
+                    tol = 0.5 * float(np.max(np.abs(plan.evaluate(y))))
+                    slope, intercept = _skip_threshold(norm_m, h, plan.dim, gain_max, tol, 0.0, shift_max)
+                    jump = np.max(np.abs(y_next - y))
+                    assert not jump > slope * np.max(np.abs(y)) + intercept, (seed, scheme, k)
 
 
 @pytest.mark.parametrize("scheme", ["row", "column"])
