@@ -27,10 +27,8 @@ from .partition import (
 )
 from .dynamics import (
     DerivativePlan,
-    ResidualReport,
     ShapeMismatchError,
     reassembled_solution,
-    residuals,
     sample_residuals,
 )
 from .spectral import (
@@ -76,10 +74,8 @@ __all__ = [
     "partition_columns",
     "partition_rows",
     "DerivativePlan",
-    "ResidualReport",
     "ShapeMismatchError",
     "reassembled_solution",
-    "residuals",
     "sample_residuals",
     "CompactSystem",
     "InconsistentSystemError",

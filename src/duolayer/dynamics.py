@@ -23,9 +23,6 @@ change its derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
-
 import numpy as np
 
 from .graph import Topology
@@ -153,56 +150,46 @@ class DerivativePlan:
         """Derivative under the per-agent law of a flat state [x; z], or of
         each row of an (S, dim) block of them.
 
-        A flat state takes one matrix-vector product, matrix @ y + shift; a
-        block takes one matrix-matrix product, y @ matrix.T + shift.  The two
-        may differ in the last bits, since the products sum in different
-        orders.
+        A flat state takes one matrix-vector product, matrix @ y; a block
+        takes one matrix-matrix product, y @ matrix.T.  The two may differ in
+        the last bits, since the products sum in different orders.  shift is
+        added in place into the product, so no second result is allocated.
         """
-        if y.ndim == 1:
-            return self.matrix @ y + self.shift
-        return y @ self.matrix.T + self.shift
+        d = self.matrix @ y if y.ndim == 1 else y @ self.matrix.T
+        d += self.shift
+        return d
 
 
 def reassembled_solution(part, y) -> np.ndarray:
-    """Collapse the flat state y into one n-vector.
+    """Collapse the flat state y into one n-vector, or each row of an
+    (S, dim) block of them into one row of an (S, n) array.
 
     Row scheme: average of the clusters' stacked solution states.  Column
-    scheme: concatenation of each cluster's agent-average.  Both sum left to
-    right, one cluster or agent at a time.
+    scheme: concatenation of each cluster's agent-average.  Either mean is
+    one sum over the cluster or agent axis, written once for a state and a
+    block.  Raises ShapeMismatchError for any other shape.
     """
-    y = as_flat_state(part, y)
-    x_slices, _, dim_x, _ = flat_slices(part)
+    y = _as_state_block(part, y) if np.ndim(y) == 2 else as_flat_state(part, y)
+    lead = y.shape[:-1]
+    xs = y[..., : part.x_dim]
     if part.scheme == "row":
-        stacked = y[:dim_x].reshape(part.cluster_count, part.total_cols)
-        return reduce(np.add, stacked) / part.cluster_count
-    means = [reduce(np.add, [y[sl] for sl in row]) / len(row) for row in x_slices]
-    return np.concatenate(means)
+        stacked = xs.reshape(*lead, part.cluster_count, part.total_cols)
+        return stacked.sum(axis=-2) / part.cluster_count
+    means, pos = [], 0
+    for n_i, agents in zip(part.cluster_cols, part.agent_counts):
+        xi = xs[..., pos : pos + agents * n_i].reshape(*lead, agents, n_i)
+        pos += agents * n_i
+        means.append(xi.sum(axis=-2) / agents)
+    return np.concatenate(means, axis=-1)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Constraint residuals of one flat state.
-
-    Row scheme: conservation[i] = ||sum_j (A_ij x_ij - b_ij)|| per cluster;
-    consensus holds the pairwise distances between clusters' stacked states.
-    Column scheme: consensus[i] = max pairwise distance inside cluster i;
-    conservation is the single norm ||sum_i (A_i xbar_i - b_i)|| built from
-    cluster agent-averages, which is the same quantity as overall.
-    overall = ||A x - b|| for the reassembled x.
-    """
-
-    scheme: str
-    conservation: tuple
-    consensus: tuple
-    overall: float
-
-    @property
-    def max_conservation(self) -> float:
-        return max(self.conservation) if self.conservation else 0.0
-
-    @property
-    def max_consensus(self) -> float:
-        return max(self.consensus) if self.consensus else 0.0
+def _as_state_block(part, ys) -> np.ndarray:
+    """ys as a float (S, dim) block of flat states; ShapeMismatchError otherwise."""
+    ys = np.asarray(ys, dtype=float)
+    dim = part.x_dim + part.z_dim
+    if ys.ndim != 2 or ys.shape[1] != dim:
+        raise ShapeMismatchError(f"stacked states have shape {ys.shape}, expected (S, {dim})")
+    return ys
 
 
 def _pair_distances(stack: np.ndarray) -> np.ndarray:
@@ -219,20 +206,22 @@ def sample_residuals(part, ys: np.ndarray) -> tuple:
     """Residual norms of a block of stacked [x; z] states, one row each.
 
     ys has shape (S, dim).  Returns (conservation, consensus, overall) with
-    shapes (S, k), (S, p) and (S,), in the order ResidualReport lists them:
-    row scheme k = clusters and p = cluster pairs (i < l, row-major); column
-    scheme k = 1 and p = clusters.  Under the column scheme conservation is
-    ||A xbar - b|| for the concatenated agent-averages xbar, which is the
-    same quantity as overall, so its single column is overall itself.
+    shapes (S, k), (S, p) and (S,): row scheme k = clusters, with
+    conservation[:, i] = ||sum_j (A_ij x_ij - b_ij)|| per cluster, and
+    p = cluster pairs (i < l, row-major), the distances between clusters'
+    stacked states; column scheme k = 1 and p = clusters, consensus[:, i]
+    the largest distance between two agents of cluster i.  overall is
+    ||A x - b|| for the reassembled_solution x.  Under the column scheme
+    conservation is ||sum_i (A_i xbar_i - b_i)|| for the cluster
+    agent-averages xbar_i, which is the same quantity as overall, so its
+    single column is overall itself.  These are the columns integrate
+    records for every sample.
     """
-    ys = np.asarray(ys, dtype=float)
-    dim_x = part.x_dim
-    dim = dim_x + part.z_dim
-    if ys.ndim != 2 or ys.shape[1] != dim:
-        raise ShapeMismatchError(f"stacked states have shape {ys.shape}, expected (S, {dim})")
-    count = ys.shape[0]
-    xs = ys[:, :dim_x]
+    ys = _as_state_block(part, ys)
     a_full, b_full = part.reassemble()
+    overall = np.linalg.norm(reassembled_solution(part, ys) @ a_full.T - b_full, axis=1)
+    count = ys.shape[0]
+    xs = ys[:, : part.x_dim]
     if part.scheme == "row":
         clusters = part.cluster_count
         xc = xs.reshape(count, clusters, part.total_cols)
@@ -243,34 +232,11 @@ def sample_residuals(part, ys: np.ndarray) -> tuple:
             lo, hi = bounds[i], bounds[i + 1]
             band = xc[:, i] @ a_full[lo:hi].T - b_full[lo:hi]
             conservation[:, i] = np.linalg.norm(band, axis=1)
-        consensus = _pair_distances(xc)
-        solution = xc.sum(axis=1) / clusters
-        overall = np.linalg.norm(solution @ a_full.T - b_full, axis=1)
-        return conservation, consensus, overall
-    means = []
+        return conservation, _pair_distances(xc), overall
     consensus = np.empty((count, part.cluster_count))
     pos = 0
     for i, (n_i, agents) in enumerate(zip(part.cluster_cols, part.agent_counts)):
         xi = xs[:, pos : pos + agents * n_i].reshape(count, agents, n_i)
         pos += agents * n_i
         consensus[:, i] = np.max(_pair_distances(xi), axis=1, initial=0.0)
-        means.append(xi.sum(axis=1) / agents)
-    solution = np.concatenate(means, axis=1)
-    overall = np.linalg.norm(solution @ a_full.T - b_full, axis=1)
     return overall[:, None], consensus, overall
-
-
-def residuals(part, topo: Topology, y) -> ResidualReport:
-    """Conservation, consensus, and overall residual norms of the flat state y.
-
-    One sample_residuals row; under the column scheme the single
-    conservation entry equals overall.
-    """
-    check_topology(part.cluster_count, part.agent_counts, topo)
-    conservation, consensus, overall = sample_residuals(part, as_flat_state(part, y)[None])
-    return ResidualReport(
-        scheme=part.scheme,
-        conservation=tuple(conservation[0].tolist()),
-        consensus=tuple(consensus[0].tolist()),
-        overall=float(overall[0]),
-    )

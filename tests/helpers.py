@@ -28,14 +28,12 @@ import numpy as np
 from duolayer import (
     DerivativePlan,
     NonFiniteStateError,
-    ResidualReport,
     SaddleBlocks,
     SimResult,
     Trajectory,
     assemble_compact,
     partition_columns,
     partition_rows,
-    reassembled_solution,
     solve_least_squares,
 )
 from duolayer.dynamics import as_flat_state, flat_slices, sample_residuals, tiled_reference
@@ -107,11 +105,10 @@ def agent_x_blocks(part, y):
 
 
 def oracle_residuals(part, y):
-    """ResidualReport of a flat state, one agent and one pair at a time."""
+    """(conservation, consensus, overall) of a flat state, one agent and one
+    pair at a time, in the order and shapes of one sample_residuals row."""
     x = agent_x_blocks(part, y)
     a_full, b_full = part.reassemble()
-    solution = reassembled_solution(part, y)
-    overall = float(np.linalg.norm(a_full @ solution - b_full))
     if part.scheme == "row":
         conservation = []
         for i in range(part.cluster_count):
@@ -126,12 +123,9 @@ def oracle_residuals(part, y):
             for i in range(len(stacked))
             for k in range(i + 1, len(stacked))
         ]
-        return ResidualReport(
-            scheme="row",
-            conservation=tuple(conservation),
-            consensus=tuple(consensus),
-            overall=overall,
-        )
+        solution = reduce(np.add, stacked) / part.cluster_count
+        overall = float(np.linalg.norm(a_full @ solution - b_full))
+        return tuple(conservation), tuple(consensus), overall
     consensus = []
     for i in range(part.cluster_count):
         pair = [
@@ -140,18 +134,15 @@ def oracle_residuals(part, y):
             for k in range(j + 1, part.agent_counts[i])
         ]
         consensus.append(max(pair) if pair else 0.0)
-    terms = []
+    terms, means = [], []
     for i in range(part.cluster_count):
         a_i = np.vstack(part.blocks[i])
         mean_i = reduce(np.add, x[i]) / part.agent_counts[i]
+        means.append(mean_i)
         terms.append(a_i @ mean_i - np.concatenate(part.offsets[i]))
     conservation = (float(np.linalg.norm(reduce(np.add, terms))),)
-    return ResidualReport(
-        scheme="column",
-        conservation=conservation,
-        consensus=tuple(consensus),
-        overall=overall,
-    )
+    overall = float(np.linalg.norm(a_full @ np.concatenate(means) - b_full))
+    return conservation, tuple(consensus), overall
 
 
 def oracle_closeness(y, x_star, part):

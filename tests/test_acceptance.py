@@ -26,7 +26,6 @@ from duolayer import (
     integrate,
     partition_columns,
     partition_rows,
-    residuals,
     spectrum_verdict,
 )
 from duolayer.cli import random_instance
@@ -61,13 +60,16 @@ def convergence_failures(part, topo, trial_tag, seed):
         if res.stop_reason != "stationary":
             problems.append(f"{tag}: stopped on {res.stop_reason}")
             continue
-        rep = residuals(part, topo, res.final_state)
-        if max(rep.conservation) >= RESIDUAL_TOL:
-            problems.append(f"{tag}: conservation {max(rep.conservation):.2e}")
-        if max(rep.consensus, default=0.0) >= RESIDUAL_TOL:
-            problems.append(f"{tag}: consensus {max(rep.consensus):.2e}")
-        if rep.overall >= RESIDUAL_TOL:
-            problems.append(f"{tag}: overall {rep.overall:.2e}")
+        # the last sample is taken at the final state
+        final = res.trajectory.samples[-1]
+        conservation = np.max(final["conservation"], initial=0.0)
+        consensus = np.max(final["consensus"], initial=0.0)
+        if conservation >= RESIDUAL_TOL:
+            problems.append(f"{tag}: conservation {conservation:.2e}")
+        if consensus >= RESIDUAL_TOL:
+            problems.append(f"{tag}: consensus {consensus:.2e}")
+        if final["overall"] >= RESIDUAL_TOL:
+            problems.append(f"{tag}: overall {final['overall']:.2e}")
         slope, r2 = fit_convergence_rate(res.trajectory)
         if not slope < 0.0:
             problems.append(f"{tag}: slope {slope:.2e}")

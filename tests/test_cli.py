@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from duolayer import LayoutMismatchError, SimConfig, StructureError, cli
+from duolayer import LayoutMismatchError, SimConfig, StructureError, cli, integrate
 from duolayer.cli import (
     EXIT_DIVERGED,
     EXIT_INVALID,
@@ -178,6 +178,29 @@ def test_fitted_slope_matches_predicted_slope(tmp_path, name, scheme):
     predicted = summary["predicted_slope"]
     assert predicted < 0.0
     assert abs(summary["slope"] - predicted) < 0.02 * abs(predicted), summary["slope"]
+
+
+@pytest.mark.parametrize("scheme", ["row", "column"])
+@pytest.mark.parametrize("name", ["three_cluster_5x5", "identity_pair"])
+def test_summary_residuals_are_the_last_sample(tmp_path, name, scheme):
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
+    sc = parse_scenario(json.loads(scenario.read_text()), str(scenario))
+    inst, part = build_problem(sc, scheme)
+    result = integrate(part, inst.topology, sc.sim)
+    cli.write_run_artifacts(tmp_path, part, inst.topology, result)
+    residuals = json.loads((tmp_path / "summary.json").read_text())["residuals"]
+    last = result.trajectory.samples[-1]
+    assert last["time"] == result.final_time
+    assert residuals["conservation"] == last["conservation"].tolist()
+    assert residuals["consensus"] == last["consensus"].tolist()
+    assert residuals["overall"] == last["overall"]
+    assert residuals["max_conservation"] == np.max(last["conservation"], initial=0.0)
+    assert residuals["max_consensus"] == np.max(last["consensus"], initial=0.0)
+    with (tmp_path / "trajectory.csv").open() as fh:
+        row = list(csv.DictReader(fh))[-1]
+    assert row["overall_residual"] == repr(residuals["overall"])
+    assert row["conservation_residual"] == repr(residuals["max_conservation"])
+    assert row["consensus_residual"] == repr(residuals["max_consensus"])
 
 
 @pytest.mark.parametrize("scheme, steps", [("row", 5288), ("column", 5466)])

@@ -16,7 +16,6 @@ from duolayer import (
     partition_columns,
     partition_rows,
     reassembled_solution,
-    residuals,
     sample_residuals,
     solve_least_squares,
 )
@@ -114,9 +113,9 @@ def test_state_shape_validation():
     assert part.x_dim + part.z_dim == 6
     for wrong in (np.zeros(5), np.zeros(7), np.zeros((1, 6)), np.zeros(())):
         with pytest.raises(ShapeMismatchError):
-            residuals(part, topo, wrong)
+            sample_residuals(part, wrong[None])
         with pytest.raises(ShapeMismatchError):
-            reassembled_solution(part, wrong)
+            reassembled_solution(part, wrong[None])
         with pytest.raises(ShapeMismatchError):
             integrate(part, topo, SimConfig(max_time=1.0), initial_state=wrong)
 
@@ -158,34 +157,45 @@ def test_matches_independent_drift_assembly():
             assert np.max(np.abs(direct - oracle)) < 1e-12
 
 
+def test_evaluate_matches_product_plus_shift_bit_for_bit():
+    # the shift is added in place into the product; the arithmetic is that
+    # of matrix @ y + shift and y @ matrix.T + shift
+    rng = np.random.default_rng(59)
+    for scheme in ("row", "column"):
+        for size in (4, 20):
+            inst, part = random_instance(rng, scheme, size)
+            plan = DerivativePlan(part, inst.topology)
+            ys = rng.normal(size=(64, plan.dim))
+            assert plan.evaluate(ys).tobytes() == (ys @ plan.matrix.T + plan.shift).tobytes()
+            for y in ys[:3]:
+                assert plan.evaluate(y).tobytes() == (plan.matrix @ y + plan.shift).tobytes()
+
+
 def test_zero_start_conservation_residual_is_offset_norm():
     rng = np.random.default_rng(3)
     a = rng.uniform(-1, 1, size=(5, 4))
     b = rng.uniform(-1, 1, size=5)
-    part, topo = make_row(a, b, [3, 2], [[2, 2], [1, 3]])
-    rr = residuals(part, topo, np.zeros(part.x_dim + part.z_dim))
-    assert rr.scheme == "row"
-    assert rr.conservation[0] == np.linalg.norm(b[:3])
-    assert rr.conservation[1] == np.linalg.norm(b[3:])
-    assert rr.overall == np.linalg.norm(b)
-    assert rr.max_conservation == max(rr.conservation)
+    part, _ = make_row(a, b, [3, 2], [[2, 2], [1, 3]])
+    conservation, _, overall = sample_residuals(part, np.zeros(part.x_dim + part.z_dim)[None])
+    assert conservation.shape == (1, 2)
+    assert conservation[0, 0] == np.linalg.norm(b[:3])
+    assert conservation[0, 1] == np.linalg.norm(b[3:])
+    assert overall[0] == np.linalg.norm(b)
 
 
 def test_row_consensus_residual_vanishes_on_copies():
     # flat layout [x_00 (2), x_10 (2), z_00, z_10]
-    part, topo = make_row(np.eye(2), np.ones(2), [1, 1], [[2], [2]])
-    rr = residuals(part, topo, [1.0, -2.0, 1.0, -2.0, 0.0, 0.0])
-    assert rr.consensus == (0.0,)
-    assert rr.max_consensus == 0.0
+    part, _ = make_row(np.eye(2), np.ones(2), [1, 1], [[2], [2]])
+    _, consensus, _ = sample_residuals(part, np.array([[1.0, -2.0, 1.0, -2.0, 0.0, 0.0]]))
+    assert consensus.tolist() == [[0.0]]
 
 
 def test_column_consensus_residual_vanishes_inside_cluster():
     # flat layout [x_00, x_01, x_10, z_00, z_01, z_10 (2)]
-    part, topo = make_col(np.ones((2, 2)), np.ones(2), [1, 1], [[1, 1], [2]])
-    rr = residuals(part, topo, [3.0, 3.0, 7.0, 0.0, 0.0, 0.0, 0.0])
-    assert rr.scheme == "column"
-    assert rr.consensus == (0.0, 0.0)
-    assert len(rr.conservation) == 1
+    part, _ = make_col(np.ones((2, 2)), np.ones(2), [1, 1], [[1, 1], [2]])
+    conservation, consensus, _ = sample_residuals(part, np.array([[3.0, 3.0, 7.0, 0.0, 0.0, 0.0, 0.0]]))
+    assert consensus.tolist() == [[0.0, 0.0]]
+    assert conservation.shape == (1, 1)
 
 
 def test_reassembled_solution_row_is_cluster_average():
@@ -193,6 +203,7 @@ def test_reassembled_solution_row_is_cluster_average():
     part, _ = make_row(np.eye(2), np.ones(2), [1, 1], [[2], [2]])
     y = np.array([1.0, 2.0, 3.0, 4.0, 0.0, 0.0])
     assert np.array_equal(reassembled_solution(part, y), [2.0, 3.0])
+    assert np.array_equal(reassembled_solution(part, y[None]), [[2.0, 3.0]])
 
 
 def test_reassembled_solution_column_concatenates_agent_means():
@@ -200,6 +211,19 @@ def test_reassembled_solution_column_concatenates_agent_means():
     part, _ = make_col(np.ones((2, 3)), np.ones(2), [2, 1], [[1, 1], [2]])
     y = np.array([1.0, 3.0, 3.0, 5.0, 7.0, 0.0, 0.0, 0.0, 0.0])
     assert np.array_equal(reassembled_solution(part, y), [2.0, 4.0, 7.0])
+    assert np.array_equal(reassembled_solution(part, y[None]), [[2.0, 4.0, 7.0]])
+
+
+@pytest.mark.parametrize("scheme", ["row", "column"])
+def test_reassembled_solution_block_matches_flat_rows(scheme):
+    rng = np.random.default_rng(53)
+    for _ in range(10):
+        inst, part = random_instance(rng, scheme, 6)
+        ys = rng.normal(size=(5, part.x_dim + part.z_dim))
+        block = reassembled_solution(part, ys)
+        assert block.shape == (5, part.total_cols)
+        for y, row in zip(ys, block):
+            assert reassembled_solution(part, y).tobytes() == row.tobytes()
 
 
 def test_stacked_residuals_and_closeness_match_loop_oracles():
@@ -235,18 +259,17 @@ def test_stacked_residuals_and_closeness_match_loop_oracles():
         x_star = solve_least_squares(*part.reassemble())
         conservation, consensus, overall = sample_residuals(part, ys)
         for k, y in enumerate(ys):
-            want = oracle_residuals(part, y)
-            got = residuals(part, topo, y)
-            assert got.scheme == want.scheme == part.scheme
+            want_cons, want_agree, want_total = oracle_residuals(part, y)
+            one = sample_residuals(part, y[None])
             for cons, agree, total in (
-                (got.conservation, got.consensus, got.overall),
+                (one[0][0], one[1][0], one[2][0]),
                 (conservation[k], consensus[k], overall[k]),
             ):
-                assert len(cons) == len(want.conservation)
-                assert len(agree) == len(want.consensus)
-                assert np.allclose(cons, want.conservation, rtol=0.0, atol=tol)
-                assert np.allclose(agree, want.consensus, rtol=0.0, atol=tol)
-                assert abs(total - want.overall) <= tol
+                assert len(cons) == len(want_cons)
+                assert len(agree) == len(want_agree)
+                assert np.allclose(cons, want_cons, rtol=0.0, atol=tol)
+                assert np.allclose(agree, want_agree, rtol=0.0, atol=tol)
+                assert abs(total - want_total) <= tol
             # V is recorded against the least-squares solution; a tolerance
             # above any derivative stops the run at its start
             run = integrate(part, topo, SimConfig(stationarity_tol=1e300), initial_state=y)
@@ -270,7 +293,7 @@ def test_column_consensus_memory_stays_below_all_pairs():
     a = rng.uniform(-1, 1, size=(m, 2 * n_i))
     part, _ = make_col(a, a @ rng.uniform(-1, 1, size=2 * n_i), [n_i, n_i], [[1] * m] * 2)
     ys = rng.normal(size=(count, part.x_dim + part.z_dim))
-    want = [oracle_residuals(part, y).consensus for y in ys[:2]]
+    want = [oracle_residuals(part, y)[1] for y in ys[:2]]
     sample_residuals(part, ys[:1])  # build the cached reassembly untraced
     tracemalloc.start()
     try:
