@@ -15,6 +15,21 @@ cubic; with an allowance for rounding (_skip_threshold) that floor clears
 stationarity_tol for almost every state, and only the states it leaves
 open, those of the last blocks before the stop, go through one batched
 plan.evaluate.  So a block costs its steps plus O(RECORD_BATCH dim) work.
+
+When samples are s = record_every steps apart, 2 <= s <= STRIDE_MAX, the
+run first strides from sample to sample by s steps at once, u -> P u + g_s
+with P = R^s (stride_propagator), one matrix-vector product per sample.
+The increment Delta(y) = R y + g - y of the step map obeys
+Delta(R y + g) = R Delta(y), so a stride's increment is
+sum_{m<s} R^m Delta(u): it floors the start's increment by dividing by
+sum_{m<s} ||R^m||, and the next stride's floors the s - 1 states between
+by a further max_{1<=m<s} ||R^m||.  A stride is taken only when the
+single-step floor clears all s of its states (_stride_rule); the run hands
+over to the single steps at the first stride that is not, so the stop,
+the sample times and the errors are those of the single steps, and only
+the states' last bits differ.  The plan's matrix is dropped while P is
+live and rebuilt at the hand-over.
+
 States, the initial and the final one included, are flat [x; z] vectors laid
 out by dynamics.flat_slices.  Recorded samples are copied into a buffer of
 RECORD_BATCH rows and evaluated a batch at a time (V by one einsum, the
@@ -45,6 +60,9 @@ MIN_FIT_SAMPLES = 10
 # Recorded samples evaluated together, and steps tested together; bounds the
 # recording and the step buffers to RECORD_BATCH (+ 1) flat states each.
 RECORD_BATCH = 64
+# Longest stride: integrate steps by R^s between samples when record_every
+# is s with 2 <= s <= STRIDE_MAX, and one step at a time otherwise.
+STRIDE_MAX = 10
 # Columns of a recorded sample; conservation (k,) and consensus (p,) are rows
 # of the arrays sample_residuals returns.
 SAMPLE_FIELDS = ("time", "v", "conservation", "consensus", "overall")
@@ -136,6 +154,8 @@ class SimResult:
     step_size: float
     stop_reason: str  # "stationary" | "max_time"
     steps: int
+    stride: int  # steps per stride: record_every if 2..STRIDE_MAX, else 1
+    stride_steps: int  # steps taken by strides before the hand-over
 
 
 def _auto_step(rho: float) -> float:
@@ -201,6 +221,79 @@ def _skip_threshold(
     return slope, intercept
 
 
+def stride_propagator(propagator: np.ndarray, gain: np.ndarray, s: int) -> tuple:
+    """(P, g_s, norms) with P y + g_s equal to s steps y -> R y + g, for
+    (R, g) = rk4_propagator(plan, h): P = R^s, g_s = sum_{i<s} R^i g, and
+    norms[m] = ||R^m||_inf as computed, m = 0..s (norms[0] = 1).
+
+    P is built in place on a copy of R by s - 1 products R^{m+1} = R^m R,
+    RECORD_BATCH // 2 rows at a time, so the only other array made is a
+    buffer of that many rows; each chunk's row sums give its power's norm.
+    g_s takes s - 1 matrix-vector products by Horner's rule.
+    """
+    power = propagator.copy()
+    buffer = np.empty((min(RECORD_BATCH // 2, len(power)), len(power)))
+    norms = [1.0]
+    for m in range(1, s + 1):
+        norm = 0.0
+        for start in range(0, len(power), len(buffer)):
+            rows = power[start : start + len(buffer)]
+            out = buffer[: len(rows)]
+            if m > 1:
+                rows[...] = np.matmul(rows, propagator, out=out)
+            norm = max(norm, float(np.max(np.sum(np.abs(rows, out=out), axis=1))))
+        norms.append(norm)
+    stride_gain = gain.copy()
+    for _ in range(s - 1):
+        stride_gain = propagator @ stride_gain
+        stride_gain += gain
+    return power, stride_gain, norms
+
+
+def _stride_rule(norms: list, dim: int, gain_max: float, slope: float, intercept: float):
+    """integrate's stride clear test, from scalars only.
+
+    norms are stride_propagator's ||R^m||_inf, m = 0..s; (slope, intercept)
+    is _skip_threshold's single-step rule and gain_max = max|g|.  The result
+    is a function of the row max-norms N_0..N_n of stride states
+    u_0..u_n, u_{i+1} = P u_i + g_s, and of their increments
+    J_i = max|u_{i+1} - u_i|.  For each stride i < n - 1 it tells whether
+    the single-step rule clears all s states that stepping one by one from
+    u_i would take, so that none of them is stationary; integrate's
+    docstring derives the test.  Where a bound overflows, nothing clears.
+    """
+    s = len(norms) - 1
+    u = (dim + 2) * np.finfo(float).eps
+    big = max(norms)
+    kappa = s * big**3 * u
+    total = (sum(norms[:s]) + s * kappa) * (1.0 + 2.0 * u)
+    peak = (max(norms[1:s]) + kappa) * (1.0 + 2.0 * u)
+    # err(N) = err_slope N + err_intercept bounds the rounding drift of a
+    # stride's end and of the stepped states from the exact iterates
+    err_slope = 2.0 * kappa
+    err_intercept = 2.0 * kappa * ((s + 2) * gain_max + np.finfo(float).tiny)
+    start_slope = err_slope + total * slope
+    start_intercept = err_intercept + total * intercept
+    drift = big + 1.0 + peak * (big + 1.0 + slope)
+    lag_slope = total * (drift * err_slope + peak * slope * big)
+    end_intercept = err_intercept + total * (drift * err_intercept + peak * (slope * total * gain_max + intercept))
+    # the states of a stride from u_i stay below big N_i + total gain_max
+    reach = (np.finfo(float).max / 2.0 - total * gain_max) / big
+
+    def clears(state_norms: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+        inside = state_norms <= reach
+        start, end = state_norms[:-2], state_norms[1:-1]
+        return (
+            inside[:-2]
+            & inside[1:-1]
+            & inside[2:]
+            & (jumps[:-1] > start_slope * start + start_intercept)
+            & (jumps[1:] > err_slope * end + lag_slope * start + end_intercept)
+        )
+
+    return clears
+
+
 def integrate(
     part,
     topo: Topology,
@@ -215,8 +308,9 @@ def integrate(
     a block ends early at the step that reaches max_time.  A block tests
     its start and every step but its last, which is the next block's start
     or the state that reaches max_time and is not tested; the first block's
-    start is the run's, which the flat evaluate has already passed, and it
-    gets the same answer again.  After each block
+    start is the run's, which the flat evaluate has already passed and
+    which gets the same answer again, or the stride phase's hand-over
+    state (below).  After each block
     come one finiteness test of its states and one row max-norm of the
     states and of their increments y_{k+1} - y_k.  The block is cut at its
     first non-finite state, or at its first tested state whose derivative
@@ -262,6 +356,54 @@ def integrate(
     its floor less half the band, so above tol.  So the steps, stop, final
     state and samples equal those of one flat evaluate per step, bit for
     bit.
+
+    Strides.  With s = record_every, 2 <= s <= STRIDE_MAX, a run whose
+    start is not stationary first strides: u_{i+1} = P u_i + g_s with
+    (P, g_s) = stride_propagator(R, g, s), one matrix-vector product per
+    recorded sample, in blocks of up to RECORD_BATCH strides; P is not
+    built when even the first stride would reach max_time.  It hands
+    over to the steps above, from the stride's start, at the first stride
+    that _stride_rule does not clear, whose end or whose successor's end
+    is not finite, or that would end at or past max_time.  A cleared
+    stride is one whose s states, those that steps from u_i would take,
+    all pass the skip rule, so none is stationary or non-finite: the stop,
+    the sample times and the errors stay those of one flat evaluate per
+    step, and only the states' last bits differ.  s = 1 takes no strides.
+
+    The rule reads the exact map F(y) = R y + g of the computed R and g,
+    whose increment Delta(y) = F(y) - y = (R - I) y + g obeys
+    Delta(F(y)) = R Delta(y).  Along the exact iterates y_m = F^m(u_i),
+    Delta(y_m) = R^m Delta(u_i) and y_s - u_i = sum_{m<s} R^m Delta(u_i),
+    so in the infinity norm
+
+        ||Delta(u_i)|| >= ||y_s - u_i|| / S,     S = sum_{m<s} ||R^m||,
+        ||Delta(y_m)|| >= ||Delta(y_s)|| / G,    G = max_{1<=m<s} ||R^m||.
+
+    With K = max_{m<=s} ||R^m|| and gamma = max|g|, the s - 1 products
+    that build P, the Horner sum g_s and the stride's own product round
+    by at most s K^3 u (max|u_i| + (s + 2) gamma) to first order, and the
+    s steps from u_i by u (K max|y| + gamma) each, carried by at most K.
+    err(N) = 2 s K^3 u (N + (s + 2) gamma + tiny) covers both: the stride
+    end u_{i+1} is within err(N_i) of y_s, N_i = max|u_i|, and so is each
+    stepped state z_m of y_m.  S and G, read off the computed powers, are
+    widened by their rounding, s K^3 u and u relative.  With
+    J_i = max|u_{i+1} - u_i|, and Delta(u_{i+1}) - Delta(y_s) =
+    (R - I)(u_{i+1} - y_s),
+
+        ||Delta(u_i)|| >= (J_i - err(N_i)) / S,
+        ||Delta(z_m)|| >= ((J_{i+1} - err(N_{i+1})) / S
+                           - (K + 1) err(N_i)) / G - (K + 1) err(N_i),
+
+    for 1 <= m < s, and max|z_m| <= K N_i + S gamma + err(N_i).  The skip
+    rule reads a computed increment, but it holds for the exact one too,
+    since its allowance covers the step's rounding.  So the stride is
+    cleared when both floors exceed the skip rule's
+    slope max|state| + intercept, which _stride_rule solves for J_i and
+    J_{i+1}, linear in N_i and N_{i+1}.  N_i up to N_{i+2} must lie below
+    (max float / 2 - S gamma) / K, so no state in between overflows.  The
+    plan's matrix is dropped while P is live, so beside a batch's flush
+    at most R and P are dim x dim, and the plan is rebuilt, bit for bit,
+    at the hand-over.
 
     initial_state is a flat [x; z] vector (copied, never modified); when it
     is None the start is drawn by cfg.init_mode.  The flat evaluate tests
@@ -322,8 +464,9 @@ def integrate(
             flush()
 
     t = 0.0
-    steps = 0
+    steps = stride_steps = 0
     stop_reason = "max_time"
+    stride = every if 2 <= every <= STRIDE_MAX else 1
     # overflow during a divergent run is reported via NonFiniteStateError,
     # so the intermediate warnings carry no information
     with np.errstate(over="ignore", invalid="ignore"):
@@ -331,10 +474,10 @@ def integrate(
         gain_max = float(np.max(np.abs(gain), initial=0.0))
         jump_slope, jump_intercept = _skip_threshold(norm_m, h, plan.dim, gain_max, tol, slack, offset)
         # the step buffers are made after R, whose build peaks higher.
-        # states[0] is the block's start, states[1:] its steps; rows holds a
-        # view of each row, so a step indexes no array.  work holds |states|,
-        # then the increments |states[k + 1] - states[k]|, then the states to
-        # evaluate.
+        # states[0] is a block's start, states[1:] its steps or strides; rows
+        # holds a view of each row, so a step indexes no array.  work holds
+        # |states|, then the increments |states[k + 1] - states[k]|, then the
+        # states to evaluate.
         states = np.empty((RECORD_BATCH + 1, plan.dim))
         rows = list(states)
         states[0] = y
@@ -342,6 +485,38 @@ def integrate(
         record(t, y)
         if stationary(plan.evaluate(y)):
             stop_reason = "stationary"
+        elif stride > 1 and stride * h < max_time:
+            # M is dropped while P is live and rebuilt for the single steps,
+            # so at most two dim x dim arrays are live beside a batch's flush
+            del plan
+            power, stride_gain, powers = stride_propagator(propagator, gain, stride)
+            clears = _stride_rule(powers, len(gain), gain_max, jump_slope, jump_intercept)
+            n = 0
+            while True:
+                first = steps
+                # a stride is taken only if it ends before max_time, and is
+                # cleared only once the next stride's end is known
+                while n < RECORD_BATCH and (first + n * stride) * h < max_time:
+                    np.matmul(power, rows[n], out=rows[n + 1])
+                    rows[n + 1] += stride_gain
+                    n += 1
+                norms = np.max(np.abs(states[: n + 1], out=work[: n + 1]), axis=1)
+                increments = np.subtract(states[1 : n + 1], states[:n], out=work[:n])
+                cleared = clears(norms, np.max(np.abs(increments, out=increments), axis=1))
+                taken = n - 1 if cleared.all() else int(np.argmin(cleared))
+                for i in range(1, taken + 1):
+                    record((first + i * stride) * h, rows[i])
+                steps = first + taken * stride
+                if taken < n - 1 or n < RECORD_BATCH:
+                    break
+                # the last stride waits for the next block's first
+                states[:2] = states[n - 1 :]
+                n = 1
+            states[0] = rows[taken]
+            del power
+            plan = DerivativePlan(part, topo)
+            stride_steps = steps
+            t = steps * h
         while stop_reason == "max_time" and t < max_time:
             first = steps
             for n in range(1, RECORD_BATCH + 1):
@@ -393,6 +568,8 @@ def integrate(
         step_size=h,
         stop_reason=stop_reason,
         steps=steps,
+        stride=stride,
+        stride_steps=stride_steps,
     )
 
 

@@ -13,8 +13,8 @@ blocks with flat_slices and loop over agents and pairs one at a time; the
 package's stacked implementations are checked against them.
 
 stepwise_integrate is the integrator with one flat plan.evaluate and one
-finiteness test per step; the block-stepping integrate must match it bit
-for bit.
+finiteness test per step, after a stride phase of one stride per turn; the
+block-stepping integrate must match it bit for bit.
 
 scaled_instance and scaled_systems draw random_instance systems with A and
 b scaled by a power of ten, for the tests that must hold at every scale.
@@ -38,7 +38,15 @@ from duolayer import (
 )
 from duolayer.dynamics import as_flat_state, flat_slices, sample_residuals, tiled_reference
 from duolayer.instances import random_instance
-from duolayer.simulator import RECORD_BATCH, SAMPLE_FIELDS, rk4_propagator
+from duolayer.simulator import (
+    RECORD_BATCH,
+    SAMPLE_FIELDS,
+    STRIDE_MAX,
+    _skip_threshold,
+    _stride_rule,
+    rk4_propagator,
+    stride_propagator,
+)
 
 
 def scaled_instance(seed, scheme, size, k):
@@ -164,10 +172,12 @@ def oracle_closeness(y, x_star, part):
     return 0.5 * total
 
 
-def stepwise_integrate(part, topo, cfg, *, initial_state=None):
-    """integrate with one step, one finiteness test and one flat
-    plan.evaluate per loop turn: the same start, step rule, stop tests,
-    sample batches and errors."""
+def stepwise_integrate(part, topo, cfg, *, initial_state=None, flat_norms=None):
+    """integrate with one stride, or one step, one finiteness test and one
+    flat plan.evaluate, per loop turn: the same start, strides, hand-over,
+    step rule, stop tests, sample batches and errors.  A dict flat_norms
+    receives the flat derivative max-norm of each state the one-step loop
+    tests, by step."""
     plan = DerivativePlan(part, topo)
     h = cfg.step_size
     if h is None:
@@ -206,11 +216,45 @@ def stepwise_integrate(part, topo, cfg, *, initial_state=None):
             flush()
 
     t, steps, stop_reason = 0.0, 0, "max_time"
+    every, tol, max_time = cfg.record_every, cfg.stationarity_tol, cfg.max_time
+    stride = every if 2 <= every <= STRIDE_MAX else 1
     with np.errstate(over="ignore", invalid="ignore"):
         propagator, gain = rk4_propagator(plan, h)
         record(t, y)
         d = plan.evaluate(y)
+        if stride > 1 and not float(np.max(np.abs(d))) < tol:
+            # one stride per turn, taken while it ends before max_time and
+            # the rule clears it, which needs the next stride's end
+            power, stride_gain, powers = stride_propagator(propagator, gain, stride)
+            norm_m = float(np.max(np.sum(np.abs(plan.matrix), axis=1)))
+            gain_max = float(np.max(np.abs(gain)))
+            slack = 2.0 * (plan.dim + 1) * np.finfo(float).eps
+            offset = float(np.max(np.abs(plan.shift))) + tol + np.finfo(float).tiny
+            slope, intercept = _skip_threshold(norm_m, h, plan.dim, gain_max, tol, slack, offset)
+            clears = _stride_rule(powers, plan.dim, gain_max, slope, intercept)
+
+            def next_stride(u):
+                u = power @ u
+                u += stride_gain
+                return u
+
+            following = next_stride(y)
+            while (steps + stride) * h < max_time:
+                after = next_stride(following)
+                trio = (y, following, after)
+                norms = np.array([np.max(np.abs(u)) for u in trio])
+                jumps = np.array([np.max(np.abs(b - a)) for a, b in zip(trio, trio[1:])])
+                if not clears(norms, jumps)[0]:
+                    break
+                steps += stride
+                record(steps * h, following)
+                y, following = following, after
+            t = steps * h
+            d = plan.evaluate(y)
+        stride_steps = steps
         while t < cfg.max_time:
+            if flat_norms is not None:
+                flat_norms[steps] = float(np.max(np.abs(d)))
             if float(np.max(np.abs(d))) < cfg.stationarity_tol:
                 stop_reason = "stationary"
                 break
@@ -234,4 +278,6 @@ def stepwise_integrate(part, topo, cfg, *, initial_state=None):
         step_size=h,
         stop_reason=stop_reason,
         steps=steps,
+        stride=stride,
+        stride_steps=stride_steps,
     )

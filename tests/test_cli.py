@@ -203,6 +203,26 @@ def test_summary_residuals_are_the_last_sample(tmp_path, name, scheme):
     assert row["consensus_residual"] == repr(residuals["max_consensus"])
 
 
+@pytest.mark.parametrize("record_every, stride", [(5, 5), (10, 10), (11, 1)])
+def test_summary_reports_the_stride_phase(tmp_path, record_every, stride):
+    # the stride is record_every up to STRIDE_MAX, and 1 (no strides) above
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "three_cluster_5x5.json"
+    data = json.loads(scenario.read_text())
+    data["sim"]["record_every"] = record_every
+    sc = parse_scenario(data)
+    inst, part = build_problem(sc)
+    result = integrate(part, inst.topology, sc.sim)
+    summary = cli.write_run_artifacts(tmp_path, part, inst.topology, result)
+    written = json.loads((tmp_path / "summary.json").read_text())
+    assert written["stride"] == summary["stride"] == result.stride == stride
+    assert written["stride_steps"] == summary["stride_steps"] == result.stride_steps
+    assert written["steps"] == 5288
+    if stride > 1:
+        assert 0 < result.stride_steps < result.steps and result.stride_steps % stride == 0
+    else:
+        assert result.stride_steps == 0
+
+
 @pytest.mark.parametrize("scheme, steps", [("row", 5288), ("column", 5466)])
 def test_bundled_scenario_step_anchors(tmp_path, scheme, steps):
     # the benchmark pins these counts; a change to them is a change in results

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -26,9 +27,17 @@ from duolayer import (
     solve_least_squares,
 )
 from duolayer.cli import build_problem, parse_scenario
-from duolayer.dynamics import tiled_reference
+from duolayer.dynamics import reassembled_solution, tiled_reference
 from duolayer.instances import random_instance
-from duolayer.simulator import RECORD_BATCH, SAMPLE_FIELDS, _skip_threshold, rk4_propagator
+from duolayer.simulator import (
+    RECORD_BATCH,
+    SAMPLE_FIELDS,
+    STRIDE_MAX,
+    _skip_threshold,
+    _stride_rule,
+    rk4_propagator,
+    stride_propagator,
+)
 from helpers import oracle_closeness, oracle_residuals, scaled_instance, stepwise_integrate
 
 
@@ -340,21 +349,39 @@ def test_stop_at_a_tie_is_decided_by_the_flat_evaluate(monkeypatch):
             h = integrate(part, topo, SimConfig(stationarity_tol=1e300, **base)).step_size
             propagator, gain = rk4_propagator(plan, h)
             y = integrate(part, topo, SimConfig(max_time=h, stationarity_tol=1e300, **base)).final_state
-            # the last running minimum of the derivative max-norm off a block
-            # boundary, so the tolerance just above it stops there first
-            lowest, step = math.inf, 0
-            for k in range(150):
-                norm = float(np.max(np.abs(plan.evaluate(y))))
-                if norm < lowest:
-                    lowest = norm
-                    if k % RECORD_BATCH:
-                        step, at_step = k, norm
+            tol = math.inf
+            for _ in range(150):
+                tol = min(tol, float(np.max(np.abs(plan.evaluate(y)))))
                 y = propagator @ y + gain
-            assert step > 0
+            # the tie is the last running minimum of the oracle's own flat
+            # max-norms before step 150, in its one-step loop and off that
+            # loop's block boundaries, so the tolerance just above it stops
+            # there first.  Strides hand over where the tolerance sets, so the
+            # tie is taken again until the run at the tie hands over where the
+            # run it came from did
+            handovers, step = [], 0
+            for _ in range(5):
+                norms = {}
+                cfg = SimConfig(max_time=200 * h, stationarity_tol=tol, **base)
+                handover = stepwise_integrate(part, topo, cfg, flat_norms=norms).stride_steps
+                if handovers and handover == handovers[-1]:
+                    break
+                handovers.append(handover)
+                lowest = math.inf
+                for at, norm in norms.items():
+                    if at < 150 and norm < lowest:
+                        lowest = norm
+                        if all((at - start) % RECORD_BATCH for start in handovers):
+                            step, tol = at, norm
+            else:
+                pytest.fail(f"no tie settles for draw {seed} at 10^{k}")
+            assert step > handover
+            at_step = tol
             for direction in (math.inf, 0.0):
                 tol = float(np.nextafter(at_step, direction))
                 cfg = SimConfig(max_time=200 * h, stationarity_tol=tol, **base)
                 want = stepwise_integrate(part, topo, cfg)
+                assert want.stride_steps == handover
                 assert (want.steps == step) == (direction == math.inf)
                 rows.clear()
                 assert_same_run(integrate(part, topo, cfg), want)
@@ -363,7 +390,7 @@ def test_stop_at_a_tie_is_decided_by_the_flat_evaluate(monkeypatch):
             # a state that reaches max_time is not tested for stationarity
             cfg = SimConfig(max_time=step * h, stationarity_tol=np.nextafter(at_step, math.inf), **base)
             want = stepwise_integrate(part, topo, cfg)
-            assert (want.steps, want.stop_reason) == (step, "max_time")
+            assert (want.steps, want.stop_reason, want.stride_steps) == (step, "max_time", handover)
             assert_same_run(integrate(part, topo, cfg), want)
 
 
@@ -401,6 +428,53 @@ def test_skip_rule_never_skips_at_half_the_flat_derivative(k):
                     assert not jump > slope * np.max(np.abs(y)) + intercept, (seed, scheme, k)
 
 
+@pytest.mark.parametrize("k", [-6, 0, 6])
+def test_stride_rule_never_clears_at_half_the_flat_derivative(k):
+    # integrate's stride rule on the scaled_instance draws, with s from 2 to
+    # STRIDE_MAX: along random-start trajectories, and at states within a
+    # few ulps of the equilibrium certificate's point, where the derivative
+    # is all rounding.  A stride from u is cleared when the single-step rule
+    # clears every state that stepping one by one from u takes; with no
+    # band and tol half the smallest flat max-norm of those s states, a
+    # clear would mean a floor above that max-norm
+    for seed in range(20):
+        for scheme in ("row", "column"):
+            inst, part = scaled_instance(seed, scheme, 12, k)
+            plan = DerivativePlan(part, inst.topology)
+            norm_m = float(np.max(np.sum(np.abs(plan.matrix), axis=1)))
+            h = integrate(part, inst.topology, SimConfig(stationarity_tol=1e300)).step_size
+            propagator, gain = rk4_propagator(plan, h)
+            s = 2 + seed % (STRIDE_MAX - 1)
+            power, stride_gain, powers = stride_propagator(propagator, gain, s)
+            gain_max, shift_max = float(np.max(np.abs(gain))), float(np.max(np.abs(plan.shift)))
+            rng = np.random.default_rng(seed)
+            ys = np.empty((600 + s, plan.dim))
+            ys[0] = rng.uniform(-1.0, 1.0, size=plan.dim)
+            for i in range(len(ys) - 1):
+                ys[i + 1] = propagator @ ys[i] + gain
+            cs = assemble_compact(part, inst.topology)
+            certificate = np.concatenate(equilibrium_certificate(cs, part))
+            ulps = rng.integers(-3, 4, size=(20, plan.dim)) * np.spacing(np.abs(certificate))
+            flat = [float(np.max(np.abs(plan.evaluate(y)))) for y in ys]
+            starts = [(y, min(flat[i : i + s])) for i, y in enumerate(ys[:600])]
+            for y in certificate + ulps:
+                stepped, lowest = y, math.inf
+                for _ in range(s):
+                    lowest = min(lowest, float(np.max(np.abs(plan.evaluate(stepped)))))
+                    stepped = propagator @ stepped + gain
+                starts.append((y, lowest))
+            for y, lowest in starts:
+                tol = 0.5 * lowest
+                slope, intercept = _skip_threshold(norm_m, h, plan.dim, gain_max, tol, 0.0, shift_max)
+                clears = _stride_rule(powers, plan.dim, gain_max, slope, intercept)
+                trio = [y]
+                for _ in range(2):
+                    trio.append(power @ trio[-1] + stride_gain)
+                norms = np.array([np.max(np.abs(u)) for u in trio])
+                jumps = np.array([np.max(np.abs(b - a)) for a, b in zip(trio, trio[1:])])
+                assert not clears(norms, jumps)[0], (seed, scheme, k)
+
+
 @pytest.mark.parametrize("scheme", ["row", "column"])
 def test_batched_evaluate_sees_few_steps(monkeypatch, scheme):
     # the increment floor clears all but the states near the stop, so the
@@ -414,12 +488,9 @@ def test_batched_evaluate_sees_few_steps(monkeypatch, scheme):
     assert sum(rows) <= 0.15 * res.steps, sum(rows)
 
 
-def test_integrate_peak_memory_at_dim_320():
-    # a dim-320 row instance on ring graphs (m = n = 40, 4 clusters x 4
-    # agents).  The budget is R's build, three dim x dim arrays, beside a
-    # recording buffer and a step buffer of RECORD_BATCH (+ 1) rows.  The
-    # step buffers are made after the build and the increment floor's work
-    # is O(RECORD_BATCH dim), so the peak stays below it.
+def ring_320():
+    """(partition, topology) of a dim-320 row instance on ring graphs
+    (m = n = 40, 4 clusters x 4 agents)."""
     rng = np.random.default_rng(71)
     n, ring = 40, build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     a = 2.0 * np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
@@ -427,8 +498,45 @@ def test_integrate_peak_memory_at_dim_320():
     topo = Topology(cluster_graph=ring, agent_graphs=(ring,) * 4)
     inst = ProblemInstance(a=a, b=a @ rng.uniform(-1.0, 1.0, size=n), topology=topo, layout=layout)
     part = partition_rows(inst)
+    assert part.x_dim + part.z_dim == 320
+    return part, topo
+
+
+@pytest.mark.parametrize("case", ["identity_pair-row", "identity_pair-column", "three_cluster_5x5-row",
+                                  "three_cluster_5x5-column", "ring-320"])
+def test_strides_keep_steps_stop_and_solution(case):
+    # a sample every 5 steps strides by R^5 up to the hand-over; a sample
+    # every step takes single steps only.  The stop is the same, and the
+    # states differ only in their last bits
+    if case == "ring-320":
+        part, topo = ring_320()
+        sim = SimConfig(max_time=8000.0, stationarity_tol=1e-10)
+    else:
+        name, scheme = case.split("-")
+        scenario = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
+        sc = parse_scenario(json.loads(scenario.read_text()))
+        problem, part = build_problem(sc, scheme)
+        topo, sim = problem.topology, sc.sim
+    single = integrate(part, topo, dataclasses.replace(sim, record_every=1))
+    strided = integrate(part, topo, dataclasses.replace(sim, record_every=5))
+    assert (single.stride, single.stride_steps) == (1, 0)
+    assert strided.stride == 5 and 0 < strided.stride_steps < strided.steps
+    assert (strided.steps, strided.stop_reason) == (single.steps, single.stop_reason)
+    for got, want in (
+        (strided.final_state, single.final_state),
+        (reassembled_solution(part, strided.final_state), reassembled_solution(part, single.final_state)),
+    ):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_integrate_peak_memory_at_dim_320():
+    # the ring_320 instance.  The budget is R's build, three dim x dim
+    # arrays, beside a recording buffer and a step buffer of RECORD_BATCH
+    # (+ 1) rows.  The step buffers are made after the build, the increment
+    # floor's work is O(RECORD_BATCH dim), and M is dropped while R^5 is
+    # live, so the peak stays below it.
+    part, topo = ring_320()
     dim = part.x_dim + part.z_dim
-    assert dim == 320
     cfg = SimConfig(max_time=8000.0, stationarity_tol=1e-10, record_every=5)
     integrate(part, topo, cfg)  # build the cached reassembly untraced
     tracemalloc.start()
@@ -437,7 +545,7 @@ def test_integrate_peak_memory_at_dim_320():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.stop_reason == "stationary"
+    assert res.stop_reason == "stationary" and res.stride_steps > 0
     assert peak <= 8 * (3 * dim**2 + (2 * RECORD_BATCH + 1) * dim), peak
 
 
