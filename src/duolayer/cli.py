@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -92,26 +91,8 @@ def _expect(cond: bool, location: str, message: str) -> None:
         raise ScenarioError(location, message)
 
 
-def _finite_floats(value, entries) -> np.ndarray | None:
-    """value as a float array when each of entries is an int or a float
-    that converts to a finite float, else None: one type scan, one
-    conversion and one finiteness test, with no per-entry call."""
-    if not set(map(type, entries)) <= {int, float}:
-        return None
-    try:
-        numbers = np.array(value, dtype=float)
-    except OverflowError:  # an int too large for a float
-        return None
-    return numbers if np.isfinite(numbers).all() else None
-
-
 def _number_grid(value, location: str) -> np.ndarray:
     _expect(isinstance(value, list) and value, location, "expected a non-empty grid")
-    if all(isinstance(row, list) and row for row in value) and len({len(row) for row in value}) == 1:
-        numbers = _finite_floats(value, itertools.chain.from_iterable(value))
-        if numbers is not None:
-            return numbers
-    # the entry by entry checks name the first bad entry
     widths = set()
     for r, row in enumerate(value):
         _expect(isinstance(row, list) and row, f"{location}[{r}]", "expected a non-empty row")
@@ -124,12 +105,9 @@ def _number_grid(value, location: str) -> np.ndarray:
 
 def _number_list(value, location: str) -> np.ndarray:
     _expect(isinstance(value, list) and value, location, "expected a non-empty list")
-    numbers = _finite_floats(value, value)
-    if numbers is None:
-        for i, entry in enumerate(value):
-            _expect(is_finite_number(entry), f"{location}[{i}]", "expected a finite number")
-        numbers = np.array(value, dtype=float)
-    return numbers
+    for i, entry in enumerate(value):
+        _expect(is_finite_number(entry), f"{location}[{i}]", "expected a finite number")
+    return np.array(value, dtype=float)
 
 
 def _int_list(value, location: str) -> tuple:
@@ -366,7 +344,6 @@ def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) 
         "stop_reason": result.stop_reason,
         "step_size": result.step_size,
         "steps": result.steps,
-        "stride": result.stride,
         "stride_steps": result.stride_steps,
         "final_time": result.final_time,
         "residuals": {

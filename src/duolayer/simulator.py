@@ -27,8 +27,8 @@ by a further max_{1<=m<s} ||R^m||.  A stride is taken only when the
 single-step floor clears all s of its states (_stride_rule); the run hands
 over to the single steps at the first stride that is not, so the stop,
 the sample times and the errors are those of the single steps, and only
-the states' last bits differ.  The plan's matrix is dropped while P is
-live and rebuilt at the hand-over.
+the states' last bits differ.  P's build overwrites the plan's matrix,
+which is rebuilt at the hand-over.
 
 States, the initial and the final one included, are flat [x; z] vectors laid
 out by dynamics.flat_slices.  Recorded samples are copied into a buffer of
@@ -61,8 +61,12 @@ MIN_FIT_SAMPLES = 10
 # recording and the step buffers to RECORD_BATCH (+ 1) flat states each.
 RECORD_BATCH = 64
 # Longest stride: integrate steps by R^s between samples when record_every
-# is s with 2 <= s <= STRIDE_MAX, and one step at a time otherwise.
-STRIDE_MAX = 10
+# is s with 2 <= s <= STRIDE_MAX, and one step at a time otherwise.  P's
+# build costs s - 1 dim^3 products and a stride saves s - 1 matrix-vector
+# products, so a run gains only once its strides outnumber the ratio of the
+# two, whatever s; the longer strides also hand over earlier.  On dim-320
+# runs of about 2,000 steps, s = 10 gained nothing.
+STRIDE_MAX = 5
 # Columns of a recorded sample; conservation (k,) and consensus (p,) are rows
 # of the arrays sample_residuals returns.
 SAMPLE_FIELDS = ("time", "v", "conservation", "consensus", "overall")
@@ -154,7 +158,6 @@ class SimResult:
     step_size: float
     stop_reason: str  # "stationary" | "max_time"
     steps: int
-    stride: int  # steps per stride: record_every if 2..STRIDE_MAX, else 1
     stride_steps: int  # steps taken by strides before the hand-over
 
 
@@ -221,28 +224,25 @@ def _skip_threshold(
     return slope, intercept
 
 
-def stride_propagator(propagator: np.ndarray, gain: np.ndarray, s: int) -> tuple:
+def stride_propagator(propagator: np.ndarray, gain: np.ndarray, s: int, spare: np.ndarray) -> tuple:
     """(P, g_s, norms) with P y + g_s equal to s steps y -> R y + g, for
     (R, g) = rk4_propagator(plan, h): P = R^s, g_s = sum_{i<s} R^i g, and
     norms[m] = ||R^m||_inf as computed, m = 0..s (norms[0] = 1).
 
-    P is built in place on a copy of R by s - 1 products R^{m+1} = R^m R,
-    RECORD_BATCH // 2 rows at a time, so the only other array made is a
-    buffer of that many rows; each chunk's row sums give its power's norm.
-    g_s takes s - 1 matrix-vector products by Horner's rule.
+    spare is a dim x dim float array that the build overwrites; P is
+    returned in it or in a copy of R, so R, P and spare are the only
+    dim x dim arrays.  P is built by s - 1 whole products R^{m+1} = R^m R,
+    each into the spare, which then trades places with R^m; the spare also
+    takes |R^m| for its row sums.  g_s takes s - 1 matrix-vector products
+    by Horner's rule.
     """
     power = propagator.copy()
-    buffer = np.empty((min(RECORD_BATCH // 2, len(power)), len(power)))
     norms = [1.0]
     for m in range(1, s + 1):
-        norm = 0.0
-        for start in range(0, len(power), len(buffer)):
-            rows = power[start : start + len(buffer)]
-            out = buffer[: len(rows)]
-            if m > 1:
-                rows[...] = np.matmul(rows, propagator, out=out)
-            norm = max(norm, float(np.max(np.sum(np.abs(rows, out=out), axis=1))))
-        norms.append(norm)
+        if m > 1:
+            np.matmul(power, propagator, out=spare)
+            power, spare = spare, power
+        norms.append(float(np.max(np.sum(np.abs(power, out=spare), axis=1), initial=0.0)))
     stride_gain = gain.copy()
     for _ in range(s - 1):
         stride_gain = propagator @ stride_gain
@@ -401,9 +401,10 @@ def integrate(
     slope max|state| + intercept, which _stride_rule solves for J_i and
     J_{i+1}, linear in N_i and N_{i+1}.  N_i up to N_{i+2} must lie below
     (max float / 2 - S gamma) / K, so no state in between overflows.  The
-    plan's matrix is dropped while P is live, so beside a batch's flush
-    at most R and P are dim x dim, and the plan is rebuilt, bit for bit,
-    at the hand-over.
+    plan's matrix is the spare of P's build and is dropped while P is
+    live, and P is built before the step buffers, so R, P and the matrix
+    are the only dim x dim arrays at the build and R and P beside a batch's
+    flush; the plan is rebuilt, bit for bit, at the hand-over.
 
     initial_state is a flat [x; z] vector (copied, never modified); when it
     is None the start is drawn by cfg.init_mode.  The flat evaluate tests
@@ -473,23 +474,25 @@ def integrate(
         propagator, gain = rk4_propagator(plan, h)
         gain_max = float(np.max(np.abs(gain), initial=0.0))
         jump_slope, jump_intercept = _skip_threshold(norm_m, h, plan.dim, gain_max, tol, slack, offset)
-        # the step buffers are made after R, whose build peaks higher.
+        record(t, y)
+        if stationary(plan.evaluate(y)):
+            stop_reason = "stationary"
+        striding = stop_reason == "max_time" and stride > 1 and stride * h < max_time
+        if striding:
+            # P's build overwrites M, which is rebuilt for the single steps,
+            # so R and P are the only other dim x dim arrays while P is live
+            power, stride_gain, powers = stride_propagator(propagator, gain, stride, plan.matrix)
+            del plan
+        # the step buffers are made after R and P, whose builds peak higher.
         # states[0] is a block's start, states[1:] its steps or strides; rows
         # holds a view of each row, so a step indexes no array.  work holds
         # |states|, then the increments |states[k + 1] - states[k]|, then the
         # states to evaluate.
-        states = np.empty((RECORD_BATCH + 1, plan.dim))
+        states = np.empty((RECORD_BATCH + 1, len(y)))
         rows = list(states)
         states[0] = y
         work = np.empty_like(states)
-        record(t, y)
-        if stationary(plan.evaluate(y)):
-            stop_reason = "stationary"
-        elif stride > 1 and stride * h < max_time:
-            # M is dropped while P is live and rebuilt for the single steps,
-            # so at most two dim x dim arrays are live beside a batch's flush
-            del plan
-            power, stride_gain, powers = stride_propagator(propagator, gain, stride)
+        if striding:
             clears = _stride_rule(powers, len(gain), gain_max, jump_slope, jump_intercept)
             n = 0
             while True:
@@ -568,7 +571,6 @@ def integrate(
         step_size=h,
         stop_reason=stop_reason,
         steps=steps,
-        stride=stride,
         stride_steps=stride_steps,
     )
 

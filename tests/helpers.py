@@ -225,7 +225,8 @@ def stepwise_integrate(part, topo, cfg, *, initial_state=None, flat_norms=None):
         if stride > 1 and not float(np.max(np.abs(d))) < tol:
             # one stride per turn, taken while it ends before max_time and
             # the rule clears it, which needs the next stride's end
-            power, stride_gain, powers = stride_propagator(propagator, gain, stride)
+            spare = np.empty_like(propagator)
+            power, stride_gain, powers = stride_propagator(propagator, gain, stride, spare)
             norm_m = float(np.max(np.sum(np.abs(plan.matrix), axis=1)))
             gain_max = float(np.max(np.abs(gain)))
             slack = 2.0 * (plan.dim + 1) * np.finfo(float).eps
@@ -278,6 +279,5 @@ def stepwise_integrate(part, topo, cfg, *, initial_state=None, flat_norms=None):
         step_size=h,
         stop_reason=stop_reason,
         steps=steps,
-        stride=stride,
         stride_steps=stride_steps,
     )

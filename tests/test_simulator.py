@@ -286,7 +286,7 @@ def assert_same_run(got, want):
         assert column.tobytes() == want.trajectory.samples[field].tobytes(), field
 
 
-@pytest.mark.parametrize("record_every", [1, 7, 64, 65])
+@pytest.mark.parametrize("record_every", [1, 5, 7, 64, 65])
 @pytest.mark.parametrize("scheme", ["row", "column"])
 def test_block_stepping_matches_stepwise_oracle(scheme, record_every):
     # the stationary start, one step, a max_time at the end of the first
@@ -445,7 +445,7 @@ def test_stride_rule_never_clears_at_half_the_flat_derivative(k):
             h = integrate(part, inst.topology, SimConfig(stationarity_tol=1e300)).step_size
             propagator, gain = rk4_propagator(plan, h)
             s = 2 + seed % (STRIDE_MAX - 1)
-            power, stride_gain, powers = stride_propagator(propagator, gain, s)
+            power, stride_gain, powers = stride_propagator(propagator, gain, s, np.empty_like(propagator))
             gain_max, shift_max = float(np.max(np.abs(gain))), float(np.max(np.abs(plan.shift)))
             rng = np.random.default_rng(seed)
             ys = np.empty((600 + s, plan.dim))
@@ -473,6 +473,52 @@ def test_stride_rule_never_clears_at_half_the_flat_derivative(k):
                 norms = np.array([np.max(np.abs(u)) for u in trio])
                 jumps = np.array([np.max(np.abs(b - a)) for a, b in zip(trio, trio[1:])])
                 assert not clears(norms, jumps)[0], (seed, scheme, k)
+
+
+def shear(a: float, b: float) -> np.ndarray:
+    """a [[1, b], [0, 1]]: ||R^m||_inf = a^m (1 + m b) grows for a while
+    before it decays when a < 1 and b is large."""
+    return a * np.array([[1.0, b], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("case", ["inner-dip", "slow-start", "fixed-point"])
+def test_stride_rule_on_hand_built_propagators(case):
+    # each case is a stride one of whose s single-step states fails the
+    # skip rule max|y' - y| > tol, so the stride must not clear.  On the
+    # shears, "inner-dip" has large increments at the stride's two ends and
+    # a small one between, which only the max_{1<=m<s} ||R^m|| divisor
+    # catches; "slow-start" has a small first increment that R^m blows up,
+    # which only the sum_{m<s} ||R^m|| divisor catches.  "fixed-point"
+    # starts where single steps do not move at all, so only the rounding of
+    # P and g_s moves the stride, and only the allowance catches it
+    if case == "inner-dip":
+        # the start's increment is (-b, 1), and R of it is (0, a)
+        s, propagator, gain, tol = 2, shear(0.5, 1e3), np.zeros(2), 0.75
+        start = np.array([0.0, -2.0])
+    elif case == "slow-start":
+        s, propagator, gain, tol = 5, shear(0.99, 30.0), np.array([0.0, 1.0]), 1.1
+        start = np.zeros(2)
+    else:
+        rng = np.random.default_rng(5)
+        propagator = np.eye(6) + 0.05 * (0.5 * rng.standard_normal((6, 6)) - np.eye(6))
+        start = rng.uniform(1.0, 2.0, size=6)
+        s, gain, tol = 5, start - propagator @ start, 0.0
+    stepped, passed = start, []
+    for _ in range(s):
+        after = propagator @ stepped + gain
+        passed.append(bool(np.max(np.abs(after - stepped)) > tol))
+        stepped = after
+    assert not all(passed)
+    power, stride_gain, powers = stride_propagator(propagator, gain, s, np.empty_like(propagator))
+    clears = _stride_rule(powers, len(gain), float(np.max(np.abs(gain))), 0.0, tol)
+    trio = [start]
+    for _ in range(2):
+        trio.append(power @ trio[-1] + stride_gain)
+    norms = np.array([np.max(np.abs(u)) for u in trio])
+    jumps = np.array([np.max(np.abs(b - a)) for a, b in zip(trio, trio[1:])])
+    if case == "fixed-point":
+        assert not any(passed) and np.all(jumps > 0.0)
+    assert not clears(norms, jumps)[0]
 
 
 @pytest.mark.parametrize("scheme", ["row", "column"])
@@ -519,8 +565,7 @@ def test_strides_keep_steps_stop_and_solution(case):
         topo, sim = problem.topology, sc.sim
     single = integrate(part, topo, dataclasses.replace(sim, record_every=1))
     strided = integrate(part, topo, dataclasses.replace(sim, record_every=5))
-    assert (single.stride, single.stride_steps) == (1, 0)
-    assert strided.stride == 5 and 0 < strided.stride_steps < strided.steps
+    assert single.stride_steps == 0 and 0 < strided.stride_steps < strided.steps
     assert (strided.steps, strided.stop_reason) == (single.steps, single.stop_reason)
     for got, want in (
         (strided.final_state, single.final_state),
@@ -532,9 +577,10 @@ def test_strides_keep_steps_stop_and_solution(case):
 def test_integrate_peak_memory_at_dim_320():
     # the ring_320 instance.  The budget is R's build, three dim x dim
     # arrays, beside a recording buffer and a step buffer of RECORD_BATCH
-    # (+ 1) rows.  The step buffers are made after the build, the increment
-    # floor's work is O(RECORD_BATCH dim), and M is dropped while R^5 is
-    # live, so the peak stays below it.
+    # (+ 1) rows.  The step buffers are made after R's build and after
+    # R^5's, which M is dropped for, the increment floor's work is
+    # O(RECORD_BATCH dim), and M stays dropped while R^5 is live, so the
+    # peak stays below it.
     part, topo = ring_320()
     dim = part.x_dim + part.z_dim
     cfg = SimConfig(max_time=8000.0, stationarity_tol=1e-10, record_every=5)
