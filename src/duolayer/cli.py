@@ -46,6 +46,8 @@ EXIT_DIVERGED = 4
 EXIT_INVALID = 5
 
 VALIDITY_TOL = 1e-6
+# Rows of a CSV artifact formatted and written at a time.
+CSV_CHUNK_ROWS = 4096
 
 _SIM_KEYS = {
     "step_size",
@@ -286,17 +288,42 @@ def build_problem(sc: Scenario, scheme_override: str | None = None) -> tuple:
     return inst, part
 
 
-def residuals_valid(sample) -> bool:
-    """A finished run's residuals are valid when each one clears VALIDITY_TOL.
+def residuals_valid(sample, part, solution) -> bool:
+    """A finished run's residuals are valid when each one is at most
+    VALIDITY_TOL relative to the scale of A x = b.
 
     sample is one record of Trajectory.samples, in practice the last one,
-    which integrate always takes at the final state.
+    which integrate always takes at the final state, and solution the x
+    reassembled from that state.  conservation and overall are in the units
+    of b and are judged against VALIDITY_TOL * (||A||_F ||x|| + ||b||), the
+    scale of equilibrium_certificate's consistency test (a normwise backward
+    error); consensus, a distance between copies of x, against the same
+    bound divided by ||A||_F.  Scaling A and b together scales residuals and
+    bounds alike, so a run stuck at x ~ 0 is not valid at any scale of A.
     """
+    a_full, b_full = part.reassemble()
+    norm_a = float(np.linalg.norm(a_full))
+    tol = VALIDITY_TOL * (norm_a * float(np.linalg.norm(solution)) + float(np.linalg.norm(b_full)))
     return bool(
-        np.max(sample["conservation"], initial=0.0) < VALIDITY_TOL
-        and np.max(sample["consensus"], initial=0.0) < VALIDITY_TOL
-        and sample["overall"] < VALIDITY_TOL
+        np.max(sample["conservation"], initial=0.0) <= tol
+        and norm_a * np.max(sample["consensus"], initial=0.0) <= tol
+        and sample["overall"] <= tol
     )
+
+
+def write_csv(path: Path, header: tuple, columns: tuple) -> None:
+    """Write equal-length float columns to path as CSV, each value as its repr.
+
+    The bytes are those of csv.writer given [repr(v) for v in row] (comma
+    separated, \\r\\n line ends; no float repr needs quoting), formatted by
+    one %r format per row and written CSV_CHUNK_ROWS rows at a time.
+    """
+    row_format = ",".join(["%r"] * len(columns)) + "\r\n"
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            rows = zip(*(col[start : start + CSV_CHUNK_ROWS].tolist() for col in columns))
+            fh.write("".join([row_format % row for row in rows]))
 
 
 def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) -> dict:
@@ -311,20 +338,17 @@ def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) 
     verdict = check_drift_spectrum(assemble_compact(part, topo))
     samples = result.trajectory.samples
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "trajectory.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["time", "V", "conservation_residual", "consensus_residual", "overall_residual"]
-        )
-        columns = (
+    write_csv(
+        out_dir / "trajectory.csv",
+        ("time", "V", "conservation_residual", "consensus_residual", "overall_residual"),
+        (
             samples["time"],
             samples["v"],
             np.max(samples["conservation"], axis=1, initial=0.0),
             np.max(samples["consensus"], axis=1, initial=0.0),
             samples["overall"],
-        )
-        for row in zip(*(col.tolist() for col in columns)):
-            writer.writerow([repr(value) for value in row])
+        ),
+    )
     final = samples[-1]
     converged = result.stop_reason == "stationary"
     try:
@@ -336,11 +360,12 @@ def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) 
     nonzero = np.sort(np.abs(sp.eigenvalues))[sp.eigenvalues.size - sp.rank :]
     predicted_slope = -2.0 * float(nonzero[0]) if nonzero.size else None
     y = result.final_state
+    solution = reassembled_solution(part, y)
     x_slices, z_slices, _, _ = flat_slices(part)
     summary = {
         "scheme": part.scheme,
         "converged": converged,
-        "valid": residuals_valid(final),
+        "valid": residuals_valid(final, part, solution),
         "stop_reason": result.stop_reason,
         "step_size": result.step_size,
         "steps": result.steps,
@@ -353,7 +378,7 @@ def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) 
             "max_conservation": float(np.max(final["conservation"], initial=0.0)),
             "max_consensus": float(np.max(final["consensus"], initial=0.0)),
         },
-        "solution": [float(v) for v in reassembled_solution(part, result.final_state)],
+        "solution": solution.tolist(),
         "v_initial": float(samples["v"][0]),
         "v_final": float(samples["v"][-1]),
         "slope": slope,
@@ -365,9 +390,7 @@ def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) 
             "z": [[y[sl].tolist() for sl in row] for row in z_slices],
         },
     }
-    with (out_dir / "summary.json").open("w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return summary
 
 
@@ -414,7 +437,7 @@ def cmd_run(args) -> int:
     if not (summary["converged"] and summary["valid"]):
         print(
             "error: inconsistent-or-unconverged: residuals above "
-            f"{VALIDITY_TOL:g} or stationarity not reached",
+            f"{VALIDITY_TOL:g} relative to ||A||_F ||x|| + ||b|| or stationarity not reached",
             file=sys.stderr,
         )
         return EXIT_INVALID
@@ -442,7 +465,8 @@ def cmd_verify(args) -> int:
             )
             result = integrate(part, inst.topology, cfg)
             final = result.trajectory.samples[-1]
-            conv_ok = result.stop_reason == "stationary" and residuals_valid(final)
+            solution = reassembled_solution(part, result.final_state)
+            conv_ok = result.stop_reason == "stationary" and residuals_valid(final, part, solution)
             checks_total += 2
             checks_passed += int(verdict.passed) + int(conv_ok)
             per_scheme[scheme]["spectrum"] += int(verdict.passed)
@@ -495,11 +519,7 @@ def cmd_plot(args) -> int:
     except InsufficientSamplesError:
         fitted = np.full(t_kept.shape, np.nan)
     out_path = run_dir / "lnv.csv"
-    with out_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "ln_v", "fitted"])
-        for t, lv, fv in zip(t_kept, ln_v, fitted):
-            writer.writerow([repr(float(t)), repr(float(lv)), repr(float(fv))])
+    write_csv(out_path, ("time", "ln_v", "fitted"), (t_kept, ln_v, fitted))
     print(f"wrote {out_path}")
     return EXIT_OK
 

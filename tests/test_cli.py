@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from duolayer import LayoutMismatchError, SimConfig, StructureError, cli, integrate
+from duolayer import CompactSystem, LayoutMismatchError, SimConfig, StructureError, cli, integrate
 from duolayer.cli import (
     EXIT_DIVERGED,
     EXIT_INVALID,
@@ -18,6 +18,8 @@ from duolayer.cli import (
     build_problem,
     main,
     parse_scenario,
+    residuals_valid,
+    write_csv,
 )
 from duolayer.instances import random_composition, random_connected_graph, random_instance
 from duolayer.simulator import STRIDE_MAX
@@ -63,6 +65,9 @@ def five_by_five_scenario():
         "b_offsets": None,
         "sim": {"max_time": 8000.0, "stationarity_tol": 1e-10, "record_every": 5},
     }
+
+
+BUNDLED = Path(__file__).resolve().parent.parent / "scenarios" / "three_cluster_5x5.json"
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -379,6 +384,73 @@ def test_run_unconverged(tmp_path, monkeypatch, capsys):
     data = identity_scenario(sim={"step_size": 0.01, "max_time": 0.05})
     path = write_scenario(tmp_path, data)
     assert main(["run", str(path)]) == EXIT_INVALID
+
+
+def test_tiny_scale_run_stuck_at_zero_is_not_valid(tmp_path, capsys):
+    # the bundled scenario with A and b times 1e-9 runs out of max_time with
+    # x ~ 1e-15 against an answer of about 0.4; every residual is under
+    # 1e-6, which an absolute validity bound accepted
+    data = json.loads(BUNDLED.read_text())
+    data["A"] = [[1e-9 * v for v in row] for row in data["A"]]
+    data["b"] = [1e-9 * v for v in data["b"]]
+    out = tmp_path / "run"
+    assert main(["run", str(write_scenario(tmp_path, data)), "--out", str(out)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "residuals above 1e-06 relative to ||A||_F ||x|| + ||b|| or stationarity not reached" in err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stop_reason"] == "max_time"
+    assert np.max(np.abs(summary["solution"])) < 1e-12
+    assert summary["residuals"]["overall"] < 1e-6
+    assert summary["valid"] is False
+
+
+@pytest.mark.parametrize("k", [-30, 0, 30])
+def test_residuals_valid_is_relative_to_the_scale_of_the_system(k):
+    s = 2.0**k
+    data = identity_scenario(A=[[s, 0.0], [0.0, s]], b=[s, -2.0 * s])
+    _, part = build_problem(parse_scenario(data))
+    x = np.array([1.0, -2.0])
+    # 1e-6 (||A||_F ||x|| + ||b||); consensus is judged in the units of x
+    bound = 1e-6 * s * (np.sqrt(2.0) * np.sqrt(5.0) + np.sqrt(5.0))
+    bounds = {"conservation": bound, "consensus": bound / (s * np.sqrt(2.0)), "overall": bound}
+
+    def sample(**factors):
+        return {
+            "conservation": np.array([factors.get("conservation", 0.5) * bounds["conservation"]]),
+            "consensus": np.array([0.0, factors.get("consensus", 0.5) * bounds["consensus"]]),
+            "overall": factors.get("overall", 0.5) * bounds["overall"],
+        }
+
+    assert residuals_valid(sample(), part, x)
+    for name in bounds:
+        assert residuals_valid(sample(**{name: 0.99}), part, x), name
+        assert not residuals_valid(sample(**{name: 1.01}), part, x), name
+
+
+def test_write_csv_matches_csv_writer_with_repr(tmp_path, monkeypatch):
+    values = [
+        -0.0, 0.0, 1e16, 1e-5, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        -1e300, 1e-300, 1e22, 123456789.125, 0.1, float("nan"), float("inf"), -float("inf"),
+    ]
+    columns = tuple(np.array(values[i:] + values[:i]) for i in range(3))
+    # chunks of 4 rows: the 15 rows end inside a chunk
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
+    write_csv(tmp_path / "fast.csv", ("a", "b", "c"), columns)
+    with (tmp_path / "reference.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a", "b", "c"])
+        for row in zip(*(col.tolist() for col in columns)):
+            writer.writerow([repr(value) for value in row])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_run_and_verify_never_build_the_dense_drift(tmp_path, monkeypatch):
+    def refused(cs):
+        raise AssertionError("the dense drift matrix was built")
+
+    monkeypatch.setattr(CompactSystem, "drift_matrix", property(refused))
+    assert main(["run", str(BUNDLED), "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert main(["verify", "--trials", "1", "--seed", "7"]) == EXIT_OK
 
 
 def test_run_inconsistent_system(tmp_path, monkeypatch):

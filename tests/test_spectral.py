@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import re
 import time
 import tracemalloc
 
@@ -158,7 +160,12 @@ def test_structured_route_matches_generic_route():
 @pytest.mark.parametrize("scheme", ["row", "column"])
 @pytest.mark.parametrize(
     "corruption, check",
-    [("coupling", "Q12 = -Q21.T Q22"), ("dual", "Q22 symmetric"), ("primal", "P positive")],
+    [
+        ("coupling", "Q12 = -Q21.T Q22"),
+        ("dual", "Q22 symmetric"),
+        ("primal", "P positive"),
+        ("primal-asymmetric", "P = -(Q11 + Q21.T Q21) symmetric"),
+    ],
 )
 def test_structure_violations_raise(scheme, corruption, check):
     inst, part = random_instance(np.random.default_rng(5), scheme, 6, max_agents=3)
@@ -166,17 +173,42 @@ def test_structure_violations_raise(scheme, corruption, check):
     dx = cs.dim_x
     assert cs.dim - dx >= 2
     delta = 1e-6 * check_drift_spectrum(cs).scale
-    q = cs.drift_matrix.copy()
     if corruption == "coupling":
-        q[0, dx] += delta
+        q12 = cs.q12.copy()
+        q12[0, 0] += delta
+        corrupted = dataclasses.replace(cs, q12=q12)
     elif corruption == "dual":
-        q[dx, dx + 1] += delta
-    else:
+        # Q22[0, 1] += delta
+        d = cs.saddle.dual_damping.copy()
+        d[0, 1] -= delta
+        corrupted = dataclasses.replace(cs, saddle=unvalidated(cs.saddle, dual_damping=d))
+    elif corruption == "primal":
         # P = -(Q11 + Q21.T Q21) loses delta on its diagonal; its Laplacian
         # kernel turns negative
-        q[np.arange(dx), np.arange(dx)] += delta
-    with pytest.raises(ValueError, match=f"check {check}"):
-        check_drift_spectrum(dataclasses.replace(cs, drift_matrix=q))
+        q11 = cs.q11.copy()
+        q11[np.arange(dx), np.arange(dx)] += delta
+        corrupted = dataclasses.replace(cs, q11=q11)
+    else:
+        q11 = cs.q11.copy()
+        q11[0, 1] += delta
+        corrupted = dataclasses.replace(cs, q11=q11)
+    with pytest.raises(ValueError, match=re.escape(f"check {check}")):
+        check_drift_spectrum(corrupted)
+
+
+def unvalidated(saddle, **factors):
+    """saddle with factors replaced past SaddleBlocks' own validation, as a
+    factor corrupted after it was built would reach the verdict."""
+    corrupted = copy.copy(saddle)
+    for name, value in factors.items():
+        object.__setattr__(corrupted, name, value)
+    return corrupted
+
+
+def with_saddle(cs, saddle):
+    """cs over another saddle triple, with the Q11 and Q12 that triple makes."""
+    q11, q12, _ = saddle.upper_blocks()
+    return dataclasses.replace(cs, saddle=saddle, q11=q11, q12=q12)
 
 
 def saddle_reference(c, p, d):
@@ -225,10 +257,10 @@ def test_q12_check_covers_every_row_of_a_block_column(scheme, single):
     delta = 1e-6 * check_drift_spectrum(cs).scale
     for column in blocks[size][[0, -1], 0]:
         for row in range(dx):
-            q = cs.drift_matrix.copy()
-            q[row, dx + column] += delta
+            q12 = cs.q12.copy()
+            q12[row, column] += delta
             with pytest.raises(StructureError, match="check Q12 = -Q21.T Q22"):
-                check_drift_spectrum(dataclasses.replace(cs, drift_matrix=q))
+                check_drift_spectrum(dataclasses.replace(cs, q12=q12))
 
 
 @pytest.mark.parametrize("scheme", ["row", "column"])
@@ -236,22 +268,20 @@ def test_q22_edge_joining_two_blocks_is_judged(scheme):
     part, topo = mixed_block_system(scheme, False)
     cs = assemble_compact(part, topo)
     c, p, d = cs.saddle.coupling, cs.saddle.primal_damping, cs.saddle.dual_damping
-    dx = cs.dim_x
     rows = [row for idx, _, _ in cs.dual_eigh for row in idx]
     i, j = rows[0][0], rows[-1][0]
     # D plus the Laplacian of one edge between two of its blocks
     edge = np.zeros(len(d))
     edge[[i, j]] = 1.0, -1.0
     joined_d = d + 0.5 * np.outer(edge, edge)
-    # in Q22 alone the join breaks Q12 = -Q21.T Q22 on the merged block
-    q = cs.drift_matrix.copy()
-    q[dx:, dx:] = -joined_d
-    joined = dataclasses.replace(cs, drift_matrix=q)
+    # in D alone, beside the stored Q12, the join breaks Q12 = -Q21.T Q22 on
+    # the merged block
+    joined = dataclasses.replace(cs, saddle=SaddleBlocks(c, p, joined_d))
     assert sum(len(idx) for idx, _, _ in joined.dual_eigh) == len(rows) - 1
     with pytest.raises(StructureError, match="check Q12 = -Q21.T Q22"):
         check_drift_spectrum(joined)
     # with a matching Q12 the joined system is a saddle: the generic verdict
-    consistent = dataclasses.replace(cs, drift_matrix=SaddleBlocks(c, p, joined_d).matrix())
+    consistent = with_saddle(cs, SaddleBlocks(c, p, joined_d))
     structured = check_drift_spectrum(consistent)
     generic = spectrum_verdict(consistent.drift_matrix)
     assert structured.passed and generic.passed
@@ -296,8 +326,8 @@ def test_verdict_and_certificate_share_one_eigh(monkeypatch):
     # in either order: D is factored once per system, and the one lstsq left
     # is the certificate's solve of A x = b.  A factorization takes one
     # batched eigh per block size, so the eigh calls must match its block
-    # sizes.  Q22's pattern is labelled once per system: by assembly, which
-    # hands its blocks to the system, or by a replaced system on its own Q22.
+    # sizes.  D's pattern is labelled once per system: by assembly, which
+    # hands its blocks to the system, or by a replaced system on its own D.
     calls = []
 
     def counted(name, owner):
@@ -329,6 +359,31 @@ def test_verdict_and_certificate_share_one_eigh(monkeypatch):
         calls.clear()
 
 
+def test_verdict_and_certificate_never_build_the_dense_drift():
+    # Q is kept as its factors and two computed blocks; only a read of
+    # drift_matrix assembles it, bit for bit the blocks it is made of
+    for label, part, cs in scaled_systems():
+        assert check_drift_spectrum(cs).passed, label
+        equilibrium_certificate(cs, part)
+        assert "drift_matrix" not in vars(cs), label
+        q, dx = cs.drift_matrix, cs.dim_x
+        assert_same_bits(q[:dx, :dx], cs.q11)
+        assert_same_bits(q[:dx, dx:], cs.q12)
+        assert_same_bits(q[dx:, :dx], cs.saddle.coupling)
+        assert_same_bits(q[dx:, dx:], -cs.saddle.dual_damping)
+
+
+@pytest.mark.parametrize("k", [-6, 0, 6])
+def test_block_matvec_matches_the_dense_drift(k):
+    rng = np.random.default_rng(40)
+    for label, _, cs in scaled_systems(k):
+        q = cs.drift_matrix
+        v = rng.normal(size=cs.dim)
+        size = np.abs(q) @ np.abs(v)
+        assert np.max(np.abs(cs.matvec(v) - q @ v)) <= 1e-14 * np.max(size), label
+        assert np.max(np.abs(cs.matvec(np.abs(v), absolute=True) - size)) <= 1e-14 * np.max(size), label
+
+
 def test_certificate_balance_matches_least_squares():
     for label, part, cs in scaled_systems():
         x_hat, z_hat = equilibrium_certificate(cs, part)
@@ -342,8 +397,8 @@ def test_compact_system_arrays_are_read_only():
     inst, part = random_instance(np.random.default_rng(3), "column", 6)
     cs = assemble_compact(part, inst.topology)
     factor = cs.dual_eigh
-    arrays = [cs.drift_matrix] + [arr for group in factor for arr in group]
-    assert len(arrays) >= 4
+    arrays = [cs.q11, cs.q12, cs.drift_matrix] + [arr for group in factor for arr in group]
+    assert len(arrays) >= 6
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
@@ -413,10 +468,10 @@ def test_dim_1600_row_instance_passes_within_budget():
 
 
 def test_dim_1600_assembly_peak_memory():
-    # Q is written into one buffer and C.T D taken block by block: beside the
-    # system it returns, assembly holds about one dim_x x dim_z temporary
-    # (the negated C.T).  np.block and its quarter-size blocks peaked 14.6 MiB
-    # above it.
+    # only Q11 and Q12 are computed, C.T D block by block, and the dense Q is
+    # not stored: beside the system it returns, assembly holds about one
+    # dim_x x dim_z temporary (the negated C.T).  np.block and its
+    # quarter-size blocks peaked 14.6 MiB above it.
     part, topo = square_instance("row", 100, 8, 8)
     started = not tracemalloc.is_tracing()
     if started:
@@ -432,8 +487,9 @@ def test_dim_1600_assembly_peak_memory():
     saddle = cs.saddle
     kept = sum(
         arr.nbytes
-        for arr in (cs.drift_matrix, cs.b_stack, saddle.coupling, saddle.primal_damping, saddle.dual_damping)
+        for arr in (cs.q11, cs.q12, cs.b_stack, saddle.coupling, saddle.primal_damping, saddle.dual_damping)
     )
+    assert "drift_matrix" not in vars(cs)
     quarter = cs.dim_x * (cs.dim - cs.dim_x) * 8
     assert peak - kept <= 1.5 * quarter, f"{(peak - kept) / 2**20:.1f} MiB above the system"
 
@@ -480,13 +536,12 @@ def test_dense_dual_is_one_block_with_the_same_verdict(scheme):
     inst, part = random_instance(np.random.default_rng(7), scheme, 12)
     cs = assemble_compact(part, inst.topology)
     c, p, d = cs.saddle.coupling, cs.saddle.primal_damping, cs.saddle.dual_damping
-    dx = cs.dim_x
     w = np.random.default_rng(8).uniform(0.5, 1.0, size=len(d))
     spread = np.outer(w, w)
     # a dense PSD D keeps the saddle structure: one block, and the verdict of
     # the generic route
     dense_d = d + 0.1 * spread
-    dense = dataclasses.replace(cs, drift_matrix=SaddleBlocks(c, p, dense_d).matrix())
+    dense = with_saddle(cs, SaddleBlocks(c, p, dense_d))
     assert [idx.shape for idx, _, _ in dense.dual_eigh] == [(1, len(d))]
     structured = check_drift_spectrum(dense)
     generic = spectrum_verdict(dense.drift_matrix)
@@ -497,16 +552,16 @@ def test_dense_dual_is_one_block_with_the_same_verdict(scheme):
     x_hat, z_hat = equilibrium_certificate(dense, part)
     reference = solve_least_squares(dense_d, c @ x_hat - cs.b_stack)
     assert np.linalg.norm(z_hat - reference) <= 1e-12 * np.linalg.norm(reference)
-    # Q22 alone made dense breaks Q12 = -Q21.T Q22, which is checked first
-    q = cs.drift_matrix.copy()
-    q[dx:, dx:] -= 0.1 * spread
+    # D alone made dense, beside the stored Q12, breaks Q12 = -Q21.T Q22,
+    # which is checked first
+    stale = dataclasses.replace(cs, saddle=SaddleBlocks(c, p, dense_d))
     with pytest.raises(StructureError, match="check Q12 = -Q21.T Q22"):
-        check_drift_spectrum(dataclasses.replace(cs, drift_matrix=q))
+        check_drift_spectrum(stale)
     # a dense indefinite D with a matching Q12: D's own PSD check fails
     bad_d = d - 0.1 * spread
-    q = saddle_reference(c, p, bad_d)
+    indefinite = with_saddle(cs, unvalidated(cs.saddle, dual_damping=bad_d))
     with pytest.raises(StructureError, match="check D = -Q22 positive semi-definite"):
-        check_drift_spectrum(dataclasses.replace(cs, drift_matrix=q))
+        check_drift_spectrum(indefinite)
 
 
 @pytest.mark.parametrize("extra_zeros", [0, 1])
