@@ -18,7 +18,6 @@ from duolayer.cli import (
     build_problem,
     main,
     parse_scenario,
-    residuals_valid,
     write_csv,
 )
 from duolayer.instances import random_composition, random_connected_graph, random_instance
@@ -386,62 +385,35 @@ def test_run_unconverged(tmp_path, monkeypatch, capsys):
     assert main(["run", str(path)]) == EXIT_INVALID
 
 
-def test_tiny_scale_run_stuck_at_zero_is_not_valid(tmp_path, capsys):
-    # the bundled scenario with A and b times 1e-9 runs out of max_time with
-    # x ~ 1e-15 against an answer of about 0.4; every residual is under
-    # 1e-6, which an absolute validity bound accepted
-    data = json.loads(BUNDLED.read_text())
-    data["A"] = [[1e-9 * v for v in row] for row in data["A"]]
-    data["b"] = [1e-9 * v for v in data["b"]]
+def test_homogeneous_run_from_a_random_start_is_valid(tmp_path):
+    # b = 0: the run converges to x = 0, with every residual under
+    # VALIDITY_TOL although x itself shrinks with them
+    sim = {"step_size": "auto", "max_time": 200.0, "stationarity_tol": 1e-11}
+    sim.update(init_mode="random", rng_seed=3)
+    data = identity_scenario(b=[0.0, 0.0], sim=sim)
     out = tmp_path / "run"
-    assert main(["run", str(write_scenario(tmp_path, data)), "--out", str(out)]) == EXIT_INVALID
-    err = capsys.readouterr().err
-    assert "residuals above 1e-06 relative to ||A||_F ||x|| + ||b|| or stationarity not reached" in err
+    assert main(["run", str(write_scenario(tmp_path, data)), "--out", str(out)]) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["stop_reason"] == "max_time"
-    assert np.max(np.abs(summary["solution"])) < 1e-12
-    assert summary["residuals"]["overall"] < 1e-6
-    assert summary["valid"] is False
+    assert summary["converged"] and summary["valid"]
+    assert 0.0 < np.max(np.abs(summary["solution"])) < 1e-6
 
 
-@pytest.mark.parametrize("k", [-30, 0, 30])
-def test_residuals_valid_is_relative_to_the_scale_of_the_system(k):
-    s = 2.0**k
-    data = identity_scenario(A=[[s, 0.0], [0.0, s]], b=[s, -2.0 * s])
-    _, part = build_problem(parse_scenario(data))
-    x = np.array([1.0, -2.0])
-    # 1e-6 (||A||_F ||x|| + ||b||); consensus is judged in the units of x
-    bound = 1e-6 * s * (np.sqrt(2.0) * np.sqrt(5.0) + np.sqrt(5.0))
-    bounds = {"conservation": bound, "consensus": bound / (s * np.sqrt(2.0)), "overall": bound}
-
-    def sample(**factors):
-        return {
-            "conservation": np.array([factors.get("conservation", 0.5) * bounds["conservation"]]),
-            "consensus": np.array([0.0, factors.get("consensus", 0.5) * bounds["consensus"]]),
-            "overall": factors.get("overall", 0.5) * bounds["overall"],
-        }
-
-    assert residuals_valid(sample(), part, x)
-    for name in bounds:
-        assert residuals_valid(sample(**{name: 0.99}), part, x), name
-        assert not residuals_valid(sample(**{name: 1.01}), part, x), name
-
-
-def test_write_csv_matches_csv_writer_with_repr(tmp_path, monkeypatch):
+def test_write_csv_values_read_back_bit_for_bit(tmp_path):
     values = [
         -0.0, 0.0, 1e16, 1e-5, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
         -1e300, 1e-300, 1e22, 123456789.125, 0.1, float("nan"), float("inf"), -float("inf"),
     ]
     columns = tuple(np.array(values[i:] + values[:i]) for i in range(3))
-    # chunks of 4 rows: the 15 rows end inside a chunk
-    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
-    write_csv(tmp_path / "fast.csv", ("a", "b", "c"), columns)
-    with (tmp_path / "reference.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a", "b", "c"])
-        for row in zip(*(col.tolist() for col in columns)):
-            writer.writerow([repr(value) for value in row])
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    path = tmp_path / "values.csv"
+    write_csv(path, ("a", "b", "c"), columns)
+    assert path.read_bytes().startswith(b"a,b,c\r\n-0.0,0.0,1e+16\r\n")
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["a", "b", "c"]
+    read = np.array([[float(v) for v in row] for row in rows[1:]])
+    assert read.shape == (len(values), 3)
+    written = np.column_stack(columns)
+    assert np.array_equal(read.view(np.int64), written.view(np.int64))
 
 
 def test_run_and_verify_never_build_the_dense_drift(tmp_path, monkeypatch):
