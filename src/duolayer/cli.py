@@ -301,12 +301,17 @@ def residuals_valid(sample) -> bool:
 
 def write_csv(path: Path, header: tuple, columns: tuple) -> None:
     """Write equal-length float columns to path as CSV, each value as its
-    repr, so every value reads back bit for bit."""
+    repr, so every value reads back bit for bit.
+
+    Lines end in "\r\n" and no field is quoted, since no repr of a float
+    holds a comma, a quote or a line break: the bytes are those
+    csv.writer writes.  Lines are joined and written one at a time, so no
+    string holds the whole file.
+    """
+    cells = [map(repr, col.tolist()) for col in columns]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*(col.tolist() for col in columns)):
-            writer.writerow([repr(value) for value in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
 def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) -> dict:

@@ -104,12 +104,19 @@ class DerivativePlan:
     agent's bands of neighboring clusters' stacked coordination states and
     xin are the in-cluster neighbors' solution states.
 
-    Each agent's map is written block by block into one affine operator on
-    the flat state.  Row-scheme bands are the agent's own columns cut from
-    each neighboring cluster's stacked x, column-scheme bands its own rows
-    cut from the neighbors' stacked z.  Columns outside an agent's inputs
-    stay exactly zero, so nothing else can influence its derivative;
-    evaluation is one matrix-vector product.
+    The whole law is the affine map y -> M y + shift of the flat state, and
+    the plan stores each agent's own rows of it: the agent's row indices
+    (its x, then its z), the column indices of its inputs in ascending
+    order, and the dense rows x inputs block of its law.  Row-scheme bands
+    are the agent's own columns cut from each neighboring cluster's stacked
+    x, column-scheme bands its own rows cut from the neighbors' stacked z.
+    No other column enters an agent's rows, so nothing else can influence
+    its derivative.  Agents whose blocks share a shape form a group; rows,
+    cols and blocks hold every group's indices and entries back to back,
+    and groups holds each group's (rows, cols, blocks) as views shaped
+    (G, r), (G, c) and (G, r, c), so the plan holds no dim x dim array and
+    evaluation is one batched product per group.  norm is ||M||_inf, and
+    inputs the most inputs one agent reads.
     """
 
     def __init__(self, part, topo: Topology):
@@ -117,8 +124,10 @@ class DerivativePlan:
         x_slices, z_slices, _, self.dim = flat_slices(part)
         row = part.scheme == "row"
         stacked, peer = (x_slices, z_slices) if row else (z_slices, x_slices)
-        self.matrix = mat = np.zeros((self.dim, self.dim))
         self.shift = np.zeros(self.dim)
+        self.norm = 0.0
+        index = np.arange(self.dim)
+        shapes: dict = {}
         for i, blocks in enumerate(part.blocks):
             base = stacked[i][0].start
             for j, a in enumerate(blocks):
@@ -132,32 +141,86 @@ class DerivativePlan:
                 sx, sz = x_slices[i][j], z_slices[i][j]
                 nz, nx = a.shape
                 q, p = len(zin), len(xin)
-                # += onto the zeros, not =, stores the -0.0 entries of these
-                # blocks as +0.0
-                mat[sx, sx] += -a.T @ a - p * np.eye(nx)
-                mat[sz, sx] += a
-                mat[sx, sz] += q * a.T
-                mat[sz, sz] += -q * np.eye(nz)
+                # the agent's rows of M laid out dense; += onto the zeros,
+                # not =, stores the -0.0 entries of these blocks as +0.0
+                dense = np.zeros((nx + nz, self.dim))
+                dx, dz = dense[:nx], dense[nx:]
+                eye_x, eye_z = np.eye(nx), np.eye(nz)
+                dx[:, sx] += -a.T @ a - p * eye_x
+                dz[:, sx] += a
+                dx[:, sz] += q * a.T
+                dz[:, sz] += -q * eye_z
                 for sl in zin:
-                    mat[sx, sl] += -a.T
-                    mat[sz, sl] += np.eye(nz)
+                    dx[:, sl] += -a.T
+                    dz[:, sl] += eye_z
                 for sl in xin:
-                    mat[sx, sl] += np.eye(nx)
+                    dx[:, sl] += eye_x
+                inputs = sorted([sx, sz, *zin, *xin], key=lambda sl: sl.start)
+                cols = np.concatenate([index[sl] for sl in inputs])
+                rows = np.concatenate((index[sx], index[sz]))
+                block = dense[:, cols]
+                # ||M||_inf sums each whole row, zeros included, since numpy's
+                # pairwise sum groups a row's entries by their positions in
+                # it: so norm, and the auto step it sets, has the bits of the
+                # dense M's row sums
+                self.norm = max(self.norm, float(np.abs(dense, out=dense).sum(axis=1).max()))
+                shapes.setdefault(block.shape, []).append((rows, cols, block))
                 self.shift[sx] = a.T @ part.offsets[i][j]
                 self.shift[sz] = -part.offsets[i][j]
+        agents = [agent for group in shapes.values() for agent in group]
+        self.rows, self.cols, self.blocks = (
+            np.concatenate([agent[k].ravel() for agent in agents]) for k in range(3)
+        )
+        self.groups = []
+        r_at = c_at = b_at = 0
+        for (r, c), group in shapes.items():
+            g = len(group)
+            self.groups.append(
+                (
+                    self.rows[r_at : r_at + g * r].reshape(g, r),
+                    self.cols[c_at : c_at + g * c].reshape(g, c),
+                    self.blocks[b_at : b_at + g * r * c].reshape(g, r, c),
+                )
+            )
+            r_at, c_at, b_at = r_at + g * r, c_at + g * c, b_at + g * r * c
+        self.inputs = max(blocks.shape[2] for _, _, blocks in self.groups)
 
     def evaluate(self, y: np.ndarray) -> np.ndarray:
         """Derivative under the per-agent law of a flat state [x; z], or of
         each row of an (S, dim) block of them.
 
-        A flat state takes one matrix-vector product, matrix @ y; a block
-        takes one matrix-matrix product, y @ matrix.T.  The two may differ in
-        the last bits, since the products sum in different orders.  shift is
-        added in place into the product, so no second result is allocated.
+        Each agent's rows are its block times its inputs plus shift: a flat
+        state takes one batched matrix-vector product per group, and a block
+        is product(y.T), batched matrix-matrix products a few agents at a
+        time.  The two may differ in the last bits, since the products sum
+        in different orders.
+        shift is added in place into the products, so no second result is
+        allocated.
         """
-        d = self.matrix @ y if y.ndim == 1 else y @ self.matrix.T
+        if y.ndim == 1:
+            d = np.empty_like(y)
+            for rows, cols, blocks in self.groups:
+                d[rows] = np.matmul(blocks, y[cols][:, :, None])[:, :, 0]
+        else:
+            d = self.product(y.T).T
         d += self.shift
         return d
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """M @ x for a dense (dim, k) x, a few agents at a time.
+
+        Each agent's rows are its block times its input rows of x.  The
+        agents' gathered inputs and products take at most about half a
+        dim x k array at a time, beside x and the result, which is laid out
+        like x.
+        """
+        out = np.empty_like(x)
+        for rows, cols, blocks in self.groups:
+            g, r, c = blocks.shape
+            step = max(1, self.dim // (2 * (r + c)))
+            for lo in range(0, g, step):
+                out[rows[lo : lo + step]] = np.matmul(blocks[lo : lo + step], x[cols[lo : lo + step]])
+        return out
 
 
 def reassembled_solution(part, y) -> np.ndarray:

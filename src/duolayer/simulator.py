@@ -3,13 +3,14 @@
 The integrator propagates exclusively through the per-agent update law (one
 DerivativePlan built once per run); the independently assembled drift form
 is never consulted, so trajectories exercise the agent-level code path.
-The law is linear and time-invariant, y' = M y + c with M = plan.matrix and
-c = plan.shift, so one classical RK4 step is exactly the affine map
-y -> R y + g; both are built once per run from the plan, and each step is
-one matrix-vector product.  Steps run in blocks of up to RECORD_BATCH;
-the stationarity and finiteness tests run once per block, over all of its
-states, and stop where one test per step would, bit for bit (see
-integrate).  A step's increment bounds the derivative from below, since
+The law is linear and time-invariant, y' = M y + c with M the operator
+whose rows the plan stores agent by agent and c = plan.shift, so one
+classical RK4 step is exactly the affine map y -> R y + g; both are built
+once per run from the plan, and each step is one matrix-vector product.
+Steps run in blocks of up to RECORD_BATCH; the stationarity and
+finiteness tests run once per block, over all of its states, and stop
+where one test per step would, bit for bit (see integrate).  A step's
+increment bounds the derivative from below, since
 y_{k+1} - y_k = h phi(hM) (M y_k + c) with ||phi(hM)|| <= p(h ||M||), a
 cubic; with an allowance for rounding (_skip_threshold) that floor clears
 stationarity_tol for almost every state, and only the states it leaves
@@ -23,12 +24,17 @@ The increment Delta(y) = R y + g - y of the step map obeys
 Delta(R y + g) = R Delta(y), so a stride's increment is
 sum_{m<s} R^m Delta(u): it floors the start's increment by dividing by
 sum_{m<s} ||R^m||, and the next stride's floors the s - 1 states between
-by a further max_{1<=m<s} ||R^m||.  A stride is taken only when the
-single-step floor clears all s of its states (_stride_rule); the run hands
-over to the single steps at the first stride that is not, so the stop,
-the sample times and the errors are those of the single steps, and only
-the states' last bits differ.  P's build overwrites the plan's matrix,
-which is rebuilt at the hand-over.
+by a further max_{1<=m<s} ||R^m||.  A stride is taken when the
+single-step floor clears all s of its states (_stride_rule), or else when
+its start is not stationary and its end's derivative clears a second
+floor: the derivative d(y) = M y + c obeys d(R y + g) = R d(y), so the
+states between a stride's ends have a derivative of at least the end's
+divided by max_{1<=m<s} ||R^m|| (_stride_floor).  As in the single-step
+phase, the rule clears most strides, and one batched plan.evaluate of a
+block's stride ends judges the rest.  The run hands over to the single
+steps at the first stride that neither clears, so the stop, the sample
+times and the errors are those of the single steps, and only the states'
+last bits differ.  The plan stays live throughout.
 
 States, the initial and the final one included, are flat [x; z] vectors laid
 out by dynamics.flat_slices.  Recorded samples are copied into a buffer of
@@ -67,6 +73,8 @@ RECORD_BATCH = 64
 # two, whatever s; the longer strides also hand over earlier.  On dim-320
 # runs of about 2,000 steps, s = 10 gained nothing.
 STRIDE_MAX = 5
+# Rows of R^m that stride_propagator multiplies by R at a time, in place.
+STRIDE_ROWS = 128
 # Columns of a recorded sample; conservation (k,) and consensus (p,) are rows
 # of the arrays sample_residuals returns.
 SAMPLE_FIELDS = ("time", "v", "conservation", "consensus", "overall")
@@ -174,23 +182,26 @@ def rk4_propagator(plan: DerivativePlan, h: float) -> tuple:
 
     For y' = M y + c the four stages collapse to
     R = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24 and
-    g = h (I + hM/2 + (hM)^2/6 + (hM)^3/24) c.  R is built by Horner's rule,
-    adding I in place on the diagonal, so at most two dim x dim arrays are
-    live beside the plan; it costs one extra dim^2 array and about 3 dim^3
-    flops.  This suits the dense plan; a sparse plan would not keep R, which
-    fills in at four graph hops.
+    g = h (I + hM/2 + (hM)^2/6 + (hM)^3/24) c.  R is built by Horner's rule
+    from hM/4, laid out dense from the plan's blocks, adding I in place on
+    the diagonal; each product by M is plan.product, one group of agents at
+    a time, so it costs one extra dim^2 array beside the plan's blocks and
+    the agents' gathered inputs, and at most 3 dim^2 plan.inputs
+    multiply-adds.
     """
-    m = plan.matrix
-    diagonal = slice(None, None, plan.dim + 1)
-    phi = m * (h / 4.0)
+    dim = plan.dim
+    diagonal = slice(None, None, dim + 1)
+    phi = np.zeros((dim, dim))
+    for rows, cols, blocks in plan.groups:
+        phi[rows[:, :, None], cols[:, None, :]] = blocks * (h / 4.0)
     phi.flat[diagonal] += 1.0
     for k in (3.0, 2.0):
-        phi = m @ phi
+        phi = plan.product(phi)
         phi *= h / k
         phi.flat[diagonal] += 1.0
     # phi = I + hM/2 + (hM)^2/6 + (hM)^3/24
     gain = h * (phi @ plan.shift)
-    phi = m @ phi
+    phi = plan.product(phi)
     phi *= h
     phi.flat[diagonal] += 1.0
     return phi, gain
@@ -206,7 +217,7 @@ def _skip_threshold(
     above 2 (tol + band), band = slack (norm_m max|y| + offset), so it is
     not stationary.  Here (R, g) is rk4_propagator(plan, h),
     norm_m = ||M||_inf, gain_max = max|g|, offset >= max|c| and
-    dim = plan.dim, with M = plan.matrix and c = plan.shift; no dim x dim
+    dim = plan.dim, with M plan's operator and c = plan.shift; no dim x dim
     array is read.  integrate's docstring derives the rule.  Where p
     overflows, slope is inf and nothing is skipped.
     """
@@ -224,30 +235,64 @@ def _skip_threshold(
     return slope, intercept
 
 
-def stride_propagator(propagator: np.ndarray, gain: np.ndarray, s: int, spare: np.ndarray) -> tuple:
+def stride_propagator(propagator: np.ndarray, gain: np.ndarray, s: int) -> tuple:
     """(P, g_s, norms) with P y + g_s equal to s steps y -> R y + g, for
     (R, g) = rk4_propagator(plan, h): P = R^s, g_s = sum_{i<s} R^i g, and
     norms[m] = ||R^m||_inf as computed, m = 0..s (norms[0] = 1).
 
-    spare is a dim x dim float array that the build overwrites; P is
-    returned in it or in a copy of R, so R, P and spare are the only
-    dim x dim arrays.  P is built by s - 1 whole products R^{m+1} = R^m R,
-    each into the spare, which then trades places with R^m; the spare also
-    takes |R^m| for its row sums.  g_s takes s - 1 matrix-vector products
-    by Horner's rule.
+    P is built in a copy of R by s - 1 products R^{m+1} = R^m R, each in
+    place, STRIDE_ROWS rows at a time: a row of R^m R is that row of R^m
+    times R, so each block of rows goes through one block buffer, which
+    also takes the blocks of |R^m| for the row sums.  R and P are the only
+    dim x dim arrays.  g_s takes s - 1 matrix-vector products by Horner's
+    rule.
     """
+    dim = len(gain)
     power = propagator.copy()
-    norms = [1.0]
-    for m in range(1, s + 1):
-        if m > 1:
-            np.matmul(power, propagator, out=spare)
-            power, spare = spare, power
-        norms.append(float(np.max(np.sum(np.abs(power, out=spare), axis=1), initial=0.0)))
+    spans = [slice(lo, min(lo + STRIDE_ROWS, dim)) for lo in range(0, dim, STRIDE_ROWS)]
+    block = np.empty((min(STRIDE_ROWS, dim), dim))
+
+    def row_norm(a: np.ndarray) -> float:
+        sums = [np.sum(np.abs(a[rows], out=block[: rows.stop - rows.start]), axis=1) for rows in spans]
+        return float(np.max(np.concatenate(sums), initial=0.0))
+
+    norms = [1.0, row_norm(power)]
+    for _ in range(s - 1):
+        for rows in spans:
+            part = block[: rows.stop - rows.start]
+            np.matmul(power[rows], propagator, out=part)
+            power[rows] = part
+        norms.append(row_norm(power))
     stride_gain = gain.copy()
     for _ in range(s - 1):
         stride_gain = propagator @ stride_gain
         stride_gain += gain
     return power, stride_gain, norms
+
+
+def _stride_bounds(norms: list, dim: int, gain_max: float) -> tuple:
+    """(K, S, G, err_slope, err_intercept, reach) of integrate's stride tests.
+
+    norms are stride_propagator's ||R^m||_inf, m = 0..s, and gain_max is
+    max|g|.  K = max_{m<=s} ||R^m||, S = sum_{m<s} ||R^m|| and
+    G = max_{1<=m<s} ||R^m||, the last two widened by their rounding;
+    err(N) = err_slope N + err_intercept bounds the rounding drift of a
+    stride's end and of the stepped states from the exact iterates of a
+    stride from a state with max-norm N, and the states of a stride from a
+    state with max-norm up to reach stay below max float / 2.  integrate's
+    docstring derives them.
+    """
+    s = len(norms) - 1
+    u = (dim + 2) * np.finfo(float).eps
+    big = max(norms)
+    kappa = s * big**3 * u
+    total = (sum(norms[:s]) + s * kappa) * (1.0 + 2.0 * u)
+    peak = (max(norms[1:s]) + kappa) * (1.0 + 2.0 * u)
+    err_slope = 2.0 * kappa
+    err_intercept = 2.0 * kappa * ((s + 2) * gain_max + np.finfo(float).tiny)
+    # the states of a stride from u_i stay below big N_i + total gain_max
+    reach = (np.finfo(float).max / 2.0 - total * gain_max) / big
+    return big, total, peak, err_slope, err_intercept, reach
 
 
 def _stride_rule(norms: list, dim: int, gain_max: float, slope: float, intercept: float):
@@ -262,23 +307,12 @@ def _stride_rule(norms: list, dim: int, gain_max: float, slope: float, intercept
     u_i would take, so that none of them is stationary; integrate's
     docstring derives the test.  Where a bound overflows, nothing clears.
     """
-    s = len(norms) - 1
-    u = (dim + 2) * np.finfo(float).eps
-    big = max(norms)
-    kappa = s * big**3 * u
-    total = (sum(norms[:s]) + s * kappa) * (1.0 + 2.0 * u)
-    peak = (max(norms[1:s]) + kappa) * (1.0 + 2.0 * u)
-    # err(N) = err_slope N + err_intercept bounds the rounding drift of a
-    # stride's end and of the stepped states from the exact iterates
-    err_slope = 2.0 * kappa
-    err_intercept = 2.0 * kappa * ((s + 2) * gain_max + np.finfo(float).tiny)
+    big, total, peak, err_slope, err_intercept, reach = _stride_bounds(norms, dim, gain_max)
     start_slope = err_slope + total * slope
     start_intercept = err_intercept + total * intercept
     drift = big + 1.0 + peak * (big + 1.0 + slope)
     lag_slope = total * (drift * err_slope + peak * slope * big)
     end_intercept = err_intercept + total * (drift * err_intercept + peak * (slope * total * gain_max + intercept))
-    # the states of a stride from u_i stay below big N_i + total gain_max
-    reach = (np.finfo(float).max / 2.0 - total * gain_max) / big
 
     def clears(state_norms: np.ndarray, jumps: np.ndarray) -> np.ndarray:
         inside = state_norms <= reach
@@ -292,6 +326,74 @@ def _stride_rule(norms: list, dim: int, gain_max: float, slope: float, intercept
         )
 
     return clears
+
+
+def _stride_floor(
+    norms: list,
+    dim: int,
+    inputs: int,
+    gain_max: float,
+    norm_m: float,
+    h: float,
+    tol: float,
+    slack: float,
+    offset: float,
+):
+    """integrate's derivative test of a stride, from scalars only.
+
+    norms and gain_max are as for _stride_rule; inputs is the most inputs
+    an agent of the plan reads, norm_m = ||M||_inf, and h, tol, slack and
+    offset are those of _skip_threshold's rule.  The result is a function
+    of the row max-norms N_0..N_n of stride states u_0..u_n.  For each
+    stride i < n it gives the bound T_i, linear in N_i and N_{i+1}, that
+    the flat derivative max-norm of u_{i+1} must not fall below for the
+    s - 1 states that steps from u_i take before u_{i+1} to have a
+    derivative floor above 2 (tol + band), so that none of them is
+    stationary; integrate's docstring derives it.  T_i is inf where N_i or
+    N_{i+1} exceeds the reach beyond which a state between, or the
+    derivative of u_{i+1}, might overflow.
+    """
+    big, total, peak, err_slope, err_intercept, reach = _stride_bounds(norms, dim, gain_max)
+    eps = np.finfo(float).eps
+    u, u_plan = (dim + 2) * eps, (inputs + 2) * eps
+    x = h * norm_m
+    # ||M phi_k - phi_k M|| <= 2 ||M|| lead for the Horner stages phi_k of
+    # rk4_propagator, ||phi_k|| <= p; R is the last stage
+    p = 1.0 + x / 4.0
+    lead = 2.0 * eps * p
+    for k in (3.0, 2.0, 1.0):
+        stage = 1.0 + x / k * p
+        lead = x / k * (lead + u_plan * p) + 2.0 * eps * stage
+        gain_p, p = p, stage
+    # ||M F(y) + c - R (M y + c)|| <= commute max|y| + lag, F(y) = R y + g
+    commute = 2.0 * norm_m * lead
+    lag = (
+        norm_m * u * (h * gain_p * offset + gain_max)
+        + (x * u_plan * gain_p + 2.0 * eps * p) * offset
+        + np.finfo(float).tiny
+    )
+    # max|y| <= state_slope N_i + state_intercept for the states between
+    state_slope, state_intercept = big + err_slope, total * gain_max + err_intercept
+    # T = band(N_{i+1}) / 2 + (1 + G) ||M|| err(N_i) + S (commute Y + lag)
+    #     + 2 G (tol + band(Y)), Y the bound on the states between
+    y_weight = total * commute + 2.0 * peak * slack * norm_m
+    start_slope = (1.0 + peak) * norm_m * err_slope + y_weight * state_slope
+    end_slope = 0.5 * slack * norm_m
+    intercept = (
+        0.5 * slack * offset
+        + (1.0 + peak) * norm_m * err_intercept
+        + y_weight * state_intercept
+        + total * lag
+        + 2.0 * peak * (tol + slack * offset)
+    )
+    reach = min(reach, np.finfo(float).max / 4.0 / max(norm_m, 1.0))
+
+    def bounds(state_norms: np.ndarray) -> np.ndarray:
+        start, end = state_norms[:-1], state_norms[1:]
+        inside = (start <= reach) & (end <= reach)
+        return np.where(inside, start_slope * start + end_slope * end + intercept, np.inf)
+
+    return bounds
 
 
 def integrate(
@@ -317,7 +419,7 @@ def integrate(
     max-norm is below stationarity_tol.
 
     Most states are judged without their derivative: a state's increment
-    gives a floor under max|M y + c|, with M = plan.matrix and
+    gives a floor under max|M y + c|, with M the plan's operator and
     c = plan.shift.  Exactly, R = I + hM phi(hM) and g = h phi(hM) c with
     phi(X) = I + X/2 + X^2/6 + X^3/24, so y' - y = h phi(hM) (M y + c) for
     y' = R y + g, and ||phi(hM)||_inf <= p(x) = 1 + x/2 + x^2/6 + x^3/24
@@ -363,18 +465,18 @@ def integrate(
     recorded sample, in blocks of up to RECORD_BATCH strides; P is not
     built when even the first stride would reach max_time.  It hands
     over to the steps above, from the stride's start, at the first stride
-    that _stride_rule does not clear, whose end or whose successor's end
-    is not finite, or that would end at or past max_time.  A cleared
-    stride is one whose s states, those that steps from u_i would take,
-    all pass the skip rule, so none is stationary or non-finite: the stop,
-    the sample times and the errors stay those of one flat evaluate per
-    step, and only the states' last bits differ.  s = 1 takes no strides.
+    that neither test below clears, or that would end at or past max_time.
+    A stride is cleared when its s states, u_i and the s - 1 that steps
+    from u_i would take before u_{i+1}, are none of them stationary or
+    non-finite: the stop, the sample times and the errors stay those of
+    one flat evaluate per step, and only the states' last bits differ.
+    s = 1 takes no strides.
 
-    The rule reads the exact map F(y) = R y + g of the computed R and g,
-    whose increment Delta(y) = F(y) - y = (R - I) y + g obeys
-    Delta(F(y)) = R Delta(y).  Along the exact iterates y_m = F^m(u_i),
-    Delta(y_m) = R^m Delta(u_i) and y_s - u_i = sum_{m<s} R^m Delta(u_i),
-    so in the infinity norm
+    The first test, _stride_rule, needs no derivative.  It reads the exact
+    map F(y) = R y + g of the computed R and g, whose increment
+    Delta(y) = F(y) - y = (R - I) y + g obeys Delta(F(y)) = R Delta(y).
+    Along the exact iterates y_m = F^m(u_i), Delta(y_m) = R^m Delta(u_i)
+    and y_s - u_i = sum_{m<s} R^m Delta(u_i), so in the infinity norm
 
         ||Delta(u_i)|| >= ||y_s - u_i|| / S,     S = sum_{m<s} ||R^m||,
         ||Delta(y_m)|| >= ||Delta(y_s)|| / G,    G = max_{1<=m<s} ||R^m||.
@@ -394,17 +496,47 @@ def integrate(
         ||Delta(z_m)|| >= ((J_{i+1} - err(N_{i+1})) / S
                            - (K + 1) err(N_i)) / G - (K + 1) err(N_i),
 
-    for 1 <= m < s, and max|z_m| <= K N_i + S gamma + err(N_i).  The skip
-    rule reads a computed increment, but it holds for the exact one too,
-    since its allowance covers the step's rounding.  So the stride is
+    for 1 <= m < s, and max|z_m| <= Y = K N_i + S gamma + err(N_i).  The
+    skip rule reads a computed increment, but it holds for the exact one
+    too, since its allowance covers the step's rounding.  So the stride is
     cleared when both floors exceed the skip rule's
     slope max|state| + intercept, which _stride_rule solves for J_i and
     J_{i+1}, linear in N_i and N_{i+1}.  N_i up to N_{i+2} must lie below
-    (max float / 2 - S gamma) / K, so no state in between overflows.  The
-    plan's matrix is the spare of P's build and is dropped while P is
-    live, and P is built before the step buffers, so R, P and the matrix
-    are the only dim x dim arrays at the build and R and P beside a batch's
-    flush; the plan is rebuilt, bit for bit, at the hand-over.
+    (max float / 2 - S gamma) / K, so no state in between overflows.
+
+    The second test judges the strides the rule leaves open by their ends'
+    derivatives.  For d(y) = M y + c, d(F(y)) = R d(y) + E(y) with
+    E(y) = (M R - R M) y + M g + c - R c, which vanishes for the exact
+    polynomials in hM.  R's Horner stages phi_k = I + (h / k') M phi_{k-1}
+    (k' = 4, 3, 2, 1; R the last) take products by M that sum at most
+    `inputs` terms, the most inputs an agent reads, so each rounds by
+    u_plan ||M|| ||phi_{k-1}||, u_plan = (inputs + 2) eps, and the scaling
+    and the added I by 2 eps ||phi_k||; with ||phi_k|| <= p_k and
+    x = h ||M||, ||M phi_k - phi_k M|| <= 2 ||M|| l_k, where
+    l_k = (x / k') (l_{k-1} + u_plan p_{k-1}) + 2 eps p_k.  With g's own
+    rounding, ||E(y)|| <= commute max|y| + lag (_stride_floor).  Along the
+    exact iterates, d(y_s) = R^{s-m} d(y_m) + sum_{j<s-m} R^j E(y_{s-1-j}),
+    so for 1 <= m < s
+
+        ||d(y_m)|| >= (||d(y_s)|| - S (commute Y + lag)) / G.
+
+    d(u_{i+1}) and d(y_s) differ by at most ||M|| err(N_i), and so do d(z_m)
+    and d(y_m); a flat max-norm and the exact one differ by at most half
+    the band.  So every z_m has a derivative floor above 2 (tol + band(Y)),
+    and is not stationary, once the flat max-norm of u_{i+1} is not below
+
+        T_i = band(N_{i+1}) / 2 + (1 + G) ||M|| err(N_i)
+              + S (commute Y + lag) + 2 G (tol + band(Y)),
+
+    linear in N_i and N_{i+1}, which must lie below the rule's reach and
+    below max float / (4 max(||M||, 1)), so that no state in between and
+    no derivative of u_{i+1} overflows.  u_i itself is tested as a single
+    step's state is.  One batched plan.evaluate of the block's open stride
+    ends gives both max-norms, and one within the band of tol or of T_i is
+    decided by the flat evaluate, so every stride is judged as by one flat
+    evaluate of each of its ends.  P is built in place before the
+    recording and step buffers, so R and P are the only dim x dim arrays
+    at the build and beside a batch's flush, next to the plan's blocks.
 
     initial_state is a flat [x; z] vector (copied, never modified); when it
     is None the start is drawn by cfg.init_mode.  The flat evaluate tests
@@ -419,7 +551,7 @@ def integrate(
     plan = DerivativePlan(part, topo)
     # ||M||_inf: the Gershgorin bound of the auto step and the scale of the
     # evaluate rounding bound
-    norm_m = float(np.max(np.sum(np.abs(plan.matrix), axis=1), initial=0.0))
+    norm_m = plan.norm
     h = cfg.step_size if cfg.step_size is not None else _auto_step(norm_m)
     if initial_state is not None:
         y = np.array(as_flat_state(part, initial_state))
@@ -438,9 +570,7 @@ def integrate(
     def stationary(d: np.ndarray) -> bool:
         return float(np.max(np.abs(d))) < tol
 
-    chunks = []
-    pending = np.empty((RECORD_BATCH, plan.dim))
-    times = []
+    chunks, times = [], []
 
     def flush() -> None:
         block = pending[: len(times)]
@@ -464,6 +594,22 @@ def integrate(
         if len(times) == RECORD_BATCH:
             flush()
 
+    def below(rows: np.ndarray, d_max: np.ndarray, bounds, state_norms: np.ndarray) -> np.ndarray:
+        """Whether the flat derivative max-norm of each states[rows[k]] is
+        below bounds[k], from the batched evaluate's max-norms d_max of those
+        states: it decides a state whose d_max is more than the rounding
+        band away from the bound, and the flat evaluate decides the others."""
+        bounds = np.broadcast_to(bounds, d_max.shape)
+        band = slack * (norm_m * state_norms + offset)
+        low = d_max < bounds - band
+        for k in np.flatnonzero(~low & ~(d_max > bounds + band)):
+            low[k] = float(np.max(np.abs(plan.evaluate(states[rows[k]])))) < bounds[k]
+        return low
+
+    def batched_norms(block: np.ndarray) -> np.ndarray:
+        d = plan.evaluate(block)
+        return np.max(np.abs(d, out=d), axis=1)
+
     t = 0.0
     steps = stride_steps = 0
     stop_reason = "max_time"
@@ -474,26 +620,25 @@ def integrate(
         propagator, gain = rk4_propagator(plan, h)
         gain_max = float(np.max(np.abs(gain), initial=0.0))
         jump_slope, jump_intercept = _skip_threshold(norm_m, h, plan.dim, gain_max, tol, slack, offset)
-        record(t, y)
         if stationary(plan.evaluate(y)):
             stop_reason = "stationary"
         striding = stop_reason == "max_time" and stride > 1 and stride * h < max_time
         if striding:
-            # P's build overwrites M, which is rebuilt for the single steps,
-            # so R and P are the only other dim x dim arrays while P is live
-            power, stride_gain, powers = stride_propagator(propagator, gain, stride, plan.matrix)
-            del plan
-        # the step buffers are made after R and P, whose builds peak higher.
-        # states[0] is a block's start, states[1:] its steps or strides; rows
-        # holds a view of each row, so a step indexes no array.  work holds
-        # |states|, then the increments |states[k + 1] - states[k]|, then the
-        # states to evaluate.
+            power, stride_gain, powers = stride_propagator(propagator, gain, stride)
+        # the recording and step buffers are made after R and P, whose
+        # builds peak higher.  states[0] is a block's start, states[1:] its
+        # steps or strides; rows holds a view of each row, so a step indexes
+        # no array.  work holds |states|, then the increments
+        # |states[k + 1] - states[k]|, then the states to evaluate.
+        pending = np.empty((RECORD_BATCH, plan.dim))
+        record(t, y)
         states = np.empty((RECORD_BATCH + 1, len(y)))
         rows = list(states)
         states[0] = y
         work = np.empty_like(states)
         if striding:
             clears = _stride_rule(powers, len(gain), gain_max, jump_slope, jump_intercept)
+            floors = _stride_floor(powers, len(gain), plan.inputs, gain_max, norm_m, h, tol, slack, offset)
             n = 0
             while True:
                 first = steps
@@ -506,6 +651,16 @@ def integrate(
                 norms = np.max(np.abs(states[: n + 1], out=work[: n + 1]), axis=1)
                 increments = np.subtract(states[1 : n + 1], states[:n], out=work[:n])
                 cleared = clears(norms, np.max(np.abs(increments, out=increments), axis=1))
+                # a stride the rule leaves open is taken when its start is
+                # not stationary and its end's derivative clears its floor
+                open_ = np.flatnonzero(~cleared)
+                if open_.size:
+                    lo = open_[0]
+                    d_max = batched_norms(states[lo : open_[-1] + 2])
+                    ends = floors(norms)[open_]
+                    moving = ~below(open_, d_max[open_ - lo], tol, norms[open_])
+                    floored = ~below(open_ + 1, d_max[open_ + 1 - lo], ends, norms[open_ + 1])
+                    cleared[open_] = moving & floored & np.isfinite(ends)
                 taken = n - 1 if cleared.all() else int(np.argmin(cleared))
                 for i in range(1, taken + 1):
                     record((first + i * stride) * h, rows[i])
@@ -517,7 +672,6 @@ def integrate(
                 n = 1
             states[0] = rows[taken]
             del power
-            plan = DerivativePlan(part, topo)
             stride_steps = steps
             t = steps * h
         while stop_reason == "max_time" and t < max_time:
@@ -543,14 +697,11 @@ def integrate(
             skip = jumps[:tested] > jump_slope * norms[:tested] + jump_intercept
             if not skip.all():
                 check = np.flatnonzero(~skip)
-                d = plan.evaluate(np.take(states, check, axis=0, out=work[: len(check)]))
-                d_max = np.max(np.abs(d, out=d), axis=1)
-                band = slack * (norm_m * norms[check] + offset)
-                for i in np.flatnonzero(~(d_max > tol + band)):
-                    if d_max[i] < tol - band[i] or stationary(plan.evaluate(states[check[i]])):
-                        taken = int(check[i])
-                        stop_reason = "stationary"
-                        break
+                d_max = batched_norms(np.take(states, check, axis=0, out=work[: len(check)]))
+                low = below(check, d_max, tol, norms[check])
+                if low.any():
+                    taken = int(check[np.argmax(low)])
+                    stop_reason = "stationary"
             for k in range(first + every - first % every, first + taken + 1, every):
                 record(k * h, rows[k - first])
             steps = first + taken

@@ -13,8 +13,9 @@ blocks with flat_slices and loop over agents and pairs one at a time; the
 package's stacked implementations are checked against them.
 
 stepwise_integrate is the integrator with one flat plan.evaluate and one
-finiteness test per step, after a stride phase of one stride per turn; the
-block-stepping integrate must match it bit for bit.
+finiteness test per step, after a stride phase of one stride per turn that
+judges each stride by the rule, or else by the flat evaluates of its two
+ends; the block-stepping integrate must match it bit for bit.
 
 scaled_instance and scaled_systems draw random_instance systems with A and
 b scaled by a power of ten, for the tests that must hold at every scale.
@@ -43,6 +44,7 @@ from duolayer.simulator import (
     SAMPLE_FIELDS,
     STRIDE_MAX,
     _skip_threshold,
+    _stride_floor,
     _stride_rule,
     rk4_propagator,
     stride_propagator,
@@ -181,8 +183,7 @@ def stepwise_integrate(part, topo, cfg, *, initial_state=None, flat_norms=None):
     plan = DerivativePlan(part, topo)
     h = cfg.step_size
     if h is None:
-        rho = float(np.max(np.sum(np.abs(plan.matrix), axis=1)))
-        h = 0.1 if rho == 0.0 else min(0.9 * 2.0 / rho, 0.1)
+        h = 0.1 if plan.norm == 0.0 else min(0.9 * 2.0 / plan.norm, 0.1)
     if initial_state is not None:
         y = np.array(as_flat_state(part, initial_state))
     elif cfg.init_mode == "zeros":
@@ -224,15 +225,16 @@ def stepwise_integrate(part, topo, cfg, *, initial_state=None, flat_norms=None):
         d = plan.evaluate(y)
         if stride > 1 and not float(np.max(np.abs(d))) < tol:
             # one stride per turn, taken while it ends before max_time and
-            # the rule clears it, which needs the next stride's end
-            spare = np.empty_like(propagator)
-            power, stride_gain, powers = stride_propagator(propagator, gain, stride, spare)
-            norm_m = float(np.max(np.sum(np.abs(plan.matrix), axis=1)))
+            # the rule clears it, which needs the next stride's end, or else
+            # its start is not stationary and its end's flat derivative
+            # max-norm is not below the floor bound
+            power, stride_gain, powers = stride_propagator(propagator, gain, stride)
             gain_max = float(np.max(np.abs(gain)))
             slack = 2.0 * (plan.dim + 1) * np.finfo(float).eps
             offset = float(np.max(np.abs(plan.shift))) + tol + np.finfo(float).tiny
-            slope, intercept = _skip_threshold(norm_m, h, plan.dim, gain_max, tol, slack, offset)
+            slope, intercept = _skip_threshold(plan.norm, h, plan.dim, gain_max, tol, slack, offset)
             clears = _stride_rule(powers, plan.dim, gain_max, slope, intercept)
+            floors = _stride_floor(powers, plan.dim, plan.inputs, gain_max, plan.norm, h, tol, slack, offset)
 
             def next_stride(u):
                 u = power @ u
@@ -246,7 +248,11 @@ def stepwise_integrate(part, topo, cfg, *, initial_state=None, flat_norms=None):
                 norms = np.array([np.max(np.abs(u)) for u in trio])
                 jumps = np.array([np.max(np.abs(b - a)) for a, b in zip(trio, trio[1:])])
                 if not clears(norms, jumps)[0]:
-                    break
+                    bound = floors(norms[:2])[0]
+                    moving = not float(np.max(np.abs(plan.evaluate(y)))) < tol
+                    floored = not float(np.max(np.abs(plan.evaluate(following)))) < bound
+                    if not (np.isfinite(bound) and moving and floored):
+                        break
                 steps += stride
                 record(steps * h, following)
                 y, following = following, after

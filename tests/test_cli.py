@@ -416,6 +416,26 @@ def test_write_csv_values_read_back_bit_for_bit(tmp_path):
     assert np.array_equal(read.view(np.int64), written.view(np.int64))
 
 
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_write_csv_bytes_match_csv_writer(tmp_path, count):
+    # the joined lines are csv.writer's bytes on signed zeros, subnormals,
+    # the largest floats, whole numbers and the non-finite values
+    values = [
+        -0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1.7976931348623157e308,
+        1.0, -3.0, 1e16, 2.0**53, 123456789.0, 0.1, float("nan"), float("inf"), -float("inf"),
+    ]
+    columns = tuple(np.array((values[i:] + values[:i]) * count) for i in range(4))
+    path = tmp_path / "values.csv"
+    write_csv(path, ("time", "V", "a", "b"), columns)
+    reference = tmp_path / "reference.csv"
+    with reference.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("time", "V", "a", "b"))
+        for row in zip(*(col.tolist() for col in columns)):
+            writer.writerow([repr(value) for value in row])
+    assert path.read_bytes() == reference.read_bytes()
+
+
 def test_run_and_verify_never_build_the_dense_drift(tmp_path, monkeypatch):
     def refused(cs):
         raise AssertionError("the dense drift matrix was built")

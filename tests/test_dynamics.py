@@ -157,18 +157,55 @@ def test_matches_independent_drift_assembly():
             assert np.max(np.abs(direct - oracle)) < 1e-12
 
 
+def test_plan_holds_each_agents_rows_at_dim_4000():
+    # the perfbench d4000 shape: m = n = 200, 10 clusters x 10 agents on
+    # rings, row scheme.  The dense M would be 128 MB; each agent's block
+    # reads its own x and z and its two ring neighbors' bands, 120 inputs
+    # for 40 rows, so the plan's arrays hold about 4 MB.  The groups are
+    # views of the flat attributes, so the attributes account for every
+    # byte the plan holds
+    rng = np.random.default_rng(5)
+    n, clusters = 200, 10
+    ring = build_graph(clusters, [(i, (i + 1) % clusters) for i in range(clusters)])
+    a = 2.0 * np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    sizes = [n // clusters] * clusters
+    layout = Layout(scheme="row", cluster_sizes=sizes, agent_sizes=[sizes] * clusters)
+    topo = Topology(cluster_graph=ring, agent_graphs=(ring,) * clusters)
+    b = a @ rng.uniform(-1.0, 1.0, size=n)
+    part = partition_rows(ProblemInstance(a=a, b=b, topology=topo, layout=layout))
+    plan = DerivativePlan(part, topo)
+    dim = part.x_dim + part.z_dim
+    assert plan.dim == dim == 4000
+    arrays = [value for value in vars(plan).values() if isinstance(value, np.ndarray)]
+    assert sum(array.nbytes for array in arrays) < 8 * 2**20
+    assert all(array.shape != (dim, dim) for array in arrays)
+    assert [blocks.shape for _, _, blocks in plan.groups] == [(100, 40, 120)]
+    for group in plan.groups:
+        for view, flat in zip(group, (plan.rows, plan.cols, plan.blocks)):
+            assert view.base is flat
+
+
 def test_evaluate_matches_product_plus_shift_bit_for_bit():
-    # the shift is added in place into the product; the arithmetic is that
-    # of matrix @ y + shift and y @ matrix.T + shift
+    # the shift is added in place into the products; the arithmetic is that
+    # of each agent's block times its inputs plus shift, for a flat state
+    # and for each row of a block of them
     rng = np.random.default_rng(59)
     for scheme in ("row", "column"):
         for size in (4, 20):
             inst, part = random_instance(rng, scheme, size)
             plan = DerivativePlan(part, inst.topology)
             ys = rng.normal(size=(64, plan.dim))
-            assert plan.evaluate(ys).tobytes() == (ys @ plan.matrix.T + plan.shift).tobytes()
+            agents = [agent for group in plan.groups for agent in zip(*group)]
+            assert sorted(np.concatenate([rows for rows, _, _ in agents])) == list(range(plan.dim))
+            want = np.empty_like(ys)
+            for rows, cols, block in agents:
+                want[:, rows] = (block @ ys[:, cols].T).T + plan.shift[rows]
+            assert plan.evaluate(ys).tobytes() == want.tobytes()
             for y in ys[:3]:
-                assert plan.evaluate(y).tobytes() == (plan.matrix @ y + plan.shift).tobytes()
+                want = np.empty_like(y)
+                for rows, cols, block in agents:
+                    want[rows] = block @ y[cols] + plan.shift[rows]
+                assert plan.evaluate(y).tobytes() == want.tobytes()
 
 
 def test_zero_start_conservation_residual_is_offset_norm():

@@ -34,6 +34,7 @@ from duolayer.simulator import (
     SAMPLE_FIELDS,
     STRIDE_MAX,
     _skip_threshold,
+    _stride_floor,
     _stride_rule,
     rk4_propagator,
     stride_propagator,
@@ -406,7 +407,7 @@ def test_skip_rule_never_skips_at_half_the_flat_derivative(k):
         for scheme in ("row", "column"):
             inst, part = scaled_instance(seed, scheme, 12, k)
             plan = DerivativePlan(part, inst.topology)
-            norm_m = float(np.max(np.sum(np.abs(plan.matrix), axis=1)))
+            norm_m = plan.norm
             h = integrate(part, inst.topology, SimConfig(stationarity_tol=1e300)).step_size
             propagator, gain = rk4_propagator(plan, h)
             gain_max, shift_max = float(np.max(np.abs(gain))), float(np.max(np.abs(plan.shift)))
@@ -441,11 +442,11 @@ def test_stride_rule_never_clears_at_half_the_flat_derivative(k):
         for scheme in ("row", "column"):
             inst, part = scaled_instance(seed, scheme, 12, k)
             plan = DerivativePlan(part, inst.topology)
-            norm_m = float(np.max(np.sum(np.abs(plan.matrix), axis=1)))
+            norm_m = plan.norm
             h = integrate(part, inst.topology, SimConfig(stationarity_tol=1e300)).step_size
             propagator, gain = rk4_propagator(plan, h)
             s = 2 + seed % (STRIDE_MAX - 1)
-            power, stride_gain, powers = stride_propagator(propagator, gain, s, np.empty_like(propagator))
+            power, stride_gain, powers = stride_propagator(propagator, gain, s)
             gain_max, shift_max = float(np.max(np.abs(gain))), float(np.max(np.abs(plan.shift)))
             rng = np.random.default_rng(seed)
             ys = np.empty((600 + s, plan.dim))
@@ -473,6 +474,49 @@ def test_stride_rule_never_clears_at_half_the_flat_derivative(k):
                 norms = np.array([np.max(np.abs(u)) for u in trio])
                 jumps = np.array([np.max(np.abs(b - a)) for a, b in zip(trio, trio[1:])])
                 assert not clears(norms, jumps)[0], (seed, scheme, k)
+
+
+@pytest.mark.parametrize("k", [-6, 0, 6])
+def test_stride_floor_never_clears_at_half_the_flat_derivative(k):
+    # integrate's derivative test of a stride on the scaled_instance draws,
+    # with s from 2 to STRIDE_MAX: along random-start trajectories, and at
+    # states within a few ulps of the equilibrium certificate's point, where
+    # the derivative is all rounding.  A stride from u is cleared when the
+    # flat derivative max-norm of its end P u + g_s is not below the floor
+    # bound; with no band and tol half the smallest flat max-norm of the
+    # s - 1 states that stepping one by one from u takes before that end, a
+    # clear would mean a floor above that max-norm
+    for seed in range(20):
+        for scheme in ("row", "column"):
+            inst, part = scaled_instance(seed, scheme, 12, k)
+            plan = DerivativePlan(part, inst.topology)
+            h = integrate(part, inst.topology, SimConfig(stationarity_tol=1e300)).step_size
+            propagator, gain = rk4_propagator(plan, h)
+            s = 2 + seed % (STRIDE_MAX - 1)
+            power, stride_gain, powers = stride_propagator(propagator, gain, s)
+            gain_max, shift_max = float(np.max(np.abs(gain))), float(np.max(np.abs(plan.shift)))
+            rng = np.random.default_rng(seed)
+            ys = np.empty((600 + s, plan.dim))
+            ys[0] = rng.uniform(-1.0, 1.0, size=plan.dim)
+            for i in range(len(ys) - 1):
+                ys[i + 1] = propagator @ ys[i] + gain
+            cs = assemble_compact(part, inst.topology)
+            certificate = np.concatenate(equilibrium_certificate(cs, part))
+            ulps = rng.integers(-3, 4, size=(20, plan.dim)) * np.spacing(np.abs(certificate))
+            flat = [float(np.max(np.abs(plan.evaluate(y)))) for y in ys]
+            starts = [(y, min(flat[i + 1 : i + s])) for i, y in enumerate(ys[:600])]
+            for y in certificate + ulps:
+                stepped, lowest = y, math.inf
+                for _ in range(s - 1):
+                    stepped = propagator @ stepped + gain
+                    lowest = min(lowest, float(np.max(np.abs(plan.evaluate(stepped)))))
+                starts.append((y, lowest))
+            for y, lowest in starts:
+                tol = 0.5 * lowest
+                floors = _stride_floor(powers, plan.dim, plan.inputs, gain_max, plan.norm, h, tol, 0.0, shift_max)
+                end = power @ y + stride_gain
+                bound = floors(np.array([np.max(np.abs(y)), np.max(np.abs(end))]))[0]
+                assert float(np.max(np.abs(plan.evaluate(end)))) < bound, (seed, scheme, k)
 
 
 def shear(a: float, b: float) -> np.ndarray:
@@ -509,7 +553,7 @@ def test_stride_rule_on_hand_built_propagators(case):
         passed.append(bool(np.max(np.abs(after - stepped)) > tol))
         stepped = after
     assert not all(passed)
-    power, stride_gain, powers = stride_propagator(propagator, gain, s, np.empty_like(propagator))
+    power, stride_gain, powers = stride_propagator(propagator, gain, s)
     clears = _stride_rule(powers, len(gain), float(np.max(np.abs(gain))), 0.0, tol)
     trio = [start]
     for _ in range(2):
@@ -548,21 +592,26 @@ def ring_320():
     return part, topo
 
 
+def stride_case(case: str) -> tuple:
+    """(partition, topology, SimConfig) of a bundled scenario "name-scheme",
+    or of ring_320 with a tolerance of 1e-10 for "ring-320"."""
+    if case == "ring-320":
+        part, topo = ring_320()
+        return part, topo, SimConfig(max_time=8000.0, stationarity_tol=1e-10)
+    name, scheme = case.split("-")
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
+    sc = parse_scenario(json.loads(scenario.read_text()))
+    problem, part = build_problem(sc, scheme)
+    return part, problem.topology, sc.sim
+
+
 @pytest.mark.parametrize("case", ["identity_pair-row", "identity_pair-column", "three_cluster_5x5-row",
                                   "three_cluster_5x5-column", "ring-320"])
 def test_strides_keep_steps_stop_and_solution(case):
     # a sample every 5 steps strides by R^5 up to the hand-over; a sample
     # every step takes single steps only.  The stop is the same, and the
     # states differ only in their last bits
-    if case == "ring-320":
-        part, topo = ring_320()
-        sim = SimConfig(max_time=8000.0, stationarity_tol=1e-10)
-    else:
-        name, scheme = case.split("-")
-        scenario = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
-        sc = parse_scenario(json.loads(scenario.read_text()))
-        problem, part = build_problem(sc, scheme)
-        topo, sim = problem.topology, sc.sim
+    part, topo, sim = stride_case(case)
     single = integrate(part, topo, dataclasses.replace(sim, record_every=1))
     strided = integrate(part, topo, dataclasses.replace(sim, record_every=5))
     assert single.stride_steps == 0 and 0 < strided.stride_steps < strided.steps
@@ -574,13 +623,32 @@ def test_strides_keep_steps_stop_and_solution(case):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize(
+    "case, least_stride_steps, most_tail",
+    [("three_cluster_5x5-row", 4900, None), ("three_cluster_5x5-column", 5000, None), ("ring-320", None, 280)],
+)
+def test_stride_floor_shortens_the_single_step_tail(case, least_stride_steps, most_tail):
+    # strides the rule leaves open near the stop are taken on their ends'
+    # derivatives, so the run hands over closer to the stop: before the
+    # derivative test, three_cluster_5x5 strode 4,660 (row) and 4,690
+    # (column) of its steps, and ring_320 took its last 395 singly
+    part, topo, sim = stride_case(case)
+    res = integrate(part, topo, dataclasses.replace(sim, record_every=5))
+    assert res.stop_reason == "stationary"
+    if least_stride_steps is not None:
+        assert res.stride_steps >= least_stride_steps, res.stride_steps
+    if most_tail is not None:
+        assert res.steps - res.stride_steps <= most_tail, res.steps - res.stride_steps
+
+
 def test_integrate_peak_memory_at_dim_320():
-    # the ring_320 instance.  The budget is R's build, three dim x dim
-    # arrays, beside a recording buffer and a step buffer of RECORD_BATCH
-    # (+ 1) rows.  The step buffers are made after R's build and after
-    # R^5's, which M is dropped for, the increment floor's work is
-    # O(RECORD_BATCH dim), and M stays dropped while R^5 is live, so the
-    # peak stays below it.
+    # the ring_320 instance.  The budget is three dim x dim arrays beside a
+    # recording buffer and a step buffer of RECORD_BATCH (+ 1) rows.  R's
+    # build holds two and a few agents' gathered inputs, R^5's holds R, R^5
+    # and one block of rows, and the plan's blocks, about 65 dim floats
+    # here, stay live throughout; the recording and step buffers are made
+    # after both builds, and the increment floor's and the batched
+    # evaluate's work is O(RECORD_BATCH dim), so the peak stays below it.
     part, topo = ring_320()
     dim = part.x_dim + part.z_dim
     cfg = SimConfig(max_time=8000.0, stationarity_tol=1e-10, record_every=5)
