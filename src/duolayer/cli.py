@@ -377,7 +377,7 @@ def write_run_artifacts(out_dir: Path, part, topo: Topology, result: SimResult) 
             "z": [[y[sl].tolist() for sl in row] for row in z_slices],
         },
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (out_dir / "summary.json").write_text(json.dumps(summary) + "\n")
     return summary
 
 

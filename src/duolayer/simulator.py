@@ -20,21 +20,14 @@ plan.evaluate.  So a block costs its steps plus O(RECORD_BATCH dim) work.
 When samples are s = record_every steps apart, 2 <= s <= STRIDE_MAX, the
 run first strides from sample to sample by s steps at once, u -> P u + g_s
 with P = R^s (stride_propagator), one matrix-vector product per sample.
-The increment Delta(y) = R y + g - y of the step map obeys
-Delta(R y + g) = R Delta(y), so a stride's increment is
-sum_{m<s} R^m Delta(u): it floors the start's increment by dividing by
-sum_{m<s} ||R^m||, and the next stride's floors the s - 1 states between
-by a further max_{1<=m<s} ||R^m||.  A stride is taken when the
-single-step floor clears all s of its states (_stride_rule), or else when
-its start is not stationary and its end's derivative clears a second
-floor: the derivative d(y) = M y + c obeys d(R y + g) = R d(y), so the
-states between a stride's ends have a derivative of at least the end's
-divided by max_{1<=m<s} ||R^m|| (_stride_floor).  As in the single-step
-phase, the rule clears most strides, and one batched plan.evaluate of a
-block's stride ends judges the rest.  The run hands over to the single
-steps at the first stride that neither clears, so the stop, the sample
-times and the errors are those of the single steps, and only the states'
-last bits differ.  The plan stays live throughout.
+The derivative d(y) = M y + c obeys d(R y + g) = R d(y), so the states
+between a stride's ends have a derivative of at least the end's divided by
+max_{1<=m<s} ||R^m|| (_stride_floor).  A stride is taken when its start is
+not stationary and its end's derivative clears that floor, both read from
+one batched plan.evaluate of a block's stride states.  The run hands over
+to the single steps at the first stride that does not clear, so the stop,
+the sample times and the errors are those of the single steps, and only
+the states' last bits differ.  The plan stays live throughout.
 
 States, the initial and the final one included, are flat [x; z] vectors laid
 out by dynamics.flat_slices.  Recorded samples are copied into a buffer of
@@ -270,64 +263,6 @@ def stride_propagator(propagator: np.ndarray, gain: np.ndarray, s: int) -> tuple
     return power, stride_gain, norms
 
 
-def _stride_bounds(norms: list, dim: int, gain_max: float) -> tuple:
-    """(K, S, G, err_slope, err_intercept, reach) of integrate's stride tests.
-
-    norms are stride_propagator's ||R^m||_inf, m = 0..s, and gain_max is
-    max|g|.  K = max_{m<=s} ||R^m||, S = sum_{m<s} ||R^m|| and
-    G = max_{1<=m<s} ||R^m||, the last two widened by their rounding;
-    err(N) = err_slope N + err_intercept bounds the rounding drift of a
-    stride's end and of the stepped states from the exact iterates of a
-    stride from a state with max-norm N, and the states of a stride from a
-    state with max-norm up to reach stay below max float / 2.  integrate's
-    docstring derives them.
-    """
-    s = len(norms) - 1
-    u = (dim + 2) * np.finfo(float).eps
-    big = max(norms)
-    kappa = s * big**3 * u
-    total = (sum(norms[:s]) + s * kappa) * (1.0 + 2.0 * u)
-    peak = (max(norms[1:s]) + kappa) * (1.0 + 2.0 * u)
-    err_slope = 2.0 * kappa
-    err_intercept = 2.0 * kappa * ((s + 2) * gain_max + np.finfo(float).tiny)
-    # the states of a stride from u_i stay below big N_i + total gain_max
-    reach = (np.finfo(float).max / 2.0 - total * gain_max) / big
-    return big, total, peak, err_slope, err_intercept, reach
-
-
-def _stride_rule(norms: list, dim: int, gain_max: float, slope: float, intercept: float):
-    """integrate's stride clear test, from scalars only.
-
-    norms are stride_propagator's ||R^m||_inf, m = 0..s; (slope, intercept)
-    is _skip_threshold's single-step rule and gain_max = max|g|.  The result
-    is a function of the row max-norms N_0..N_n of stride states
-    u_0..u_n, u_{i+1} = P u_i + g_s, and of their increments
-    J_i = max|u_{i+1} - u_i|.  For each stride i < n - 1 it tells whether
-    the single-step rule clears all s states that stepping one by one from
-    u_i would take, so that none of them is stationary; integrate's
-    docstring derives the test.  Where a bound overflows, nothing clears.
-    """
-    big, total, peak, err_slope, err_intercept, reach = _stride_bounds(norms, dim, gain_max)
-    start_slope = err_slope + total * slope
-    start_intercept = err_intercept + total * intercept
-    drift = big + 1.0 + peak * (big + 1.0 + slope)
-    lag_slope = total * (drift * err_slope + peak * slope * big)
-    end_intercept = err_intercept + total * (drift * err_intercept + peak * (slope * total * gain_max + intercept))
-
-    def clears(state_norms: np.ndarray, jumps: np.ndarray) -> np.ndarray:
-        inside = state_norms <= reach
-        start, end = state_norms[:-2], state_norms[1:-1]
-        return (
-            inside[:-2]
-            & inside[1:-1]
-            & inside[2:]
-            & (jumps[:-1] > start_slope * start + start_intercept)
-            & (jumps[1:] > err_slope * end + lag_slope * start + end_intercept)
-        )
-
-    return clears
-
-
 def _stride_floor(
     norms: list,
     dim: int,
@@ -339,12 +274,14 @@ def _stride_floor(
     slack: float,
     offset: float,
 ):
-    """integrate's derivative test of a stride, from scalars only.
+    """integrate's test of a stride by its end's derivative, from scalars
+    only.
 
-    norms and gain_max are as for _stride_rule; inputs is the most inputs
-    an agent of the plan reads, norm_m = ||M||_inf, and h, tol, slack and
-    offset are those of _skip_threshold's rule.  The result is a function
-    of the row max-norms N_0..N_n of stride states u_0..u_n.  For each
+    norms are stride_propagator's ||R^m||_inf, m = 0..s, gain_max is
+    max|g|, inputs is the most inputs an agent of the plan reads,
+    norm_m = ||M||_inf, and h, tol, slack and offset are those of
+    _skip_threshold's rule.  The result is a function of the row max-norms
+    N_0..N_n of stride states u_0..u_n, u_{i+1} = P u_i + g_s.  For each
     stride i < n it gives the bound T_i, linear in N_i and N_{i+1}, that
     the flat derivative max-norm of u_{i+1} must not fall below for the
     s - 1 states that steps from u_i take before u_{i+1} to have a
@@ -353,9 +290,19 @@ def _stride_floor(
     N_{i+1} exceeds the reach beyond which a state between, or the
     derivative of u_{i+1}, might overflow.
     """
-    big, total, peak, err_slope, err_intercept, reach = _stride_bounds(norms, dim, gain_max)
+    s = len(norms) - 1
     eps = np.finfo(float).eps
     u, u_plan = (dim + 2) * eps, (inputs + 2) * eps
+    # K = max_{m<=s} ||R^m||, S = sum_{m<s} ||R^m|| and G = max_{1<=m<s}
+    # ||R^m||, the last two widened by their rounding; err(N) =
+    # err_slope N + err_intercept bounds the rounding drift of a stride's end
+    # and of the stepped states from the exact iterates
+    big = max(norms)
+    kappa = s * big**3 * u
+    total = (sum(norms[:s]) + s * kappa) * (1.0 + 2.0 * u)
+    peak = (max(norms[1:s]) + kappa) * (1.0 + 2.0 * u)
+    err_slope = 2.0 * kappa
+    err_intercept = 2.0 * kappa * ((s + 2) * gain_max + np.finfo(float).tiny)
     x = h * norm_m
     # ||M phi_k - phi_k M|| <= 2 ||M|| lead for the Horner stages phi_k of
     # rk4_propagator, ||phi_k|| <= p; R is the last stage
@@ -386,7 +333,11 @@ def _stride_floor(
         + total * lag
         + 2.0 * peak * (tol + slack * offset)
     )
-    reach = min(reach, np.finfo(float).max / 4.0 / max(norm_m, 1.0))
+    # the states of a stride from u_i stay below big N_i + total gain_max
+    reach = min(
+        (np.finfo(float).max / 2.0 - total * gain_max) / big,
+        np.finfo(float).max / 4.0 / max(norm_m, 1.0),
+    )
 
     def bounds(state_norms: np.ndarray) -> np.ndarray:
         start, end = state_norms[:-1], state_norms[1:]
@@ -462,79 +413,59 @@ def integrate(
     Strides.  With s = record_every, 2 <= s <= STRIDE_MAX, a run whose
     start is not stationary first strides: u_{i+1} = P u_i + g_s with
     (P, g_s) = stride_propagator(R, g, s), one matrix-vector product per
-    recorded sample, in blocks of up to RECORD_BATCH strides; P is not
-    built when even the first stride would reach max_time.  It hands
-    over to the steps above, from the stride's start, at the first stride
-    that neither test below clears, or that would end at or past max_time.
-    A stride is cleared when its s states, u_i and the s - 1 that steps
-    from u_i would take before u_{i+1}, are none of them stationary or
-    non-finite: the stop, the sample times and the errors stay those of
-    one flat evaluate per step, and only the states' last bits differ.
-    s = 1 takes no strides.
+    recorded sample, in blocks of up to RECORD_BATCH strides that end
+    before max_time; P is not built when even the first stride would reach
+    max_time.  A stride is cleared when its s states, u_i and the s - 1
+    that steps from u_i would take before u_{i+1}, are none of them
+    stationary or non-finite.  The run hands over to the steps above, from
+    the stride's start, at the first stride that is not cleared or that
+    would end at or past max_time, so the stop, the sample times and the
+    errors stay those of one flat evaluate per step, and only the states'
+    last bits differ.  s = 1 takes no strides.
 
-    The first test, _stride_rule, needs no derivative.  It reads the exact
-    map F(y) = R y + g of the computed R and g, whose increment
-    Delta(y) = F(y) - y = (R - I) y + g obeys Delta(F(y)) = R Delta(y).
-    Along the exact iterates y_m = F^m(u_i), Delta(y_m) = R^m Delta(u_i)
-    and y_s - u_i = sum_{m<s} R^m Delta(u_i), so in the infinity norm
-
-        ||Delta(u_i)|| >= ||y_s - u_i|| / S,     S = sum_{m<s} ||R^m||,
-        ||Delta(y_m)|| >= ||Delta(y_s)|| / G,    G = max_{1<=m<s} ||R^m||.
-
-    With K = max_{m<=s} ||R^m|| and gamma = max|g|, the s - 1 products
-    that build P, the Horner sum g_s and the stride's own product round
-    by at most s K^3 u (max|u_i| + (s + 2) gamma) to first order, and the
-    s steps from u_i by u (K max|y| + gamma) each, carried by at most K.
-    err(N) = 2 s K^3 u (N + (s + 2) gamma + tiny) covers both: the stride
-    end u_{i+1} is within err(N_i) of y_s, N_i = max|u_i|, and so is each
-    stepped state z_m of y_m.  S and G, read off the computed powers, are
-    widened by their rounding, s K^3 u and u relative.  With
-    J_i = max|u_{i+1} - u_i|, and Delta(u_{i+1}) - Delta(y_s) =
-    (R - I)(u_{i+1} - y_s),
-
-        ||Delta(u_i)|| >= (J_i - err(N_i)) / S,
-        ||Delta(z_m)|| >= ((J_{i+1} - err(N_{i+1})) / S
-                           - (K + 1) err(N_i)) / G - (K + 1) err(N_i),
-
-    for 1 <= m < s, and max|z_m| <= Y = K N_i + S gamma + err(N_i).  The
-    skip rule reads a computed increment, but it holds for the exact one
-    too, since its allowance covers the step's rounding.  So the stride is
-    cleared when both floors exceed the skip rule's
-    slope max|state| + intercept, which _stride_rule solves for J_i and
-    J_{i+1}, linear in N_i and N_{i+1}.  N_i up to N_{i+2} must lie below
-    (max float / 2 - S gamma) / K, so no state in between overflows.
-
-    The second test judges the strides the rule leaves open by their ends'
-    derivatives.  For d(y) = M y + c, d(F(y)) = R d(y) + E(y) with
-    E(y) = (M R - R M) y + M g + c - R c, which vanishes for the exact
-    polynomials in hM.  R's Horner stages phi_k = I + (h / k') M phi_{k-1}
-    (k' = 4, 3, 2, 1; R the last) take products by M that sum at most
-    `inputs` terms, the most inputs an agent reads, so each rounds by
-    u_plan ||M|| ||phi_{k-1}||, u_plan = (inputs + 2) eps, and the scaling
-    and the added I by 2 eps ||phi_k||; with ||phi_k|| <= p_k and
-    x = h ||M||, ||M phi_k - phi_k M|| <= 2 ||M|| l_k, where
+    A stride is judged by its ends' derivatives.  u_i is tested as a single
+    step's state is.  For the states between, take the exact map
+    F(y) = R y + g of the computed R and g and d(y) = M y + c; then
+    d(F(y)) = R d(y) + E(y) with E(y) = (M R - R M) y + M g + c - R c,
+    which vanishes for the exact polynomials in hM.  R's Horner stages
+    phi_k = I + (h / k') M phi_{k-1} (k' = 4, 3, 2, 1; R the last) take
+    products by M that sum at most `inputs` terms, the most inputs an agent
+    reads, so each rounds by u_plan ||M|| ||phi_{k-1}||,
+    u_plan = (inputs + 2) eps, and the scaling and the added I by
+    2 eps ||phi_k||; with ||phi_k|| <= p_k and x = h ||M||,
+    ||M phi_k - phi_k M|| <= 2 ||M|| l_k, where
     l_k = (x / k') (l_{k-1} + u_plan p_{k-1}) + 2 eps p_k.  With g's own
-    rounding, ||E(y)|| <= commute max|y| + lag (_stride_floor).  Along the
-    exact iterates, d(y_s) = R^{s-m} d(y_m) + sum_{j<s-m} R^j E(y_{s-1-j}),
-    so for 1 <= m < s
+    rounding, ||E(y)|| <= commute max|y| + lag.  Along the exact iterates
+    y_m = F^m(u_i), d(y_s) = R^{s-m} d(y_m) + sum_{j<s-m} R^j E(y_{s-1-j}),
+    so in the infinity norm, for 1 <= m < s,
 
-        ||d(y_m)|| >= (||d(y_s)|| - S (commute Y + lag)) / G.
+        ||d(y_m)|| >= (||d(y_s)|| - S (commute Y + lag)) / G,
 
-    d(u_{i+1}) and d(y_s) differ by at most ||M|| err(N_i), and so do d(z_m)
-    and d(y_m); a flat max-norm and the exact one differ by at most half
-    the band.  So every z_m has a derivative floor above 2 (tol + band(Y)),
-    and is not stationary, once the flat max-norm of u_{i+1} is not below
+    with S = sum_{m<s} ||R^m||, G = max_{1<=m<s} ||R^m|| and Y a bound on
+    max|y_m|.  With K = max_{m<=s} ||R^m|| and gamma = max|g|, the s - 1
+    products that build P, the Horner sum g_s and the stride's own product
+    round by at most s K^3 u (max|u_i| + (s + 2) gamma) to first order, and
+    the s steps from u_i by u (K max|y| + gamma) each, carried by at most
+    K.  err(N) = 2 s K^3 u (N + (s + 2) gamma + tiny) covers both: the
+    stride end u_{i+1} is within err(N_i) of y_s, N_i = max|u_i|, and so is
+    each stepped state z_m of y_m, and max|z_m| <= Y = K N_i + S gamma
+    + err(N_i).  S and G, read off the computed powers, are widened by
+    their rounding, s K^3 u and u relative.  d(u_{i+1}) and d(y_s) differ
+    by at most ||M|| err(N_i), and so do d(z_m) and d(y_m); a flat max-norm
+    and the exact one differ by at most half the band.  So every z_m has a
+    derivative floor above 2 (tol + band(Y)), and is not stationary, once
+    the flat max-norm of u_{i+1} is not below
 
         T_i = band(N_{i+1}) / 2 + (1 + G) ||M|| err(N_i)
               + S (commute Y + lag) + 2 G (tol + band(Y)),
 
-    linear in N_i and N_{i+1}, which must lie below the rule's reach and
-    below max float / (4 max(||M||, 1)), so that no state in between and
-    no derivative of u_{i+1} overflows.  u_i itself is tested as a single
-    step's state is.  One batched plan.evaluate of the block's open stride
-    ends gives both max-norms, and one within the band of tol or of T_i is
-    decided by the flat evaluate, so every stride is judged as by one flat
-    evaluate of each of its ends.  P is built in place before the
+    linear in N_i and N_{i+1} (_stride_floor).  N_i and N_{i+1} must lie
+    below (max float / 2 - S gamma) / K and max float / (4 max(||M||, 1)),
+    so that no state in between and no derivative of u_{i+1} overflows.
+    One batched plan.evaluate of a block's n + 1 stride states gives both
+    max-norms of each of its n strides, and one within the band of tol or
+    of T_i is decided by the flat evaluate, so every stride is judged as by
+    one flat evaluate of each of its ends.  P is built in place before the
     recording and step buffers, so R and P are the only dim x dim arrays
     at the build and beside a batch's flush, next to the plan's blocks.
 
@@ -599,11 +530,11 @@ def integrate(
         below bounds[k], from the batched evaluate's max-norms d_max of those
         states: it decides a state whose d_max is more than the rounding
         band away from the bound, and the flat evaluate decides the others."""
-        bounds = np.broadcast_to(bounds, d_max.shape)
         band = slack * (norm_m * state_norms + offset)
         low = d_max < bounds - band
         for k in np.flatnonzero(~low & ~(d_max > bounds + band)):
-            low[k] = float(np.max(np.abs(plan.evaluate(states[rows[k]])))) < bounds[k]
+            bound = np.broadcast_to(bounds, d_max.shape)[k]
+            low[k] = float(np.max(np.abs(plan.evaluate(states[rows[k]])))) < bound
         return low
 
     def batched_norms(block: np.ndarray) -> np.ndarray:
@@ -637,40 +568,33 @@ def integrate(
         states[0] = y
         work = np.empty_like(states)
         if striding:
-            clears = _stride_rule(powers, len(gain), gain_max, jump_slope, jump_intercept)
             floors = _stride_floor(powers, len(gain), plan.inputs, gain_max, norm_m, h, tol, slack, offset)
-            n = 0
-            while True:
-                first = steps
-                # a stride is taken only if it ends before max_time, and is
-                # cleared only once the next stride's end is known
-                while n < RECORD_BATCH and (first + n * stride) * h < max_time:
+            # a block whose RECORD_BATCH strides are all taken is followed
+            # by the next; the strides computed are those that end before
+            # max_time
+            taken = RECORD_BATCH
+            while taken == RECORD_BATCH:
+                first, n = steps, 0
+                while n < RECORD_BATCH and (first + (n + 1) * stride) * h < max_time:
                     np.matmul(power, rows[n], out=rows[n + 1])
                     rows[n + 1] += stride_gain
                     n += 1
                 norms = np.max(np.abs(states[: n + 1], out=work[: n + 1]), axis=1)
-                increments = np.subtract(states[1 : n + 1], states[:n], out=work[:n])
-                cleared = clears(norms, np.max(np.abs(increments, out=increments), axis=1))
-                # a stride the rule leaves open is taken when its start is
-                # not stationary and its end's derivative clears its floor
-                open_ = np.flatnonzero(~cleared)
-                if open_.size:
-                    lo = open_[0]
-                    d_max = batched_norms(states[lo : open_[-1] + 2])
-                    ends = floors(norms)[open_]
-                    moving = ~below(open_, d_max[open_ - lo], tol, norms[open_])
-                    floored = ~below(open_ + 1, d_max[open_ + 1 - lo], ends, norms[open_ + 1])
-                    cleared[open_] = moving & floored & np.isfinite(ends)
-                taken = n - 1 if cleared.all() else int(np.argmin(cleared))
+                d_max = batched_norms(states[: n + 1])
+                # a stride is taken when its start is not stationary and its
+                # end's derivative is not below its floor
+                ends = floors(norms)
+                starts = np.arange(n)
+                cleared = (
+                    np.isfinite(ends)
+                    & ~below(starts, d_max[:-1], tol, norms[:-1])
+                    & ~below(starts + 1, d_max[1:], ends, norms[1:])
+                )
+                taken = n if cleared.all() else int(np.argmin(cleared))
                 for i in range(1, taken + 1):
                     record((first + i * stride) * h, rows[i])
                 steps = first + taken * stride
-                if taken < n - 1 or n < RECORD_BATCH:
-                    break
-                # the last stride waits for the next block's first
-                states[:2] = states[n - 1 :]
-                n = 1
-            states[0] = rows[taken]
+                states[0] = rows[taken]
             del power
             stride_steps = steps
             t = steps * h

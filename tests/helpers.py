@@ -14,8 +14,8 @@ package's stacked implementations are checked against them.
 
 stepwise_integrate is the integrator with one flat plan.evaluate and one
 finiteness test per step, after a stride phase of one stride per turn that
-judges each stride by the rule, or else by the flat evaluates of its two
-ends; the block-stepping integrate must match it bit for bit.
+judges each stride by the flat evaluates of its two ends; the
+block-stepping integrate must match it bit for bit.
 
 scaled_instance and scaled_systems draw random_instance systems with A and
 b scaled by a power of ten, for the tests that must hold at every scale.
@@ -43,9 +43,7 @@ from duolayer.simulator import (
     RECORD_BATCH,
     SAMPLE_FIELDS,
     STRIDE_MAX,
-    _skip_threshold,
     _stride_floor,
-    _stride_rule,
     rk4_propagator,
     stride_propagator,
 )
@@ -224,38 +222,25 @@ def stepwise_integrate(part, topo, cfg, *, initial_state=None, flat_norms=None):
         record(t, y)
         d = plan.evaluate(y)
         if stride > 1 and not float(np.max(np.abs(d))) < tol:
-            # one stride per turn, taken while it ends before max_time and
-            # the rule clears it, which needs the next stride's end, or else
-            # its start is not stationary and its end's flat derivative
-            # max-norm is not below the floor bound
+            # one stride per turn, taken while it ends before max_time, its
+            # start is not stationary and its end's flat derivative max-norm
+            # is not below the floor bound
             power, stride_gain, powers = stride_propagator(propagator, gain, stride)
             gain_max = float(np.max(np.abs(gain)))
             slack = 2.0 * (plan.dim + 1) * np.finfo(float).eps
             offset = float(np.max(np.abs(plan.shift))) + tol + np.finfo(float).tiny
-            slope, intercept = _skip_threshold(plan.norm, h, plan.dim, gain_max, tol, slack, offset)
-            clears = _stride_rule(powers, plan.dim, gain_max, slope, intercept)
             floors = _stride_floor(powers, plan.dim, plan.inputs, gain_max, plan.norm, h, tol, slack, offset)
-
-            def next_stride(u):
-                u = power @ u
-                u += stride_gain
-                return u
-
-            following = next_stride(y)
             while (steps + stride) * h < max_time:
-                after = next_stride(following)
-                trio = (y, following, after)
-                norms = np.array([np.max(np.abs(u)) for u in trio])
-                jumps = np.array([np.max(np.abs(b - a)) for a, b in zip(trio, trio[1:])])
-                if not clears(norms, jumps)[0]:
-                    bound = floors(norms[:2])[0]
-                    moving = not float(np.max(np.abs(plan.evaluate(y)))) < tol
-                    floored = not float(np.max(np.abs(plan.evaluate(following)))) < bound
-                    if not (np.isfinite(bound) and moving and floored):
-                        break
+                following = power @ y
+                following += stride_gain
+                bound = floors(np.array([np.max(np.abs(y)), np.max(np.abs(following))]))[0]
+                moving = not float(np.max(np.abs(plan.evaluate(y)))) < tol
+                floored = not float(np.max(np.abs(plan.evaluate(following)))) < bound
+                if not (np.isfinite(bound) and moving and floored):
+                    break
                 steps += stride
                 record(steps * h, following)
-                y, following = following, after
+                y = following
             t = steps * h
             d = plan.evaluate(y)
         stride_steps = steps
