@@ -7,27 +7,23 @@ The law is linear and time-invariant, y' = M y + c with M the operator
 whose rows the plan stores agent by agent and c = plan.shift, so one
 classical RK4 step is exactly the affine map y -> R y + g; both are built
 once per run from the plan, and each step is one matrix-vector product.
-Steps run in blocks of up to RECORD_BATCH; the stationarity and
-finiteness tests run once per block, over all of its states, and stop
-where one test per step would, bit for bit (see integrate).  A step's
-increment bounds the derivative from below, since
-y_{k+1} - y_k = h phi(hM) (M y_k + c) with ||phi(hM)|| <= p(h ||M||), a
-cubic; with an allowance for rounding (_skip_threshold) that floor clears
-stationarity_tol for almost every state, and only the states it leaves
-open, those of the last blocks before the stop, go through one batched
-plan.evaluate.  So a block costs its steps plus O(RECORD_BATCH dim) work.
+Steps, and the strides below, run in one loop of blocks of up to
+RECORD_BATCH; each block takes one row max-norm and one batched
+plan.evaluate of its states, and decides each test as the flat evaluate
+of that state would (see integrate).  So a block costs its moves plus
+O(RECORD_BATCH dim) work.
 
-When samples are s = record_every steps apart, 2 <= s <= STRIDE_MAX, the
-run first strides from sample to sample by s steps at once, u -> P u + g_s
-with P = R^s (stride_propagator), one matrix-vector product per sample.
-The derivative d(y) = M y + c obeys d(R y + g) = R d(y), so the states
-between a stride's ends have a derivative of at least the end's divided by
-max_{1<=m<s} ||R^m|| (_stride_floor).  A stride is taken when its start is
-not stationary and its end's derivative clears that floor, both read from
-one batched plan.evaluate of a block's stride states.  The run hands over
-to the single steps at the first stride that does not clear, so the stop,
-the sample times and the errors are those of the single steps, and only
-the states' last bits differ.  The plan stays live throughout.
+When samples are record_every steps apart and s, the largest divisor of
+record_every up to STRIDE_MAX, is at least 2, the run first strides by s
+steps at once, u -> P u + g_s with P = R^s (stride_propagator), one
+matrix-vector product per stride.  The derivative d(y) = M y + c obeys
+d(R y + g) = R d(y), so the states between a stride's ends have a
+derivative of at least the end's divided by max_{1<=m<s} ||R^m||
+(_stride_floor).  A stride is taken when its start is not stationary and
+its end's derivative clears that floor.  The run hands over to single
+steps at the first stride that does not clear, so the stop, the sample
+times and the errors are those of the single steps, and only the states'
+last bits differ.  The plan stays live throughout.
 
 States, the initial and the final one included, are flat [x; z] vectors laid
 out by dynamics.flat_slices.  Recorded samples are copied into a buffer of
@@ -56,12 +52,12 @@ from .linalg import is_finite_number, solve_least_squares
 V_FLOOR = 1e-14
 # Fewest samples above V_FLOOR that a rate fit accepts.
 MIN_FIT_SAMPLES = 10
-# Recorded samples evaluated together, and steps tested together; bounds the
+# Recorded samples evaluated together, and moves tested together; bounds the
 # recording and the step buffers to RECORD_BATCH (+ 1) flat states each.
 RECORD_BATCH = 64
-# Longest stride: integrate steps by R^s between samples when record_every
-# is s with 2 <= s <= STRIDE_MAX, and one step at a time otherwise.  P's
-# build costs s - 1 dim^3 products and a stride saves s - 1 matrix-vector
+# Longest stride: integrate strides by R^s, s the largest divisor of
+# record_every up to STRIDE_MAX, and steps singly when s is 1.  P's build
+# costs s - 1 dim^3 products and a stride saves s - 1 matrix-vector
 # products, so a run gains only once its strides outnumber the ratio of the
 # two, whatever s; the longer strides also hand over earlier.  On dim-320
 # runs of about 2,000 steps, s = 10 gained nothing.
@@ -200,34 +196,6 @@ def rk4_propagator(plan: DerivativePlan, h: float) -> tuple:
     return phi, gain
 
 
-def _skip_threshold(
-    norm_m: float, h: float, dim: int, gain_max: float, tol: float, slack: float, offset: float
-) -> tuple:
-    """(slope, intercept) of integrate's skip rule, from scalars only.
-
-    A state y whose step y' = R y + g has
-    max|y' - y| > slope max|y| + intercept has a flat derivative max-norm
-    above 2 (tol + band), band = slack (norm_m max|y| + offset), so it is
-    not stationary.  Here (R, g) is rk4_propagator(plan, h),
-    norm_m = ||M||_inf, gain_max = max|g|, offset >= max|c| and
-    dim = plan.dim, with M plan's operator and c = plan.shift; no dim x dim
-    array is read.  integrate's docstring derives the rule.  Where p
-    overflows, slope is inf and nothing is skipped.
-    """
-    eps = np.finfo(float).eps
-    x = h * norm_m
-    p = 1.0 + x * (0.5 + x * (1.0 / 6.0 + x / 24.0))
-    u = (dim + 2) * eps
-    # the floor (max|y' - y| - err) / scale, err = allowance_slope max|y|
-    # + allowance_intercept, must exceed 2 (tol + band)
-    scale = h * p * (1.0 + 8.0 * u)
-    allowance_slope = 16.0 * u * (1.0 + x * p)
-    allowance_intercept = 16.0 * u * (gain_max + h * p * offset + np.finfo(float).tiny)
-    slope = allowance_slope + 2.0 * scale * slack * norm_m
-    intercept = allowance_intercept + 2.0 * scale * (tol + slack * offset)
-    return slope, intercept
-
-
 def stride_propagator(propagator: np.ndarray, gain: np.ndarray, s: int) -> tuple:
     """(P, g_s, norms) with P y + g_s equal to s steps y -> R y + g, for
     (R, g) = rk4_propagator(plan, h): P = R^s, g_s = sum_{i<s} R^i g, and
@@ -279,8 +247,9 @@ def _stride_floor(
 
     norms are stride_propagator's ||R^m||_inf, m = 0..s, gain_max is
     max|g|, inputs is the most inputs an agent of the plan reads,
-    norm_m = ||M||_inf, and h, tol, slack and offset are those of
-    _skip_threshold's rule.  The result is a function of the row max-norms
+    norm_m = ||M||_inf, h is the step and tol the stationarity tolerance,
+    and a state y's rounding band is band = slack (norm_m max|y| + offset),
+    as in integrate.  The result is a function of the row max-norms
     N_0..N_n of stride states u_0..u_n, u_{i+1} = P u_i + g_s.  For each
     stride i < n it gives the bound T_i, linear in N_i and N_{i+1}, that
     the flat derivative max-norm of u_{i+1} must not fall below for the
@@ -357,71 +326,41 @@ def integrate(
     """Propagate the per-agent flow with classical fixed-step RK4.
 
     Each step applies rk4_propagator's affine map once: y -> R y + g, one
-    matrix-vector product.  Steps run in blocks of up to RECORD_BATCH, and
-    a block ends early at the step that reaches max_time.  A block tests
-    its start and every step but its last, which is the next block's start
-    or the state that reaches max_time and is not tested; the first block's
-    start is the run's, which the flat evaluate has already passed and
-    which gets the same answer again, or the stride phase's hand-over
-    state (below).  After each block
-    come one finiteness test of its states and one row max-norm of the
-    states and of their increments y_{k+1} - y_k.  The block is cut at its
-    first non-finite state, or at its first tested state whose derivative
-    max-norm is below stationarity_tol.
+    matrix-vector product.  With s the largest divisor of record_every that
+    is at most STRIDE_MAX, a run whose start is not stationary first
+    strides when s >= 2: u_{i+1} = P u_i + g_s with
+    (P, g_s) = stride_propagator(R, g, s), one matrix-vector product per
+    stride; P is not built when even the first stride would reach
+    max_time.  A stride end is recorded only on a sample step.
 
-    Most states are judged without their derivative: a state's increment
-    gives a floor under max|M y + c|, with M the plan's operator and
-    c = plan.shift.  Exactly, R = I + hM phi(hM) and g = h phi(hM) c with
-    phi(X) = I + X/2 + X^2/6 + X^3/24, so y' - y = h phi(hM) (M y + c) for
-    y' = R y + g, and ||phi(hM)||_inf <= p(x) = 1 + x/2 + x^2/6 + x^3/24
-    with x = h ||M||_inf.  With the computed phi of R's Horner build
-    (R = I + hM phi + E_R, g = h phi c + E_g) and the rounding e of the
-    step itself,
-
-        y' - y = h phi (M y + c) + h (M phi - phi M) y + E_R y + E_g + e.
-
-    To first order in u = (dim + 2) eps, ||phi - phi(hM)|| <= 3 u p, so the
-    commutator is at most 6 u x p ||y||; ||E_R|| <= u (1 + 2 x p) by
-    ||R||_inf <= 1 + x p; ||E_g|| <= u (h p max|c| + max|g|); and
-    ||e|| <= u ((1 + x p) ||y|| + max|g|).  Gradual underflow adds at most
-    2 (dim + 2) eps tiny, tiny the smallest normal float.  The allowance
-
-        err = 16 u ((1 + x p) max|y| + max|g| + h p offset + tiny),
-
-    with offset = max|c| + tol + tiny >= max|c| (the band's, below), is
-    about twice their sum, which also covers the rounding of ||M||, p and
-    y' - y.  Dividing by h ||phi|| <= h p (1 + 8 u) gives the floor
-    max|M y + c| >= (max|y' - y| - err) / (h p (1 + 8 u)), from scalars
-    only (_skip_threshold).  A state whose floor exceeds twice tol + band
-    (band below) is not stationary, and nothing more is computed for it;
-    the factor 2 also absorbs the rounding of that test.  The other tested
-    states, in practice those of the last blocks before the stop and a
-    state whose successor is not finite, go through one batched
-    plan.evaluate and its row max-norm.
+    Strides, and the single steps after them, run in blocks of up to
+    RECORD_BATCH.  A stride block computes the strides that end before
+    max_time, and a step block its steps up to the one that reaches
+    max_time.  Each block takes one row max-norm and one batched
+    plan.evaluate of its states, up to its first non-finite state, and
+    takes its moves up to the first whose start is stationary (derivative
+    max-norm below stationarity_tol) or whose end is not finite or, for a
+    stride, does not clear its floor (below).  A step block's last state
+    is the next block's start, or the state that reaches max_time and is
+    not tested; its cut is the stop, or, at a finite state whose successor
+    is not, a NonFiniteStateError.  A stride block that takes fewer than
+    RECORD_BATCH strides hands over to single steps from the start of the
+    first stride not taken, which the next block tests again.  So the
+    stop, the sample times and the errors stay those of one flat evaluate
+    per step, and only the states' last bits differ; s = 1 takes no
+    strides.
 
     The batched and the flat evaluate round differently.  In the max-norm
     they differ by at most (dim + 1) eps (||M|| ||y|| + ||c||), infinity
-    norms.  A state whose batched max-norm lies within twice that bound of
-    stationarity_tol is decided by the flat evaluate.  The band also adds
-    2 (dim + 1) eps (tol + tiny), with tiny the smallest normal float, which
-    keeps it wider than the rounding of tol +- band and than the error of
-    products that underflow.  A skipped state's flat max-norm is at least
-    its floor less half the band, so above tol.  So the steps, stop, final
-    state and samples equal those of one flat evaluate per step, bit for
-    bit.
-
-    Strides.  With s = record_every, 2 <= s <= STRIDE_MAX, a run whose
-    start is not stationary first strides: u_{i+1} = P u_i + g_s with
-    (P, g_s) = stride_propagator(R, g, s), one matrix-vector product per
-    recorded sample, in blocks of up to RECORD_BATCH strides that end
-    before max_time; P is not built when even the first stride would reach
-    max_time.  A stride is cleared when its s states, u_i and the s - 1
-    that steps from u_i would take before u_{i+1}, are none of them
-    stationary or non-finite.  The run hands over to the steps above, from
-    the stride's start, at the first stride that is not cleared or that
-    would end at or past max_time, so the stop, the sample times and the
-    errors stay those of one flat evaluate per step, and only the states'
-    last bits differ.  s = 1 takes no strides.
+    norms, with M the plan's operator and c = plan.shift.  A state whose
+    batched max-norm lies within the band, twice that bound, of the bound
+    it is tested against is decided by the flat evaluate.  The band also
+    adds 2 (dim + 1) eps (tol + tiny), with tiny the smallest normal
+    float, which keeps it wider than the rounding of tol +- band and than
+    the error of products that underflow: band(y) = slack (||M|| max|y|
+    + offset) with slack = 2 (dim + 1) eps and offset = max|c| + tol
+    + tiny.  So without strides the steps, stop, final state and samples
+    equal those of one flat evaluate per step, bit for bit.
 
     A stride is judged by its ends' derivatives.  u_i is tested as a single
     step's state is.  For the states between, take the exact map
@@ -498,9 +437,6 @@ def integrate(
     slack = 2.0 * (plan.dim + 1) * np.finfo(float).eps
     offset = float(np.max(np.abs(plan.shift), initial=0.0)) + tol + np.finfo(float).tiny
 
-    def stationary(d: np.ndarray) -> bool:
-        return float(np.max(np.abs(d))) < tol
-
     chunks, times = [], []
 
     def flush() -> None:
@@ -538,103 +474,81 @@ def integrate(
         return low
 
     def batched_norms(block: np.ndarray) -> np.ndarray:
+        # the derivatives are freed on return, before the next block's
         d = plan.evaluate(block)
         return np.max(np.abs(d, out=d), axis=1)
 
     t = 0.0
     steps = stride_steps = 0
     stop_reason = "max_time"
-    stride = every if 2 <= every <= STRIDE_MAX else 1
+    stride = max(d for d in range(1, STRIDE_MAX + 1) if every % d == 0)
     # overflow during a divergent run is reported via NonFiniteStateError,
     # so the intermediate warnings carry no information
     with np.errstate(over="ignore", invalid="ignore"):
         propagator, gain = rk4_propagator(plan, h)
-        gain_max = float(np.max(np.abs(gain), initial=0.0))
-        jump_slope, jump_intercept = _skip_threshold(norm_m, h, plan.dim, gain_max, tol, slack, offset)
-        if stationary(plan.evaluate(y)):
+        # a block moves by (move, shift), s steps at a time: strides until
+        # the hand-over, then single steps
+        move, shift, s = propagator, gain, 1
+        if float(np.max(np.abs(plan.evaluate(y)))) < tol:
             stop_reason = "stationary"
-        striding = stop_reason == "max_time" and stride > 1 and stride * h < max_time
-        if striding:
-            power, stride_gain, powers = stride_propagator(propagator, gain, stride)
+        elif stride > 1 and stride * h < max_time:
+            move, shift, powers = stride_propagator(propagator, gain, stride)
+            s = stride
+            gain_max = float(np.max(np.abs(gain), initial=0.0))
+            floors = _stride_floor(powers, len(gain), plan.inputs, gain_max, norm_m, h, tol, slack, offset)
         # the recording and step buffers are made after R and P, whose
         # builds peak higher.  states[0] is a block's start, states[1:] its
-        # steps or strides; rows holds a view of each row, so a step indexes
-        # no array.  work holds |states|, then the increments
-        # |states[k + 1] - states[k]|, then the states to evaluate.
+        # strides or steps; rows holds a view of each row, so a move indexes
+        # no array, and work holds |states|
         pending = np.empty((RECORD_BATCH, plan.dim))
         record(t, y)
         states = np.empty((RECORD_BATCH + 1, len(y)))
         rows = list(states)
         states[0] = y
         work = np.empty_like(states)
-        if striding:
-            floors = _stride_floor(powers, len(gain), plan.inputs, gain_max, norm_m, h, tol, slack, offset)
-            # a block whose RECORD_BATCH strides are all taken is followed
-            # by the next; the strides computed are those that end before
-            # max_time
-            taken = RECORD_BATCH
-            while taken == RECORD_BATCH:
-                first, n = steps, 0
-                while n < RECORD_BATCH and (first + (n + 1) * stride) * h < max_time:
-                    np.matmul(power, rows[n], out=rows[n + 1])
-                    rows[n + 1] += stride_gain
-                    n += 1
-                norms = np.max(np.abs(states[: n + 1], out=work[: n + 1]), axis=1)
-                d_max = batched_norms(states[: n + 1])
-                # a stride is taken when its start is not stationary and its
-                # end's derivative is not below its floor
-                ends = floors(norms)
-                starts = np.arange(n)
-                cleared = (
-                    np.isfinite(ends)
-                    & ~below(starts, d_max[:-1], tol, norms[:-1])
-                    & ~below(starts + 1, d_max[1:], ends, norms[1:])
-                )
-                taken = n if cleared.all() else int(np.argmin(cleared))
-                for i in range(1, taken + 1):
-                    record((first + i * stride) * h, rows[i])
-                steps = first + taken * stride
-                states[0] = rows[taken]
-            del power
-            stride_steps = steps
-            t = steps * h
         while stop_reason == "max_time" and t < max_time:
-            first = steps
-            for n in range(1, RECORD_BATCH + 1):
-                np.matmul(propagator, rows[n - 1], out=rows[n])
-                rows[n] += gain
-                if (first + n) * h >= max_time:
-                    break
+            # a stride block computes the strides that end before max_time,
+            # a step block its steps up to the one that reaches it
+            first, n, ahead = steps, 0, s if s > 1 else 0
+            while n < RECORD_BATCH and (first + n * s + ahead) * h < max_time:
+                np.matmul(move, rows[n], out=rows[n + 1])
+                rows[n + 1] += shift
+                n += 1
             norms = np.max(np.abs(states[: n + 1], out=work[: n + 1]), axis=1)
-            increments = np.subtract(states[1 : n + 1], states[:n], out=work[:n])
-            jumps = np.max(np.abs(increments, out=increments), axis=1)
             finite = np.isfinite(norms[1:])
-            if finite.all():
-                tested = taken = n
+            if not finite.all():
+                # the block is judged up to its first non-finite state
+                n = int(np.argmin(finite)) + 1
+                norms, finite = norms[: n + 1], finite[:n]
+            d_max = batched_norms(states[: n + 1])
+            # a move is taken when its start is not stationary and its end
+            # is finite, and for a stride not below its floor
+            starts = np.arange(n)
+            low = below(starts, d_max[:-1], tol, norms[:-1])
+            if s > 1:
+                ends = floors(norms)
+                cleared = np.isfinite(ends) & ~below(starts + 1, d_max[1:], ends, norms[1:])
             else:
-                # states up to the first non-finite one, which may be the
-                # block's last; the last tested has no finite successor, so
-                # no floor, and is the last taken
-                tested = int(np.argmin(finite)) + 1
-                taken = tested - 1
-                jumps[taken] = np.nan
-            skip = jumps[:tested] > jump_slope * norms[:tested] + jump_intercept
-            if not skip.all():
-                check = np.flatnonzero(~skip)
-                d_max = batched_norms(np.take(states, check, axis=0, out=work[: len(check)]))
-                low = below(check, d_max, tol, norms[check])
-                if low.any():
-                    taken = int(check[np.argmax(low)])
-                    stop_reason = "stationary"
-            for k in range(first + every - first % every, first + taken + 1, every):
-                record(k * h, rows[k - first])
-            steps = first + taken
+                cleared = finite
+            cleared &= ~low
+            taken = n if cleared.all() else int(np.argmin(cleared))
+            for k in range(first + every - first % every, first + taken * s + 1, every):
+                record(k * h, rows[(k - first) // s])
+            steps = first + taken * s
             t = steps * h
-            if taken < n and stop_reason == "max_time":
-                # an earlier sample's V may already have overflowed
-                flush()
-                raise NonFiniteStateError((steps + 1) * h)
             states[0] = rows[taken]
+            if s > 1:
+                if taken < RECORD_BATCH:
+                    # hand over to single steps from the stride not taken
+                    move, shift, s = propagator, gain, 1
+                    stride_steps = steps
+            elif taken < n:
+                if low[taken]:
+                    stop_reason = "stationary"
+                else:
+                    # an earlier sample's V may already have overflowed
+                    flush()
+                    raise NonFiniteStateError((steps + 1) * h)
         y = states[0].copy()
         if steps % every:
             record(t, y)

@@ -174,10 +174,10 @@ def oracle_closeness(y, x_star, part):
 
 def stepwise_integrate(part, topo, cfg, *, initial_state=None, flat_norms=None):
     """integrate with one stride, or one step, one finiteness test and one
-    flat plan.evaluate, per loop turn: the same start, strides, hand-over,
-    step rule, stop tests, sample batches and errors.  A dict flat_norms
-    receives the flat derivative max-norm of each state the one-step loop
-    tests, by step."""
+    flat plan.evaluate, per loop turn: the same start, stride length,
+    strides, hand-over, stop tests, sample batches and errors.  A dict
+    flat_norms receives the flat derivative max-norm of each state the
+    one-step loop tests, by step."""
     plan = DerivativePlan(part, topo)
     h = cfg.step_size
     if h is None:
@@ -216,7 +216,7 @@ def stepwise_integrate(part, topo, cfg, *, initial_state=None, flat_norms=None):
 
     t, steps, stop_reason = 0.0, 0, "max_time"
     every, tol, max_time = cfg.record_every, cfg.stationarity_tol, cfg.max_time
-    stride = every if 2 <= every <= STRIDE_MAX else 1
+    stride = max(d for d in range(1, STRIDE_MAX + 1) if every % d == 0)
     with np.errstate(over="ignore", invalid="ignore"):
         propagator, gain = rk4_propagator(plan, h)
         record(t, y)
@@ -239,7 +239,8 @@ def stepwise_integrate(part, topo, cfg, *, initial_state=None, flat_norms=None):
                 if not (np.isfinite(bound) and moving and floored):
                     break
                 steps += stride
-                record(steps * h, following)
+                if steps % every == 0:
+                    record(steps * h, following)
                 y = following
             t = steps * h
             d = plan.evaluate(y)

@@ -21,7 +21,6 @@ from duolayer.cli import (
     write_csv,
 )
 from duolayer.instances import random_composition, random_connected_graph, random_instance
-from duolayer.simulator import STRIDE_MAX
 
 
 def identity_scenario(**overrides):
@@ -208,9 +207,13 @@ def test_summary_residuals_are_the_last_sample(tmp_path, name, scheme):
     assert row["consensus_residual"] == repr(residuals["max_consensus"])
 
 
-@pytest.mark.parametrize("record_every", [2, STRIDE_MAX, STRIDE_MAX + 1])
-def test_summary_reports_the_stride_phase(tmp_path, record_every):
-    # strides of record_every steps run when 2 <= record_every <= STRIDE_MAX
+@pytest.mark.parametrize(
+    "record_every, stride", [(2, 2), (5, 5), (6, 3), (7, None), (10, 5)], ids=["2", "5", "6", "7", "10"]
+)
+def test_summary_reports_the_stride_phase(tmp_path, record_every, stride):
+    # strides are the largest divisor of record_every up to STRIDE_MAX steps
+    # long, and a record_every with no divisor from 2 to STRIDE_MAX steps
+    # singly
     scenario = Path(__file__).resolve().parent.parent / "scenarios" / "three_cluster_5x5.json"
     data = json.loads(scenario.read_text())
     data["sim"]["record_every"] = record_every
@@ -221,10 +224,13 @@ def test_summary_reports_the_stride_phase(tmp_path, record_every):
     written = json.loads((tmp_path / "summary.json").read_text())
     assert written["stride_steps"] == summary["stride_steps"] == result.stride_steps
     assert written["steps"] == 5288
-    if record_every <= STRIDE_MAX:
-        assert 0 < result.stride_steps < result.steps and result.stride_steps % record_every == 0
-    else:
+    if stride is None:
         assert result.stride_steps == 0
+    else:
+        assert 0 < result.stride_steps < result.steps and result.stride_steps % stride == 0
+    # stride ends between sample steps are not recorded
+    times = result.trajectory.samples["time"]
+    assert np.array_equal(times[:-1], np.arange(len(times) - 1) * record_every * result.step_size)
 
 
 @pytest.mark.parametrize("scheme, steps", [("row", 5288), ("column", 5466)])

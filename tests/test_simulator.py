@@ -33,7 +33,6 @@ from duolayer.simulator import (
     RECORD_BATCH,
     SAMPLE_FIELDS,
     STRIDE_MAX,
-    _skip_threshold,
     _stride_floor,
     rk4_propagator,
     stride_propagator,
@@ -286,7 +285,7 @@ def assert_same_run(got, want):
         assert column.tobytes() == want.trajectory.samples[field].tobytes(), field
 
 
-@pytest.mark.parametrize("record_every", [1, 5, 7, 64, 65])
+@pytest.mark.parametrize("record_every", [1, 5, 7, 10, 64, 65])
 @pytest.mark.parametrize("scheme", ["row", "column"])
 def test_block_stepping_matches_stepwise_oracle(scheme, record_every):
     # the stationary start, one step, a max_time at the end of the first
@@ -395,40 +394,6 @@ def test_stop_at_a_tie_is_decided_by_the_flat_evaluate(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [-6, 0, 6])
-def test_skip_rule_never_skips_at_half_the_flat_derivative(k):
-    # integrate's skip rule, read from a state's RK4 increment, on the
-    # scaled_systems draws: along random-start trajectories, and at states
-    # within a few ulps of the equilibrium certificate's point, where the
-    # derivative is all rounding.  A state is skipped when the floor under
-    # max|M y + c| exceeds 2 (tol + band); with no band and tol half the
-    # flat max-norm, a skip would mean the floor exceeds the flat max-norm
-    for seed in range(20):
-        for scheme in ("row", "column"):
-            inst, part = scaled_instance(seed, scheme, 12, k)
-            plan = DerivativePlan(part, inst.topology)
-            norm_m = plan.norm
-            h = integrate(part, inst.topology, SimConfig(stationarity_tol=1e300)).step_size
-            propagator, gain = rk4_propagator(plan, h)
-            gain_max, shift_max = float(np.max(np.abs(gain))), float(np.max(np.abs(plan.shift)))
-            rng = np.random.default_rng(seed)
-            ys = np.empty((601, plan.dim))
-            ys[0] = rng.uniform(-1.0, 1.0, size=plan.dim)
-            for i in range(600):
-                ys[i + 1] = propagator @ ys[i] + gain
-            cs = assemble_compact(part, inst.topology)
-            certificate = np.concatenate(equilibrium_certificate(cs, part))
-            ulps = rng.integers(-3, 4, size=(20, plan.dim)) * np.spacing(np.abs(certificate))
-            for states in (ys[:-1], certificate + ulps):
-                for y in states:
-                    # the step integrate takes, one matrix-vector product
-                    y_next = propagator @ y + gain
-                    tol = 0.5 * float(np.max(np.abs(plan.evaluate(y))))
-                    slope, intercept = _skip_threshold(norm_m, h, plan.dim, gain_max, tol, 0.0, shift_max)
-                    jump = np.max(np.abs(y_next - y))
-                    assert not jump > slope * np.max(np.abs(y)) + intercept, (seed, scheme, k)
-
-
-@pytest.mark.parametrize("k", [-6, 0, 6])
 def test_stride_floor_never_clears_at_half_the_flat_derivative(k):
     # integrate's derivative test of a stride on the scaled_instance draws,
     # with s from 2 to STRIDE_MAX: along random-start trajectories, and at
@@ -504,12 +469,10 @@ def test_stride_floor_on_hand_built_operators(case):
 
 @pytest.mark.parametrize("scheme", ["row", "column"])
 def test_batched_evaluate_sees_few_steps(monkeypatch, scheme):
-    # the batched evaluate takes each stride block's states once, its start
-    # with them, and the increment floor clears all single steps but those
-    # of the last blocks before the stop, so it sees about one row per
-    # stride and per single step, and 2 (RECORD_BATCH + 1) rows of slack
-    # cover the blocks' starts; taking every step would be about five times
-    # the strides
+    # the batched evaluate takes each block's states once, its start and
+    # last state with them, so it sees about one row per stride and per
+    # single step, and 2 (RECORD_BATCH + 1) rows of slack cover the blocks'
+    # starts; taking every step would be about five times the strides
     scenario = Path(__file__).resolve().parent.parent / "scenarios" / "three_cluster_5x5.json"
     sc = parse_scenario(json.loads(scenario.read_text()))
     problem, part = build_problem(sc, scheme)
@@ -548,15 +511,23 @@ def stride_case(case: str) -> tuple:
     return part, problem.topology, sc.sim
 
 
-@pytest.mark.parametrize("case", ["identity_pair-row", "identity_pair-column", "three_cluster_5x5-row",
-                                  "three_cluster_5x5-column", "ring-320"])
-def test_strides_keep_steps_stop_and_solution(case):
-    # a sample every 5 steps strides by R^5 up to the hand-over; a sample
-    # every step takes single steps only.  The stop is the same, and the
-    # states differ only in their last bits
+@pytest.mark.parametrize(
+    "case, every",
+    [
+        *(pytest.param(case, 5, id=case) for case in ("identity_pair-row", "identity_pair-column",
+                                                      "three_cluster_5x5-row", "three_cluster_5x5-column",
+                                                      "ring-320")),
+        pytest.param("three_cluster_5x5-row", 10, id="three_cluster_5x5-row-10"),
+    ],
+)
+def test_strides_keep_steps_stop_and_solution(case, every):
+    # a sample every 5 steps, or every 10 as the default SimConfig takes,
+    # strides by R^5 up to the hand-over; a sample every step takes single
+    # steps only.  The stop is the same, and the states differ only in their
+    # last bits
     part, topo, sim = stride_case(case)
     single = integrate(part, topo, dataclasses.replace(sim, record_every=1))
-    strided = integrate(part, topo, dataclasses.replace(sim, record_every=5))
+    strided = integrate(part, topo, dataclasses.replace(sim, record_every=every))
     assert single.stride_steps == 0 and 0 < strided.stride_steps < strided.steps
     assert (strided.steps, strided.stop_reason) == (single.steps, single.stop_reason)
     for got, want in (
@@ -590,9 +561,9 @@ def test_integrate_peak_memory_at_dim_320():
     # build holds two and a few agents' gathered inputs, R^5's holds R, R^5
     # and one block of rows, and the plan's blocks, about 65 dim floats
     # here, stay live throughout; the recording and step buffers are made
-    # after both builds, and the increment floor's work and the batched
-    # evaluate of a block's steps or of its RECORD_BATCH + 1 stride states
-    # are O(RECORD_BATCH dim), so the peak stays below it.
+    # after both builds, and the batched evaluate of a block's
+    # RECORD_BATCH + 1 states is O(RECORD_BATCH dim), so the peak stays
+    # below it.
     part, topo = ring_320()
     dim = part.x_dim + part.z_dim
     cfg = SimConfig(max_time=8000.0, stationarity_tol=1e-10, record_every=5)
