@@ -34,6 +34,7 @@ from .dynamics import (
 from .spectral import (
     CompactSystem,
     InconsistentSystemError,
+    Lift,
     SaddleBlocks,
     SpectralVerdict,
     StructureError,
@@ -79,6 +80,7 @@ __all__ = [
     "sample_residuals",
     "CompactSystem",
     "InconsistentSystemError",
+    "Lift",
     "SaddleBlocks",
     "SpectralVerdict",
     "StructureError",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -91,7 +92,26 @@ def _expect(cond: bool, location: str, message: str) -> None:
         raise ScenarioError(location, message)
 
 
+def _finite_floats(value, entries) -> np.ndarray | None:
+    """np.array(value, dtype=float) in one pass when every entry is an int
+    or a float (not a bool) and the array is finite; None otherwise, and
+    then the per-entry checks name the first bad entry."""
+    if not set(map(type, entries)) <= {int, float}:
+        return None
+    try:
+        floats = np.array(value, dtype=float)
+    except OverflowError:  # an int too large for a float
+        return None
+    return floats if np.isfinite(floats).all() else None
+
+
 def _number_grid(value, location: str) -> np.ndarray:
+    if isinstance(value, list) and value and all(
+        isinstance(row, list) and row and len(row) == len(value[0]) for row in value
+    ):
+        grid = _finite_floats(value, itertools.chain.from_iterable(value))
+        if grid is not None:
+            return grid
     _expect(isinstance(value, list) and value, location, "expected a non-empty grid")
     widths = set()
     for r, row in enumerate(value):
@@ -104,6 +124,10 @@ def _number_grid(value, location: str) -> np.ndarray:
 
 
 def _number_list(value, location: str) -> np.ndarray:
+    if isinstance(value, list) and value:
+        numbers = _finite_floats(value, value)
+        if numbers is not None:
+            return numbers
     _expect(isinstance(value, list) and value, location, "expected a non-empty list")
     for i, entry in enumerate(value):
         _expect(is_finite_number(entry), f"{location}[{i}]", "expected a finite number")

@@ -97,7 +97,10 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 def lifted_laplacian(g: Graph, block_dim: int) -> np.ndarray:
-    """Laplacian acting blockwise on stacked block_dim-vectors: L (x) I."""
+    """Laplacian acting blockwise on stacked block_dim-vectors: L (x) I.
+
+    The dense reference of one spectral.Lift term, which builds the same
+    np.kron only on request."""
     if block_dim < 1:
         raise ValueError("block_dim must be >= 1")
     return np.kron(laplacian(g), np.eye(block_dim))

@@ -19,6 +19,21 @@ every product with Q is taken block by block (CompactSystem.matvec), and
 the dense drift_matrix is built only on request, for tests and the
 generic route.
 
+P and D are lifted graph Laplacians, and each is kept as a Lift: the
+block-diagonal list of its Kronecker lifts L_k (x) I_{w_k}, stored as the
+small graph Laplacian L_k and the width w_k, never as a dim x dim array.
+Each reader takes what it needs from the terms: Q11 subtracts P entry by
+entry (Lift.subtract_from), SaddleBlocks validates each L_k, the verdict's
+Q22 checks read max|L_k| and each L_k's asymmetry, matvec applies each L_k
+to its stacked w_k-vectors, and Lift.blocks reads off the terms the
+connected blocks of the lift's nonzero pattern and their entries, in
+linalg.pattern_blocks' order.  A dense factor, such as a test's random
+saddle triple, is the one-term lift (m, 1); Lift.matrix() builds the dense
+array only on request, by graph.lifted_laplacian's np.kron, so its signed
+zeros are the same.  What stays dense: C, Q11 and Q12, the verdict's
+Q21.T Q21 (its check of P), and S, which eigvalsh copies before it
+factors it.
+
 Two routes lead to a verdict:
 
 * check_drift_spectrum (structured route) checks on the stored blocks of Q
@@ -39,23 +54,19 @@ Two routes lead to a verdict:
   that can judge matrices without the saddle structure, such as defective
   or rotating ones.
 
-D is a lifted Laplacian of the small agent or cluster graphs, so up to a
-permutation it is block diagonal with blocks of graph size.  Its
-eigendecomposition is taken once per CompactSystem, block by block
-(CompactSystem.dual_eigh: the connected blocks of D's nonzero pattern, one
-batched eigh per block size), so U is block diagonal and is never formed as
-a dim_z x dim_z matrix.  It serves twice: the structured verdict builds the
-rows of B block by block from it, and equilibrium_certificate solves the
-Laplacian balance D z = C x - b with it as
-z = U+ diag(lam+)^-1 U+.T (C x - b), block by block, keeping the same lam+
-as the verdict.  A dense D is simply one block.
+D's blocks are of agent- or cluster-graph size, so its eigendecomposition
+is taken once per CompactSystem, block by block (CompactSystem.dual_eigh:
+one batched eigh per block size of D's Lift.blocks), and U is block
+diagonal and never formed as a dim_z x dim_z matrix.  It serves twice: the
+structured verdict builds the rows of B block by block from it, and
+equilibrium_certificate solves the Laplacian balance D z = C x - b with it
+as z = U+ diag(lam+)^-1 U+.T (C x - b), block by block, keeping the same
+lam+ as the verdict.  A dense D is one block.
 
 The same blocks bound the two products with D: SaddleBlocks.upper_blocks()
-takes Q12 = C.T D over the blocks of D, which assemble_compact hands to the
-system (CompactSystem.dual_blocks) so the pattern is labelled once, and the
-verdict checks Q12 = -Q21.T Q22 = C.T D, one chunk of blocks at a time
-(_block_products), so neither multiplies C.T by the whole of D.  The Gram products C.T C and Q21.T Q21 and the eigvalsh of S are
-still dense.
+takes Q12 = C.T D over them, and the verdict checks Q12 = -Q21.T Q22 =
+C.T D one chunk of blocks at a time (_block_products), so neither
+multiplies C.T by the whole of D.
 """
 
 from __future__ import annotations
@@ -67,7 +78,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import tiled_reference
-from .graph import Topology, lifted_laplacian
+from .graph import Topology, laplacian
 from .linalg import RANK_RTOL, Spectrum, as_matrix, eig, pattern_blocks, solve_least_squares
 from .partition import check_topology
 
@@ -203,59 +214,172 @@ def spectrum_verdict(m) -> SpectralVerdict:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class Lift:
+    """block_diag(L_1 (x) I_{w_1}, ..., L_K (x) I_{w_K}), kept as its terms
+    ((L_1, w_1), ..., (L_K, w_K)) and never as a dense array.
+
+    Term k acts on the n_k stacked w_k-vectors after those of the terms
+    before it (offset o_k): entry (o_k + i w_k + t, o_k + j w_k + t) is
+    L_k[i, j] for every t < w_k, and every other entry is zero.  A dense
+    matrix m is the one-term lift (m, 1).  Each L_k is copied read-only, so
+    the cached blocks cannot go stale.  matrix(), which np.asarray calls,
+    builds the dense array on request.
+    """
+
+    terms: tuple  # ((L_k, w_k), ...): square L_k, integer w_k >= 1
+
+    def __post_init__(self):
+        terms = []
+        for lap, width in self.terms:
+            lap = as_matrix(np.array(lap, dtype=float))
+            if lap.shape[0] != lap.shape[1] or int(width) != width or width < 1:
+                raise ValueError(f"a lift term needs a square block and a width >= 1: {lap.shape}, {width}")
+            lap.flags.writeable = False
+            terms.append((lap, int(width)))
+        object.__setattr__(self, "terms", tuple(terms))
+
+    def _placed(self) -> Iterator[tuple]:
+        """(offset, L_k, w_k) of every term."""
+        offset = 0
+        for lap, width in self.terms:
+            yield offset, lap, width
+            offset += lap.shape[0] * width
+
+    @property
+    def shape(self) -> tuple:
+        n = sum(lap.shape[0] * width for lap, width in self.terms)
+        return n, n
+
+    def matrix(self) -> np.ndarray:
+        """The dense lift: each np.kron(L_k, I_{w_k}), as in
+        graph.lifted_laplacian, written into a zeroed buffer."""
+        out = np.zeros(self.shape)
+        for offset, lap, width in self._placed():
+            end = offset + lap.shape[0] * width
+            out[offset:end, offset:end] = np.kron(lap, np.eye(width))
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        """np.asarray(lift): the dense lift, built on request."""
+        return self.matrix() if dtype is None else self.matrix().astype(dtype)
+
+    def max_abs(self) -> float:
+        """max|entry| of the lift: the largest max|L_k|."""
+        return max((_max_abs(lap) for lap, _ in self.terms if lap.size), default=0.0)
+
+    def asymmetry(self) -> float:
+        """max|M - M.T| of the lift M: the largest asymmetry of an L_k."""
+        return max((_asymmetry(lap) for lap, _ in self.terms if lap.size), default=0.0)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The connected blocks of the lift's nonzero pattern and their
+        entries, one read-only (idx, sub) per block size, sizes ascending.
+
+        idx (count, size) equals linalg.pattern_blocks(self.matrix()): rows
+        of ascending indices, ordered by their smallest index.  sub
+        (count, size, size) holds the entries, sub[k] = M[i][:, i] for
+        i = idx[k], bit for bit.  Read off the terms: block i of
+        pattern_blocks(L_k) lifts to the w_k blocks o_k + i w_k + t with
+        L_k's entries.  Taken term by term, block by block and t by t,
+        the rows of a size already ascend by their smallest index.
+        """
+        idx, sub = {}, {}
+        for offset, lap, width in self._placed():
+            for group in pattern_blocks(lap):
+                size = group.shape[1]
+                lifted = offset + group[:, None, :] * width + np.arange(width)[:, None]
+                idx.setdefault(size, []).append(lifted.reshape(-1, size))
+                entries = lap[group[:, :, None], group[:, None, :]]
+                sub.setdefault(size, []).append(np.repeat(entries, width, axis=0))
+        out = []
+        for size in sorted(idx):
+            block = (np.concatenate(idx[size]), np.concatenate(sub[size]))
+            for arr in block:
+                arr.flags.writeable = False
+            out.append(block)
+        return tuple(out)
+
+    def subtract_from(self, m: np.ndarray) -> None:
+        """m -= M in place, over the nonzeros of each L_k only, so no dense
+        lift is formed.  The skipped entries of M are +-0.0, and subtracting
+        them changes an entry of m only where both are -0.0."""
+        for offset, lap, width in self._placed():
+            i, j = np.nonzero(lap)
+            t = np.arange(width)
+            rows = (offset + i[:, None] * width + t).ravel()
+            cols = (offset + j[:, None] * width + t).ravel()
+            m[rows, cols] -= np.repeat(lap[i, j], width)
+
+    def matvec(self, z: np.ndarray, absolute: bool = False) -> np.ndarray:
+        """M z, or |M| z when absolute: each L_k (or |L_k|) times the n_k x
+        w_k matrix of its stacked vectors."""
+        out = np.empty(len(z))
+        for offset, lap, width in self._placed():
+            end = offset + lap.shape[0] * width
+            lap = np.abs(lap) if absolute else lap
+            out[offset:end] = (lap @ z[offset:end].reshape(-1, width)).ravel()
+        return out
+
+
 @dataclass(frozen=True)
 class SaddleBlocks:
     """Validated ingredients (C, P, D) of M = [[-C.T C - P, C.T D], [C, -D]].
 
-    P and D must be symmetric positive semi-definite (within 1e-10 relative);
-    that structure is exactly what forces the spectrum onto the closed left
+    P and D are Lifts; a dense array given for either becomes the one-term
+    lift (m, 1).  Both must be symmetric positive semi-definite (within
+    1e-10 relative), checked on each small L_k: the lift's largest entry,
+    its asymmetry and its lowest eigenvalue are those of its terms.  That
+    structure is exactly what forces the spectrum onto the closed left
     real axis with a non-defective kernel.
     """
 
     coupling: np.ndarray  # C, r x s
-    primal_damping: np.ndarray  # P, s x s
-    dual_damping: np.ndarray  # D, r x r
+    primal_damping: Lift  # P, s x s
+    dual_damping: Lift  # D, r x r
 
     def __post_init__(self):
         object.__setattr__(self, "coupling", as_matrix(self.coupling))
         r, s = self.coupling.shape
         for field, n in (("primal_damping", s), ("dual_damping", r)):
             name = field.replace("_", " ")
-            m = as_matrix(getattr(self, field))
-            object.__setattr__(self, field, m)
-            if m.shape != (n, n):
-                raise ValueError(f"{name} has shape {m.shape}, expected ({n}, {n})")
-            if not m.size:
-                continue
-            tol = PSD_RTOL * (1.0 + _max_abs(m))
-            if _asymmetry(m) > tol:
+            lift = getattr(self, field)
+            if not isinstance(lift, Lift):
+                lift = Lift(((lift, 1),))
+            object.__setattr__(self, field, lift)
+            if lift.shape != (n, n):
+                raise ValueError(f"{name} has shape {lift.shape}, expected ({n}, {n})")
+            tol = PSD_RTOL * (1.0 + lift.max_abs())
+            if lift.asymmetry() > tol:
                 raise ValueError(f"{name} is not symmetric within tolerance")
-            if _lowest_eigenvalue_bound(m, tol) < -tol:
+            if any(_lowest_eigenvalue_bound(lap, tol) < -tol for lap, _ in lift.terms if lap.size):
                 raise ValueError(f"{name} is not positive semi-definite within tolerance")
 
     def matrix(self) -> np.ndarray:
         """M as one dense (s + r) x (s + r) array; bit for bit
-        np.block([[-C.T @ C - P, C.T @ D], [C, -D]])."""
-        q11, q12, _ = self.upper_blocks()
-        return _stacked(q11, q12, self.coupling, self.dual_damping)
+        np.block([[-C.T @ C - P, C.T @ D], [C, -D]]) of the dense P and D."""
+        q11, q12 = self.upper_blocks()
+        return _stacked(q11, q12, self.coupling, self.dual_damping.matrix())
 
     def upper_blocks(self) -> tuple:
-        """(Q11, Q12, blocks): the two blocks of M that take arithmetic,
-        Q11 = -C.T C - P and Q12 = C.T D, and linalg.pattern_blocks(D).
+        """(Q11, Q12): the two blocks of M that take arithmetic,
+        Q11 = -C.T C - P and Q12 = C.T D.
 
         -C.T C is the product of the negated copy of C.T, as in np.block's
-        expression (negating the product would flip the sign of its zeros),
-        and C.T D is taken block by block over the blocks of D.
+        expression (negating the product would flip the sign of its zeros).
+        P is subtracted over its terms, which matches subtracting the dense
+        P bit for bit wherever the product holds no -0.0 (BLAS products
+        start from +0.0).  C.T D is taken block by block over D.blocks.
         """
-        c, p, d = self.coupling, self.primal_damping, self.dual_damping
+        c = self.coupling
         r, s = c.shape
         q11 = np.matmul(-c.T, c)
-        q11 -= p
-        blocks = pattern_blocks(d)
+        self.primal_damping.subtract_from(q11)
         q12 = np.empty((s, r))
-        for cols, block in _block_products(c, d, blocks):
+        for cols, block in _block_products(c, self.dual_damping.blocks):
             q12[:, cols] = block.transpose(1, 0, 2)
-        return q11, q12, blocks
+        return q11, q12
 
 
 def _stacked(q11, q12, c, d) -> np.ndarray:
@@ -269,21 +393,20 @@ def _stacked(q11, q12, c, d) -> np.ndarray:
     return m
 
 
-def _block_products(x: np.ndarray, m: np.ndarray, blocks) -> Iterator[tuple]:
-    """X.T M for a square M that is zero off the blocks `blocks`, a chunk of
-    about CHUNK_ROWS rows of M at a time (at least one block).
+def _block_products(x: np.ndarray, blocks) -> Iterator[tuple]:
+    """X.T M for a square M given by its blocks, a chunk of about CHUNK_ROWS
+    rows of M at a time (at least one block).
 
-    blocks is linalg.pattern_blocks(M), or the idx arrays of a factor built
-    from it: every column j of M is zero outside the rows of j's block, so
-    X.T M[:, j] = X[block].T M[block, j] exactly.  Yields (cols, product)
-    with cols (k, size) a chunk of blocks and product[i] = X.T M[:, cols[i]],
-    shape (k, x.shape[1], size).
+    blocks is Lift.blocks of M: every column j of M is zero outside the rows
+    of j's block, so X.T M[:, j] = X[block].T M[block, j] exactly.  Yields
+    (cols, product) with cols (k, size) a chunk of blocks and
+    product[i] = X.T M[:, cols[i]], shape (k, x.shape[1], size).
     """
-    for idx in blocks:
+    for idx, sub in blocks:
         step = max(1, CHUNK_ROWS // idx.shape[1])
         for start in range(0, len(idx), step):
             cols = idx[start : start + step]
-            yield cols, np.matmul(x[cols].transpose(0, 2, 1), m[cols[:, :, None], cols[:, None, :]])
+            yield cols, np.matmul(x[cols].transpose(0, 2, 1), sub[start : start + step])
 
 
 def check_saddle_spectrum(blocks: SaddleBlocks) -> SpectralVerdict:
@@ -296,9 +419,9 @@ class CompactSystem:
     """Stacked drift form Q = [[Q11, Q12], [C, -D]] of one partitioned instance.
 
     saddle.coupling C stacks every agent block block-diagonally.  The two
-    lifted Laplacians take the damping roles: row scheme P = the cluster
-    layer, D = the agent layers; column scheme P = the agent layers, D = the
-    cluster layer.  q11 = -C.T C - P and q12 = C.T D are the two blocks of
+    lifted Laplacians take the damping roles, each kept as a Lift: row
+    scheme P = the cluster layer (one term), D = the agent layers (one term
+    per cluster); column scheme the reverse.  q11 = -C.T C - P and q12 = C.T D are the two blocks of
     Q that take arithmetic, as saddle.upper_blocks() computes them, and
     read-only; Q21 and Q22 are read as C and -D, so Q is never stored.
     matvec applies Q block by block, and drift_matrix is the dense Q, built
@@ -306,13 +429,12 @@ class CompactSystem:
 
     dual_eigh is the one block-wise eigendecomposition of D that both the
     structured verdict and the equilibrium certificate read: whichever runs
-    first pays for it.  It factors the blocks of dual_blocks, which
-    assemble_compact hands over from the assembly, so D's pattern is
-    labelled once per system.  Since the factors cannot be written in place,
-    the cached blocks and factors cannot go stale; dataclasses.replace
-    builds a new instance with an empty cache, which labels its own D, and
-    keeps q11 and q12 as they are, so a replaced saddle is judged against
-    the stored blocks.
+    first pays for it.  It factors D's Lift.blocks, which assembly has
+    already read off D's terms for Q12.  Since the factors cannot be written
+    in place, the cached blocks and factors cannot go stale;
+    dataclasses.replace builds a new instance with an empty cache, which
+    factors its own D, and keeps q11 and q12 as they are, so a replaced
+    saddle is judged against the stored blocks.
     """
 
     scheme: str
@@ -322,27 +444,20 @@ class CompactSystem:
     q12: np.ndarray  # C.T D, dim_x x dim_z
 
     @cached_property
-    def dual_blocks(self) -> tuple:
-        """linalg.pattern_blocks of D: the connected blocks of its nonzero
-        pattern, one (count, size) index array per block size."""
-        return pattern_blocks(self.saddle.dual_damping)
-
-    @cached_property
     def dual_eigh(self) -> tuple:
         """D factored block by block: one (idx, lam, vecs) per block size.
 
         idx (count, size) lists the connected blocks of D's nonzero pattern
-        (dual_blocks), lam (count, size) and vecs (count, size, size) their
+        (saddle.dual_damping.blocks), lam (count, size) and vecs (count, size, size) their
         eigenpairs: D[i][:, i] = vecs[k] diag(lam[k]) vecs[k].T for
         i = idx[k].  One batched eigh per block size; no dim_z x dim_z
         factor is formed.  Built on the first call, every call returns the
         same read-only arrays.
         """
-        d = self.saddle.dual_damping
         factor = []
-        for idx in self.dual_blocks:
-            lam, vecs = np.linalg.eigh(d[idx[:, :, None], idx[:, None, :]])
-            for arr in (idx, lam, vecs):
+        for idx, sub in self.saddle.dual_damping.blocks:
+            lam, vecs = np.linalg.eigh(sub)
+            for arr in (lam, vecs):
                 arr.flags.writeable = False
             factor.append((idx, lam, vecs))
         return tuple(factor)
@@ -351,22 +466,23 @@ class CompactSystem:
     def drift_matrix(self) -> np.ndarray:
         """Q as one dense read-only array, assembled from the stored blocks on
         the first read; bit for bit saddle.matrix() of an assembled system."""
-        m = _stacked(self.q11, self.q12, self.saddle.coupling, self.saddle.dual_damping)
+        m = _stacked(self.q11, self.q12, self.saddle.coupling, self.saddle.dual_damping.matrix())
         m.flags.writeable = False
         return m
 
     def matvec(self, v: np.ndarray, absolute: bool = False) -> np.ndarray:
         """Q v, or |Q| v when absolute, from the blocks:
-        [Q11 x + Q12 z; C x - D z] for v = [x; z].  |Q| v reads each block
-        CHUNK_ROWS rows at a time, so no |block| temporary is made."""
+        [Q11 x + Q12 z; C x - D z] for v = [x; z], with D z taken over
+        D's terms.  |Q| v reads each dense block CHUNK_ROWS rows at a time,
+        so no |block| temporary is made."""
         x, z = v[: self.dim_x], v[self.dim_x :]
         c, d = self.saddle.coupling, self.saddle.dual_damping
         upper = _product(self.q11, x, absolute) + _product(self.q12, z, absolute)
         lower = _product(c, x, absolute)
         if absolute:
-            lower += _product(d, z, absolute)
+            lower += d.matvec(z, absolute=True)
         else:
-            lower -= d @ z
+            lower -= d.matvec(z)
         return np.concatenate([upper, lower])
 
     @property
@@ -410,37 +526,33 @@ def assemble_compact(part, topo: Topology) -> CompactSystem:
 
     This is an independent route to the same flow as the per-agent updates:
     it is built from Kronecker lifts and block stacking, never from the
-    per-agent update code.  Both schemes build the same two Laplacians; only
-    their widths and their P/D roles swap.
+    per-agent update code.  Both schemes build the same two Laplacians, as
+    Lifts of the graph Laplacians; only their widths and their P/D roles
+    swap.
     """
     check_topology(part.cluster_count, part.agent_counts, topo)
     row = part.scheme == "row"
     agent_widths, cluster_width = (
         (part.cluster_rows, part.total_cols) if row else (part.cluster_cols, part.total_rows)
     )
-    agent_lap = _block_diag(
-        [lifted_laplacian(g, w) for g, w in zip(topo.agent_graphs, agent_widths)]
-    )
-    cluster_lap = lifted_laplacian(topo.cluster_graph, cluster_width)
-    primal, dual = (cluster_lap, agent_lap) if row else (agent_lap, cluster_lap)
+    agent_lift = Lift(tuple(zip(map(laplacian, topo.agent_graphs), agent_widths)))
+    cluster_lift = Lift(((laplacian(topo.cluster_graph), cluster_width),))
+    primal, dual = (cluster_lift, agent_lift) if row else (agent_lift, cluster_lift)
     saddle = SaddleBlocks(
         coupling=_block_diag([block for blocks in part.blocks for block in blocks]),
         primal_damping=primal,
         dual_damping=dual,
     )
-    q11, q12, blocks = saddle.upper_blocks()
+    q11, q12 = saddle.upper_blocks()
     for arr in (q11, q12):
         arr.flags.writeable = False
-    cs = CompactSystem(
+    return CompactSystem(
         scheme=part.scheme,
         saddle=saddle,
         b_stack=np.concatenate([off for offsets in part.offsets for off in offsets]),
         q11=q11,
         q12=q12,
     )
-    # the blocks of the D just multiplied, handed to the cached_property
-    cs.__dict__["dual_blocks"] = blocks
-    return cs
 
 
 def _kept(factor: tuple) -> tuple:
@@ -472,10 +584,10 @@ def check_drift_spectrum(cs: CompactSystem) -> SpectralVerdict:
     that Q22 = -D with D symmetric PSD, Q12 = -Q21.T Q22 = C.T D and
     P = -(Q11 + Q21.T Q21) symmetric PSD, all relative to PSD_RTOL.  Every
     residual equals the one read off the dense Q bit for bit: D's asymmetry
-    and largest entry are -D's, and C.T (-D) = -(C.T D) exactly.
-    Q12 = C.T D is checked one connected block of D at a time, over the
-    blocks of cs.dual_eigh: every column of Q12 lies in one block and D is
-    zero off them, so this covers every entry of Q12.
+    and largest entry are -D's, both read off D's terms, and C.T (-D) =
+    -(C.T D) exactly.  Q12 = C.T D is checked one connected block of D at a
+    time, over D's Lift.blocks: every column of Q12 lies in one block and D
+    is zero off them, so this covers every entry of Q12.
     P is an O(1) Laplacian recovered by cancellation: Q11 holds -C.T C - P
     and Q21 is C, so both the stored Q11 and the product Q21.T Q21
     carry rounding of about k * eps * (max|Q11| + max|Q21|^2), k the
@@ -491,11 +603,11 @@ def check_drift_spectrum(cs: CompactSystem) -> SpectralVerdict:
     """
     dim_x = cs.dim_x
     q11, q21, d = cs.q11, cs.saddle.coupling, cs.saddle.dual_damping
-    scale22 = 1.0 + _max_abs(d)
-    sym22 = _structure_check("Q22 symmetric", _asymmetry(d), PSD_RTOL * scale22)
+    scale22 = 1.0 + d.max_abs()
+    sym22 = _structure_check("Q22 symmetric", d.asymmetry(), PSD_RTOL * scale22)
     factor = cs.dual_eigh
     residual = 0.0
-    for cols, coupling in _block_products(q21, d, [idx for idx, _, _ in factor]):
+    for cols, coupling in _block_products(q21, d.blocks):
         coupling -= cs.q12[:, cols].transpose(1, 0, 2)
         residual = np.maximum(residual, _max_abs(coupling))
     coupled = _structure_check(

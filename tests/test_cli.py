@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from duolayer import CompactSystem, LayoutMismatchError, SimConfig, StructureError, cli, integrate
+from duolayer import CompactSystem, LayoutMismatchError, Lift, SimConfig, StructureError, cli, integrate
 from duolayer.cli import (
     EXIT_DIVERGED,
     EXIT_INVALID,
@@ -118,6 +118,48 @@ def test_parse_rejects_shape_problems():
     del missing["layout"]
     with pytest.raises(ScenarioError):
         parse_scenario(missing)
+
+
+GOOD_NUMBERS = [
+    [[1, 2.5], [3, 4]],
+    [[-0.0, 1e308], [5e-324, -1.5]],
+    [[2**70, 0]],
+    [[np.float64(1.0), np.int64(2)]],  # numpy scalars pass the per-entry checks
+]
+BAD_GRIDS = [
+    ([[1, True], [3, "x"]], "A[0][1]: expected a finite number"),
+    ([[1, 2], [float("nan"), 10**400]], "A[1][0]: expected a finite number"),
+    ([[1, 2], [3, 10**400]], "A[1][1]: expected a finite number"),
+    ([[1, float("-inf")]], "A[0][1]: expected a finite number"),
+    ([[1, None]], "A[0][1]: expected a finite number"),
+    ([[1, 2], [3]], "A: rows have uneven lengths"),
+    ([[1, 2], [3, "x", 5]], "A[1][1]: expected a finite number"),
+    ([[1, 2], []], "A[1]: expected a non-empty row"),
+    ([[1, 2], 3], "A[1]: expected a non-empty row"),
+    ([], "A: expected a non-empty grid"),
+    ("x", "A: expected a non-empty grid"),
+]
+BAD_LISTS = [
+    ([1, False], "b[1]: expected a finite number"),
+    ([1, [2]], "b[1]: expected a finite number"),
+    ([float("inf"), "x"], "b[0]: expected a finite number"),
+    ([1, 10**400], "b[1]: expected a finite number"),
+    ([], "b: expected a non-empty list"),
+]
+
+
+def test_number_parsing_keeps_the_per_entry_results():
+    # the one-pass parse returns np.array(value, dtype=float) bit for bit,
+    # and a rejected grid or list names its first bad entry
+    for value in GOOD_NUMBERS:
+        for parse, given in ((cli._number_grid, value), (cli._number_list, value[0])):
+            parsed, reference = parse(given, "v"), np.array(given, dtype=float)
+            assert parsed.dtype == float and np.array_equal(parsed.view(np.int64), reference.view(np.int64))
+    for parse, location, cases in ((cli._number_grid, "A", BAD_GRIDS), (cli._number_list, "b", BAD_LISTS)):
+        for value, message in cases:
+            with pytest.raises(ScenarioError) as err:
+                parse(value, location)
+            assert str(err.value) == message
 
 
 def test_parse_step_size_forms():
@@ -443,10 +485,12 @@ def test_write_csv_bytes_match_csv_writer(tmp_path, count):
 
 
 def test_run_and_verify_never_build_the_dense_drift(tmp_path, monkeypatch):
-    def refused(cs):
-        raise AssertionError("the dense drift matrix was built")
+    # nor a dense P or D: the damping factors stay lifts
+    def refused(obj):
+        raise AssertionError(f"a dense {type(obj).__name__} was built")
 
     monkeypatch.setattr(CompactSystem, "drift_matrix", property(refused))
+    monkeypatch.setattr(Lift, "matrix", refused)
     assert main(["run", str(BUNDLED), "--out", str(tmp_path / "run")]) == EXIT_OK
     assert main(["verify", "--trials", "1", "--seed", "7"]) == EXIT_OK
 

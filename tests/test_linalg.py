@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from duolayer import (
     Layout,
@@ -7,10 +8,10 @@ from duolayer import (
     Spectrum,
     Topology,
     as_matrix,
-    assemble_compact,
     as_vector,
     build_graph,
     eig,
+    lifted_laplacian,
     partition_columns,
     solve_least_squares,
 )
@@ -170,7 +171,8 @@ def test_pattern_blocks_mixed_sizes_column_scheme():
     topo = Topology(cluster_graph=paths[0], agent_graphs=tuple(paths))
     a = np.random.default_rng(2).uniform(-1.0, 1.0, size=(3, 6))
     part = partition_columns(ProblemInstance(a=a, b=a.sum(axis=1), topology=topo, layout=layout))
-    groups = pattern_blocks(assemble_compact(part, topo).saddle.primal_damping)
+    p = block_diag(*[lifted_laplacian(g, w) for g, w in zip(topo.agent_graphs, part.cluster_cols)])
+    groups = pattern_blocks(p)
     assert [g.tolist() for g in groups] == [[[6], [7], [8]], [[9, 10]], [[0, 2, 4], [1, 3, 5]]]
 
 

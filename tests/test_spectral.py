@@ -12,6 +12,7 @@ from scipy.linalg import block_diag
 from duolayer import (
     InconsistentSystemError,
     Layout,
+    Lift,
     ProblemInstance,
     SaddleBlocks,
     StructureError,
@@ -178,10 +179,10 @@ def test_structure_violations_raise(scheme, corruption, check):
         q12[0, 0] += delta
         corrupted = dataclasses.replace(cs, q12=q12)
     elif corruption == "dual":
-        # Q22[0, 1] += delta
-        d = cs.saddle.dual_damping.copy()
+        # Q22[0, 1] += delta, injected as the one-term lift of the dense D
+        d = cs.saddle.dual_damping.matrix()
         d[0, 1] -= delta
-        corrupted = dataclasses.replace(cs, saddle=unvalidated(cs.saddle, dual_damping=d))
+        corrupted = dataclasses.replace(cs, saddle=unvalidated(cs.saddle, dual_damping=Lift(((d, 1),))))
     elif corruption == "primal":
         # P = -(Q11 + Q21.T Q21) loses delta on its diagonal; its Laplacian
         # kernel turns negative
@@ -198,7 +199,8 @@ def test_structure_violations_raise(scheme, corruption, check):
 
 def unvalidated(saddle, **factors):
     """saddle with factors replaced past SaddleBlocks' own validation, as a
-    factor corrupted after it was built would reach the verdict."""
+    factor corrupted after it was built would reach the verdict.  A damping
+    factor is given as a Lift, which checks only its shape."""
     corrupted = copy.copy(saddle)
     for name, value in factors.items():
         object.__setattr__(corrupted, name, value)
@@ -207,13 +209,15 @@ def unvalidated(saddle, **factors):
 
 def with_saddle(cs, saddle):
     """cs over another saddle triple, with the Q11 and Q12 that triple makes."""
-    q11, q12, _ = saddle.upper_blocks()
+    q11, q12 = saddle.upper_blocks()
     return dataclasses.replace(cs, saddle=saddle, q11=q11, q12=q12)
 
 
 def saddle_reference(c, p, d):
     """The stacked drift from its blocks by np.block: -C.T @ C is the product
-    of the negated copy of C.T, so its zeros keep the product's signs."""
+    of the negated copy of C.T, so its zeros keep the product's signs.  P
+    and D may be Lifts, read as their dense arrays."""
+    p, d = np.asarray(p), np.asarray(d)
     return np.block([[-c.T @ c - p, c.T @ d], [c, -d]])
 
 
@@ -267,10 +271,11 @@ def test_q12_check_covers_every_row_of_a_block_column(scheme, single):
 def test_q22_edge_joining_two_blocks_is_judged(scheme):
     part, topo = mixed_block_system(scheme, False)
     cs = assemble_compact(part, topo)
-    c, p, d = cs.saddle.coupling, cs.saddle.primal_damping, cs.saddle.dual_damping
+    c, p, d = cs.saddle.coupling, cs.saddle.primal_damping, cs.saddle.dual_damping.matrix()
     rows = [row for idx, _, _ in cs.dual_eigh for row in idx]
     i, j = rows[0][0], rows[-1][0]
-    # D plus the Laplacian of one edge between two of its blocks
+    # D plus the Laplacian of one edge between two of its blocks, as the
+    # one-term lift of the dense sum
     edge = np.zeros(len(d))
     edge[[i, j]] = 1.0, -1.0
     joined_d = d + 0.5 * np.outer(edge, edge)
@@ -314,7 +319,7 @@ def test_corrupted_certificate_raises_at_every_scale(k):
     # minimum-norm z drops the shift, so only the stationarity test sees it.
     # An absolute tolerance accepted all 40 such certificates at 10^-6.
     for label, part, cs in scaled_systems(k):
-        kernel = np.linalg.eigh(cs.saddle.dual_damping)[1][:, 0]
+        kernel = np.linalg.eigh(cs.saddle.dual_damping.matrix())[1][:, 0]
         shift = 1e-3 * np.max(np.abs(cs.b_stack)) / np.max(np.abs(kernel)) * kernel
         corrupted = dataclasses.replace(cs, b_stack=cs.b_stack + shift)
         with pytest.raises(ArithmeticError, match="failed to be stationary"):
@@ -326,8 +331,9 @@ def test_verdict_and_certificate_share_one_eigh(monkeypatch):
     # in either order: D is factored once per system, and the one lstsq left
     # is the certificate's solve of A x = b.  A factorization takes one
     # batched eigh per block size, so the eigh calls must match its block
-    # sizes.  D's pattern is labelled once per system: by assembly, which
-    # hands its blocks to the system, or by a replaced system on its own D.
+    # sizes.  D's blocks are read off its lift once: assembly labels the
+    # pattern of each small L_k, never of the assembled D, and a replaced
+    # system shares the saddle and its blocks.
     calls = []
 
     def counted(name, owner):
@@ -343,7 +349,7 @@ def test_verdict_and_certificate_share_one_eigh(monkeypatch):
     counted("eigh", np.linalg)
     counted("lstsq", np.linalg)
     for label, part, cs in scaled_systems():
-        assert calls == ["pattern_blocks"], label
+        assert calls == ["pattern_blocks"] * len(cs.saddle.dual_damping.terms), label
         calls.clear()
         verdict = check_drift_spectrum(cs).to_dict()
         equilibrium_certificate(cs, part)
@@ -352,25 +358,33 @@ def test_verdict_and_certificate_share_one_eigh(monkeypatch):
         fresh = dataclasses.replace(cs)
         equilibrium_certificate(fresh, part)
         assert check_drift_spectrum(fresh).to_dict() == verdict, label
-        assert calls == factor + ["lstsq", "lstsq", "pattern_blocks"] + factor, label
+        assert calls == factor + ["lstsq", "lstsq"] + factor, label
         for system in (cs, fresh):
             for arr in (arr for group in system.dual_eigh for arr in group):
                 assert not arr.flags.writeable, label
         calls.clear()
 
 
-def test_verdict_and_certificate_never_build_the_dense_drift():
-    # Q is kept as its factors and two computed blocks; only a read of
-    # drift_matrix assembles it, bit for bit the blocks it is made of
-    for label, part, cs in scaled_systems():
+def test_verdict_and_certificate_never_build_the_dense_drift(monkeypatch):
+    # Q is kept as its factors and two computed blocks, and P and D as their
+    # lifts: assembly, verdict and certificate build no dense lift.  Only a
+    # read of drift_matrix assembles Q, bit for bit the blocks it is made of
+    def refused(lift):
+        raise AssertionError("a dense lift was built")
+
+    monkeypatch.setattr(Lift, "matrix", refused)
+    systems = list(scaled_systems())
+    for label, part, cs in systems:
         assert check_drift_spectrum(cs).passed, label
         equilibrium_certificate(cs, part)
         assert "drift_matrix" not in vars(cs), label
+    monkeypatch.undo()
+    for label, _, cs in systems:
         q, dx = cs.drift_matrix, cs.dim_x
         assert_same_bits(q[:dx, :dx], cs.q11)
         assert_same_bits(q[:dx, dx:], cs.q12)
         assert_same_bits(q[dx:, :dx], cs.saddle.coupling)
-        assert_same_bits(q[dx:, dx:], -cs.saddle.dual_damping)
+        assert_same_bits(q[dx:, dx:], -cs.saddle.dual_damping.matrix())
 
 
 @pytest.mark.parametrize("k", [-6, 0, 6])
@@ -388,7 +402,7 @@ def test_certificate_balance_matches_least_squares():
     for label, part, cs in scaled_systems():
         x_hat, z_hat = equilibrium_certificate(cs, part)
         reference = solve_least_squares(
-            cs.saddle.dual_damping, cs.saddle.coupling @ x_hat - cs.b_stack
+            cs.saddle.dual_damping.matrix(), cs.saddle.coupling @ x_hat - cs.b_stack
         )
         assert np.linalg.norm(z_hat - reference) <= 1e-12 * np.linalg.norm(reference), label
 
@@ -467,31 +481,51 @@ def test_dim_1600_row_instance_passes_within_budget():
     assert elapsed < 15.0, f"took {elapsed:.1f}s"
 
 
+def held_arrays(obj):
+    """Every array obj holds, through attributes, tuples and lists, once each."""
+    found, stack = {}, [obj]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            found[id(value)] = value
+        elif isinstance(value, (tuple, list)):
+            stack.extend(value)
+        elif hasattr(value, "__dict__"):
+            stack.extend(vars(value).values())
+    return list(found.values())
+
+
 def test_dim_1600_assembly_peak_memory():
-    # only Q11 and Q12 are computed, C.T D block by block, and the dense Q is
-    # not stored: beside the system it returns, assembly holds about one
-    # dim_x x dim_z temporary (the negated C.T).  np.block and its
-    # quarter-size blocks peaked 14.6 MiB above it.
-    part, topo = square_instance("row", 100, 8, 8)
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        cs = assemble_compact(part, topo)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
+    # only Q11 and Q12 are computed, C.T D block by block, P and D stay
+    # lifts of the graph Laplacians, and the dense Q is not stored: beside
+    # what the system keeps, assembly holds about one dim_x x dim_z
+    # temporary (the negated C.T).  np.block and its quarter-size blocks
+    # peaked 14.6 MiB above it.
+    for scheme in ("row", "column"):
+        part, topo = square_instance(scheme, 100, 8, 8)
+        started = not tracemalloc.is_tracing()
         if started:
-            tracemalloc.stop()
-    saddle = cs.saddle
-    kept = sum(
-        arr.nbytes
-        for arr in (cs.q11, cs.q12, cs.b_stack, saddle.coupling, saddle.primal_damping, saddle.dual_damping)
-    )
-    assert "drift_matrix" not in vars(cs)
-    quarter = cs.dim_x * (cs.dim - cs.dim_x) * 8
-    assert peak - kept <= 1.5 * quarter, f"{(peak - kept) / 2**20:.1f} MiB above the system"
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            cs = assemble_compact(part, topo)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        # q11, q12, C, b_stack and the lifts: each L_k and D's blocks
+        held = held_arrays(cs)
+        dim_x, dim_z = cs.dim_x, cs.dim - cs.dim_x
+        assert cs.dim == 1600, scheme
+        # m = n, so C (dim_z x dim_x) and q12 (dim_x x dim_z) are square too
+        dense = (cs.q11, cs.q12, cs.saddle.coupling)
+        others = [arr.shape for arr in held if not any(arr is d for d in dense)]
+        assert not {(dim_x, dim_x), (dim_z, dim_z)} & set(others), (scheme, others)
+        assert "drift_matrix" not in vars(cs), scheme
+        kept = sum(arr.nbytes for arr in held)
+        quarter = dim_x * dim_z * 8
+        assert peak - kept <= 1.5 * quarter, f"{scheme}: {(peak - kept) / 2**20:.1f} MiB above the system"
 
 
 def test_dim_1600_factor_eigensolves_only_graph_sized_blocks(monkeypatch):
@@ -535,7 +569,7 @@ def test_dual_factor_matches_dense_eigh(k):
 def test_dense_dual_is_one_block_with_the_same_verdict(scheme):
     inst, part = random_instance(np.random.default_rng(7), scheme, 12)
     cs = assemble_compact(part, inst.topology)
-    c, p, d = cs.saddle.coupling, cs.saddle.primal_damping, cs.saddle.dual_damping
+    c, p, d = cs.saddle.coupling, cs.saddle.primal_damping, cs.saddle.dual_damping.matrix()
     w = np.random.default_rng(8).uniform(0.5, 1.0, size=len(d))
     spread = np.outer(w, w)
     # a dense PSD D keeps the saddle structure: one block, and the verdict of
@@ -559,7 +593,7 @@ def test_dense_dual_is_one_block_with_the_same_verdict(scheme):
         check_drift_spectrum(stale)
     # a dense indefinite D with a matching Q12: D's own PSD check fails
     bad_d = d - 0.1 * spread
-    indefinite = with_saddle(cs, unvalidated(cs.saddle, dual_damping=bad_d))
+    indefinite = with_saddle(cs, unvalidated(cs.saddle, dual_damping=Lift(((bad_d, 1),))))
     with pytest.raises(StructureError, match="check D = -Q22 positive semi-definite"):
         check_drift_spectrum(indefinite)
 
@@ -638,6 +672,77 @@ def test_block_stacking_matches_scipy_block_diag():
         assert_same_bits(blocks.matrix(), saddle_reference(c, p, d))
 
 
+def dense_dampings(part, topo):
+    """(P, D) of a partition as dense arrays: graph.lifted_laplacian of each
+    graph, stacked by scipy's block_diag."""
+    widths, cluster_width = (
+        (part.cluster_rows, part.total_cols) if part.scheme == "row" else (part.cluster_cols, part.total_rows)
+    )
+    agent_lap = block_diag(*[lifted_laplacian(g, w) for g, w in zip(topo.agent_graphs, widths)])
+    cluster_lap = lifted_laplacian(topo.cluster_graph, cluster_width)
+    return (cluster_lap, agent_lap) if part.scheme == "row" else (agent_lap, cluster_lap)
+
+
+def assert_lift_matches(lift, dense):
+    """lift is dense, and its blocks are pattern_blocks of dense, bit for bit."""
+    assert_same_bits(lift.matrix(), dense)
+    assert_same_bits(np.asarray(lift), dense)
+    reference = spectral.pattern_blocks(dense)
+    assert len(lift.blocks) == len(reference)
+    for (idx, sub), ref in zip(lift.blocks, reference):
+        assert idx.dtype == ref.dtype and np.array_equal(idx, ref)
+        assert_same_bits(sub, dense[ref[:, :, None], ref[:, None, :]])
+
+
+def test_lifts_match_the_dense_reference():
+    # the systems of test_block_stacking_matches_scipy_block_diag, then
+    # one-agent clusters and a one-node cluster graph
+    rng = np.random.default_rng(17)
+    draws = [random_instance(rng, scheme, 8, max_agents=3) for scheme in ("row", "column")]
+    draws += [
+        random_instance(np.random.default_rng([seed, k]), scheme, 12, max_agents=4)
+        for seed in range(20)
+        for k, scheme in enumerate(("row", "column"))
+    ]
+    systems = [(part, inst.topology) for inst, part in draws]
+    systems += [square_instance(scheme, 40, 4, 4) for scheme in ("row", "column")]
+    systems.append(square_instance("row", 100, 8, 8))
+    systems += [mixed_block_system(scheme, single) for scheme in ("row", "column") for single in (0, 1)]
+    sizes = set()
+    for part, topo in systems:
+        saddle = assemble_compact(part, topo).saddle
+        p, d = dense_dampings(part, topo)
+        assert_lift_matches(saddle.primal_damping, p)
+        assert_lift_matches(saddle.dual_damping, d)
+        sizes.update(idx.shape[1] for idx, _ in saddle.dual_damping.blocks)
+        c = saddle.coupling
+        assert_same_bits(saddle.upper_blocks()[0], -c.T @ c - p)
+    assert {1, 2, 3, 4, 8} <= sizes
+    # dense factors are one-term lifts (m, 1): the seeded saddle triples and
+    # the empty shapes
+    saddle_rng = np.random.default_rng(18)
+    lap = lifted_laplacian(path(3), 1)
+    triples = [random_saddle_blocks(saddle_rng) for _ in range(20)]
+    triples += [
+        SaddleBlocks(np.zeros((0, 3)), lap, np.zeros((0, 0))),
+        SaddleBlocks(np.zeros((3, 0)), np.zeros((0, 0)), lap),
+        SaddleBlocks(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))),
+    ]
+    for blocks in triples:
+        for lift in (blocks.primal_damping, blocks.dual_damping):
+            ((m, width),) = lift.terms
+            assert width == 1
+            assert_lift_matches(lift, m)
+    # scattered blocks of several sizes, lifted with width 2 beside a
+    # one-node term and the same block unlifted
+    m = np.zeros((5, 5))
+    for i, j, weight in ((0, 3, 1.0), (1, 4, 2.0)):
+        m[[i, j, i, j], [i, j, j, i]] = weight, weight, -weight, -weight
+    lift = Lift(((m, 2), (np.zeros((1, 1)), 3), (m, 1)))
+    assert_lift_matches(lift, block_diag(np.kron(m, np.eye(2)), np.zeros((3, 3)), m))
+    assert [idx.shape for idx, _ in lift.blocks] == [(6, 1), (6, 2)]
+
+
 def test_saddle_blocks_validation():
     with pytest.raises(ValueError):
         SaddleBlocks(coupling=[[1.0]], primal_damping=[[0.0, 0.0]], dual_damping=[[1.0]])
@@ -680,7 +785,7 @@ def test_random_saddle_blocks_pass_and_symmetrize():
         scale = np.block(
             [
                 [np.eye(s), np.zeros((s, r))],
-                [np.zeros((r, s)), blocks.dual_damping],
+                [np.zeros((r, s)), blocks.dual_damping.matrix()],
             ]
         )
         sym = scale @ m
@@ -713,7 +818,7 @@ def test_drift_spectrum_rejects_corrupted_laplacian():
         a=np.array([[2.0, 1.0], [0.0, 1.0]]), b=np.array([1.0, 1.0]), topology=topo, layout=layout
     )
     good = assemble_compact(partition_rows(inst), topo).saddle
-    skew = good.dual_damping.copy()
+    skew = good.dual_damping.matrix()
     skew[0, -1] += 1.0
     with pytest.raises(ValueError, match="dual damping is not symmetric"):
         SaddleBlocks(
