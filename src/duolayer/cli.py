@@ -534,12 +534,21 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """argparse type for counts: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _int_at_least(text, 1)
+
+
+def _seed(text: str) -> int:
+    """argparse type for --seed: np.random.default_rng takes integers >= 0."""
+    return _int_at_least(text, 0)
 
 
 def main(argv=None) -> int:
@@ -564,7 +573,7 @@ def main(argv=None) -> int:
     )
     p_verify.add_argument("--trials", type=positive_int, default=10)
     p_verify.add_argument("--max-dim", type=positive_int, default=6, dest="max_dim")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
     p_plot = sub.add_parser("plot", help="emit ln V plot data for a finished run")

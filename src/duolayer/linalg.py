@@ -170,46 +170,6 @@ def eig(m) -> Spectrum:
     )
 
 
-def pattern_blocks(m) -> tuple:
-    """Connected components of the symmetric nonzero pattern of a square m.
-
-    Index i and j are joined when m[i, j] or m[j, i] is nonzero.  Returns
-    one (count, size) int array per component size, sizes ascending: each
-    row lists one component's indices in ascending order, and the rows are
-    ordered by their smallest index.  Up to that permutation m is block
-    diagonal with these blocks; an all-zero row is a 1 x 1 block, and a
-    dense m is one block.  Labels come from min-label propagation over the
-    row-sorted nonzeros, each sweep followed by pointer jumping until every
-    label is its own root.
-    """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"pattern_blocks needs a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    rows, cols = np.divmod(np.flatnonzero(m != 0), n)
-    # both directions of every nonzero, plus a self-loop so no row is empty
-    loops = np.arange(n)
-    heads = np.concatenate([rows, cols, loops])
-    order = np.argsort(heads, kind="stable")
-    tails = np.concatenate([cols, rows, loops])[order]
-    starts = np.searchsorted(heads[order], loops)
-    label = loops
-    while True:
-        swept = np.minimum.reduceat(label[tails], starts)
-        while True:
-            jumped = swept[swept]
-            if np.array_equal(jumped, swept):
-                break
-            swept = jumped
-        if np.array_equal(swept, label):
-            break
-        label = swept
-    sizes = np.bincount(label, minlength=n)[label]
-    members = np.lexsort((loops, label, sizes))
-    cuts = np.flatnonzero(np.diff(sizes[members])) + 1
-    return tuple(g.reshape(-1, sizes[g[0]]) for g in np.split(members, cuts) if g.size)
-
-
 def solve_least_squares(a, b) -> np.ndarray:
     """Minimum-norm least-squares solution of a @ x = b."""
     a = as_matrix(a)

@@ -25,14 +25,14 @@ small graph Laplacian L_k and the width w_k, never as a dim x dim array.
 Each reader takes what it needs from the terms: Q11 subtracts P entry by
 entry (Lift.subtract_from), SaddleBlocks validates each L_k, the verdict's
 Q22 checks read max|L_k| and each L_k's asymmetry, matvec applies each L_k
-to its stacked w_k-vectors, and Lift.blocks reads off the terms the
-connected blocks of the lift's nonzero pattern and their entries, in
-linalg.pattern_blocks' order.  A dense factor, such as a test's random
-saddle triple, is the one-term lift (m, 1); Lift.matrix() builds the dense
-array only on request, by graph.lifted_laplacian's np.kron, so its signed
-zeros are the same.  What stays dense: C, Q11 and Q12, the verdict's
-Q21.T Q21 (its check of P), and S, which eigvalsh copies before it
-factors it.
+to its stacked w_k-vectors, and Lift.blocks reads the blocks off the
+terms: one per copy of each L_k, which is connected because graph.Graph
+rejects a disconnected graph.  A dense factor, such as a test's random
+saddle triple, is the one-term lift (m, 1) and one block.  Lift.matrix()
+builds the dense array only on explicit request, by
+graph.lifted_laplacian's np.kron, so its signed zeros are the same.  What
+stays dense: C, Q11 and Q12, the verdict's Q21.T Q21 (its check of P), and
+S, which eigvalsh copies before it factors it.
 
 Two routes lead to a verdict:
 
@@ -79,7 +79,7 @@ import numpy as np
 
 from .dynamics import tiled_reference
 from .graph import Topology, laplacian
-from .linalg import RANK_RTOL, Spectrum, as_matrix, eig, pattern_blocks, solve_least_squares
+from .linalg import RANK_RTOL, Spectrum, as_matrix, eig, solve_least_squares
 from .partition import check_topology
 
 # Relative tolerance for the spectral verdicts.
@@ -223,8 +223,8 @@ class Lift:
     before it (offset o_k): entry (o_k + i w_k + t, o_k + j w_k + t) is
     L_k[i, j] for every t < w_k, and every other entry is zero.  A dense
     matrix m is the one-term lift (m, 1).  Each L_k is copied read-only, so
-    the cached blocks cannot go stale.  matrix(), which np.asarray calls,
-    builds the dense array on request.
+    the cached blocks cannot go stale.  matrix() builds the dense array on
+    explicit request; numpy never converts a Lift implicitly.
     """
 
     terms: tuple  # ((L_k, w_k), ...): square L_k, integer w_k >= 1
@@ -233,7 +233,8 @@ class Lift:
         terms = []
         for lap, width in self.terms:
             lap = as_matrix(np.array(lap, dtype=float))
-            if lap.shape[0] != lap.shape[1] or int(width) != width or width < 1:
+            bad_width = isinstance(width, (bool, np.bool_)) or int(width) != width or width < 1
+            if lap.shape[0] != lap.shape[1] or bad_width:
                 raise ValueError(f"a lift term needs a square block and a width >= 1: {lap.shape}, {width}")
             lap.flags.writeable = False
             terms.append((lap, int(width)))
@@ -261,8 +262,7 @@ class Lift:
         return out
 
     def __array__(self, dtype=None, copy=None):
-        """np.asarray(lift): the dense lift, built on request."""
-        return self.matrix() if dtype is None else self.matrix().astype(dtype)
+        raise TypeError("a Lift is never converted to an array implicitly; call .matrix() for the dense lift")
 
     def max_abs(self) -> float:
         """max|entry| of the lift: the largest max|L_k|."""
@@ -274,25 +274,24 @@ class Lift:
 
     @cached_property
     def blocks(self) -> tuple:
-        """The connected blocks of the lift's nonzero pattern and their
-        entries, one read-only (idx, sub) per block size, sizes ascending.
+        """The blocks of the lift and their entries, one read-only
+        (idx, sub) per block size, sizes ascending.
 
-        idx (count, size) equals linalg.pattern_blocks(self.matrix()): rows
-        of ascending indices, ordered by their smallest index.  sub
-        (count, size, size) holds the entries, sub[k] = M[i][:, i] for
-        i = idx[k], bit for bit.  Read off the terms: block i of
-        pattern_blocks(L_k) lifts to the w_k blocks o_k + i w_k + t with
-        L_k's entries.  Taken term by term, block by block and t by t,
-        the rows of a size already ascend by their smallest index.
+        Read off the terms: term k gives w_k blocks of size n_k, block t
+        with indices o_k + i w_k + t (i < n_k) and entries L_k; a zero-size
+        term gives none.  Each L_k of an assembled system is a connected
+        graph's Laplacian (graph.Graph rejects a disconnected one), so each
+        copy is one connected block, and a dense factor (m, 1) is one block.
+        The rows of idx (count, size) ascend and, taken term by term and t
+        by t, are ordered by their smallest index; sub (count, size, size)
+        holds sub[k] = M[i][:, i] for i = idx[k], bit for bit.
         """
         idx, sub = {}, {}
         for offset, lap, width in self._placed():
-            for group in pattern_blocks(lap):
-                size = group.shape[1]
-                lifted = offset + group[:, None, :] * width + np.arange(width)[:, None]
-                idx.setdefault(size, []).append(lifted.reshape(-1, size))
-                entries = lap[group[:, :, None], group[:, None, :]]
-                sub.setdefault(size, []).append(np.repeat(entries, width, axis=0))
+            size = lap.shape[0]
+            if size:
+                idx.setdefault(size, []).append(offset + np.arange(size) * width + np.arange(width)[:, None])
+                sub.setdefault(size, []).append(np.broadcast_to(lap, (width, size, size)))
         out = []
         for size in sorted(idx):
             block = (np.concatenate(idx[size]), np.concatenate(sub[size]))
@@ -447,8 +446,8 @@ class CompactSystem:
     def dual_eigh(self) -> tuple:
         """D factored block by block: one (idx, lam, vecs) per block size.
 
-        idx (count, size) lists the connected blocks of D's nonzero pattern
-        (saddle.dual_damping.blocks), lam (count, size) and vecs (count, size, size) their
+        idx (count, size) lists D's blocks (saddle.dual_damping.blocks, one
+        per copy of each L_k), lam (count, size) and vecs (count, size, size) their
         eigenpairs: D[i][:, i] = vecs[k] diag(lam[k]) vecs[k].T for
         i = idx[k].  One batched eigh per block size; no dim_z x dim_z
         factor is formed.  Built on the first call, every call returns the

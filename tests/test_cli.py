@@ -599,6 +599,15 @@ def test_verify_rejects_non_positive_counts(option, value, capsys):
     assert f"argument {option}: must be >= 1, got {value}" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_negative_seed(capsys):
+    # np.random.default_rng takes no negative seed: a usage error, not a
+    # traceback with the verification-failure code
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--seed", "-1"])
+    assert info.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_verify_single_trial_passes(capsys):
     assert main(["verify", "--trials", "1", "--seed", "0"]) == EXIT_OK
     first = capsys.readouterr().out

@@ -28,7 +28,6 @@ from duolayer import (
     solve_least_squares,
     spectrum_verdict,
 )
-from duolayer import spectral
 from duolayer.instances import random_composition, random_connected_graph, random_instance
 from helpers import random_orthogonal, random_saddle_blocks, scaled_systems
 
@@ -216,8 +215,8 @@ def with_saddle(cs, saddle):
 def saddle_reference(c, p, d):
     """The stacked drift from its blocks by np.block: -C.T @ C is the product
     of the negated copy of C.T, so its zeros keep the product's signs.  P
-    and D may be Lifts, read as their dense arrays."""
-    p, d = np.asarray(p), np.asarray(d)
+    and D may be Lifts, read as their dense arrays by matrix()."""
+    p, d = (f.matrix() if isinstance(f, Lift) else f for f in (p, d))
     return np.block([[-c.T @ c - p, c.T @ d], [c, -d]])
 
 
@@ -275,14 +274,13 @@ def test_q22_edge_joining_two_blocks_is_judged(scheme):
     rows = [row for idx, _, _ in cs.dual_eigh for row in idx]
     i, j = rows[0][0], rows[-1][0]
     # D plus the Laplacian of one edge between two of its blocks, as the
-    # one-term lift of the dense sum
+    # one-term lift of the dense sum: one block
     edge = np.zeros(len(d))
     edge[[i, j]] = 1.0, -1.0
     joined_d = d + 0.5 * np.outer(edge, edge)
-    # in D alone, beside the stored Q12, the join breaks Q12 = -Q21.T Q22 on
-    # the merged block
+    # in D alone, beside the stored Q12, the join breaks Q12 = -Q21.T Q22
     joined = dataclasses.replace(cs, saddle=SaddleBlocks(c, p, joined_d))
-    assert sum(len(idx) for idx, _, _ in joined.dual_eigh) == len(rows) - 1
+    assert len(rows) > 1 and [idx.shape for idx, _, _ in joined.dual_eigh] == [(1, len(d))]
     with pytest.raises(StructureError, match="check Q12 = -Q21.T Q22"):
         check_drift_spectrum(joined)
     # with a matching Q12 the joined system is a saddle: the generic verdict
@@ -331,9 +329,7 @@ def test_verdict_and_certificate_share_one_eigh(monkeypatch):
     # in either order: D is factored once per system, and the one lstsq left
     # is the certificate's solve of A x = b.  A factorization takes one
     # batched eigh per block size, so the eigh calls must match its block
-    # sizes.  D's blocks are read off its lift once: assembly labels the
-    # pattern of each small L_k, never of the assembled D, and a replaced
-    # system shares the saddle and its blocks.
+    # sizes, and a replaced system shares the saddle and its factors.
     calls = []
 
     def counted(name, owner):
@@ -345,11 +341,9 @@ def test_verdict_and_certificate_share_one_eigh(monkeypatch):
 
         monkeypatch.setattr(owner, name, call)
 
-    counted("pattern_blocks", spectral)
     counted("eigh", np.linalg)
     counted("lstsq", np.linalg)
     for label, part, cs in scaled_systems():
-        assert calls == ["pattern_blocks"] * len(cs.saddle.dual_damping.terms), label
         calls.clear()
         verdict = check_drift_spectrum(cs).to_dict()
         equilibrium_certificate(cs, part)
@@ -652,15 +646,15 @@ def test_block_stacking_matches_scipy_block_diag():
         cluster_lap = lifted_laplacian(topo.cluster_graph, cluster_width)
         x_damping, z_lap = (cluster_lap, agent_lap) if scheme == "row" else (agent_lap, cluster_lap)
         assert np.array_equal(cs.saddle.coupling, a_stack)
-        assert np.array_equal(cs.saddle.primal_damping, x_damping)
-        assert np.array_equal(cs.saddle.dual_damping, z_lap)
+        assert np.array_equal(cs.saddle.primal_damping.matrix(), x_damping)
+        assert np.array_equal(cs.saddle.dual_damping.matrix(), z_lap)
         assert_same_bits(cs.drift_matrix, saddle_reference(a_stack, x_damping, z_lap))
     assert {320, 1600} <= sizes
     # dense D (one block), the seeded saddle triples and the empty shapes
     saddle_rng = np.random.default_rng(18)
     triples = [random_saddle_blocks(saddle_rng) for _ in range(20)]
     d = triples[0].dual_damping
-    assert len(spectral.pattern_blocks(d)) == 1 and d.shape[0] > 1
+    assert len(d.blocks) == 1 and d.shape[0] > 1
     lap = lifted_laplacian(path(3), 1)
     triples += [
         SaddleBlocks(np.zeros((0, 3)), lap, np.zeros((0, 0))),  # r = 0
@@ -684,14 +678,19 @@ def dense_dampings(part, topo):
 
 
 def assert_lift_matches(lift, dense):
-    """lift is dense, and its blocks are pattern_blocks of dense, bit for bit."""
+    """lift is dense, bit for bit; its blocks cover every index once, in
+    ascending sizes, hold dense's entries bit for bit, and dense is zero
+    outside them."""
     assert_same_bits(lift.matrix(), dense)
-    assert_same_bits(np.asarray(lift), dense)
-    reference = spectral.pattern_blocks(dense)
-    assert len(lift.blocks) == len(reference)
-    for (idx, sub), ref in zip(lift.blocks, reference):
-        assert idx.dtype == ref.dtype and np.array_equal(idx, ref)
-        assert_same_bits(sub, dense[ref[:, :, None], ref[:, None, :]])
+    sizes = [idx.shape[1] for idx, _ in lift.blocks]
+    assert sizes == sorted(set(sizes))
+    covered = np.concatenate([idx.ravel() for idx, _ in lift.blocks] + [np.zeros(0, dtype=np.intp)])
+    assert covered.dtype == np.intp and np.array_equal(np.sort(covered), np.arange(len(dense)))
+    inside = np.zeros(dense.shape, dtype=bool)
+    for idx, sub in lift.blocks:
+        assert_same_bits(sub, dense[idx[:, :, None], idx[:, None, :]])
+        inside[idx[:, :, None], idx[:, None, :]] = True
+    assert not np.any(dense[~inside])
 
 
 def test_lifts_match_the_dense_reference():
@@ -740,7 +739,37 @@ def test_lifts_match_the_dense_reference():
         m[[i, j, i, j], [i, j, j, i]] = weight, weight, -weight, -weight
     lift = Lift(((m, 2), (np.zeros((1, 1)), 3), (m, 1)))
     assert_lift_matches(lift, block_diag(np.kron(m, np.eye(2)), np.zeros((3, 3)), m))
-    assert [idx.shape for idx, _ in lift.blocks] == [(6, 1), (6, 2)]
+    # one block per term copy, not per connected block of m's pattern
+    assert [idx.tolist() for idx, _ in lift.blocks] == [
+        [[10], [11], [12]],
+        [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9], [13, 14, 15, 16, 17]],
+    ]
+
+
+def test_lift_blocks_mixed_sizes_column_scheme():
+    # column scheme: P stacks L_i (x) I_{w_i} per cluster, so cluster i gives
+    # w_i blocks of its agent count k_i, strided by w_i
+    layout = Layout(scheme="column", cluster_sizes=[2, 3, 1], agent_sizes=[[1, 1, 1], [3], [2, 1]])
+    paths = [path(n) for n in (3, 1, 2)]
+    topo = Topology(cluster_graph=paths[0], agent_graphs=tuple(paths))
+    a = np.random.default_rng(2).uniform(-1.0, 1.0, size=(3, 6))
+    part = partition_columns(ProblemInstance(a=a, b=a.sum(axis=1), topology=topo, layout=layout))
+    p = assemble_compact(part, topo).saddle.primal_damping
+    assert [idx.tolist() for idx, _ in p.blocks] == [[[6], [7], [8]], [[9, 10]], [[0, 2, 4], [1, 3, 5]]]
+
+
+def test_lift_validation():
+    lap = lifted_laplacian(path(2), 1)
+    for width in (0, -1, 1.5, True, np.bool_(True)):
+        with pytest.raises(ValueError, match="width >= 1"):
+            Lift(((lap, width),))
+    with pytest.raises(ValueError, match="square"):
+        Lift(((np.zeros((2, 3)), 1),))
+    assert Lift(((lap, np.int64(2)),)).shape == (4, 4)
+    # numpy never builds the dense lift implicitly
+    lift = Lift(((lap, 2),))
+    with pytest.raises(TypeError, match=r"\.matrix\(\)"):
+        np.asarray(lift)
 
 
 def test_saddle_blocks_validation():
