@@ -440,6 +440,9 @@ def cmd_run(args) -> int:
     except StructureError as exc:
         print(f"error: structure: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except OSError as exc:
+        print(f"error: output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     print(
         f"{part.scheme} run: {result.steps} steps, stop={result.stop_reason}, "
         f"overall residual {summary['residuals']['overall']:.3e}, "
@@ -529,7 +532,11 @@ def cmd_plot(args) -> int:
     except InsufficientSamplesError:
         fitted = np.full(t_kept.shape, np.nan)
     out_path = run_dir / "lnv.csv"
-    write_csv(out_path, ("time", "ln_v", "fitted"), (t_kept, ln_v, fitted))
+    try:
+        write_csv(out_path, ("time", "ln_v", "fitted"), (t_kept, ln_v, fitted))
+    except OSError as exc:
+        print(f"error: output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     print(f"wrote {out_path}")
     return EXIT_OK
 

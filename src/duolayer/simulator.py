@@ -9,8 +9,8 @@ classical RK4 step is exactly the affine map y -> R y + g; both are built
 once per run from the plan, and each step is one matrix-vector product.
 Steps, and the strides below, run in one loop of blocks of up to
 RECORD_BATCH; each block takes one row max-norm and one batched
-plan.evaluate of its states, and decides each test as the flat evaluate
-of that state would (see integrate).  So a block costs its moves plus
+plan.evaluate of its states, and decides each test on that evaluate's
+max-norms (see integrate).  So a block costs its moves plus
 O(RECORD_BATCH dim) work.
 
 When samples are record_every steps apart and s, the largest divisor of
@@ -249,11 +249,11 @@ def _stride_floor(
     max|g|, inputs is the most inputs an agent of the plan reads,
     norm_m = ||M||_inf, h is the step and tol the stationarity tolerance,
     and a state y's rounding band is band = slack (norm_m max|y| + offset),
-    as in integrate.  The result is a function of the row max-norms
+    as integrate defines it.  The result is a function of the row max-norms
     N_0..N_n of stride states u_0..u_n, u_{i+1} = P u_i + g_s.  For each
     stride i < n it gives the bound T_i, linear in N_i and N_{i+1}, that
-    the flat derivative max-norm of u_{i+1} must not fall below for the
-    s - 1 states that steps from u_i take before u_{i+1} to have a
+    the evaluate's max-norm of u_{i+1}'s derivative must not fall below
+    for the s - 1 states that steps from u_i take before u_{i+1} to have a
     derivative floor above 2 (tol + band), so that none of them is
     stationary; integrate's docstring derives it.  T_i is inf where N_i or
     N_{i+1} exceeds the reach beyond which a state between, or the
@@ -338,29 +338,21 @@ def integrate(
     max_time, and a step block its steps up to the one that reaches
     max_time.  Each block takes one row max-norm and one batched
     plan.evaluate of its states, up to its first non-finite state, and
-    takes its moves up to the first whose start is stationary (derivative
-    max-norm below stationarity_tol) or whose end is not finite or, for a
-    stride, does not clear its floor (below).  A step block's last state
-    is the next block's start, or the state that reaches max_time and is
-    not tested; its cut is the stop, or, at a finite state whose successor
-    is not, a NonFiniteStateError.  A stride block that takes fewer than
+    takes its moves up to the first whose start is stationary (the batched
+    max-norm d_max of its derivative below stationarity_tol) or whose end
+    is not finite or, for a stride, does not clear its floor (d_max below
+    T_i, or T_i infinite; see below).  A step block's last state is the
+    next block's start, or the state that reaches max_time and is not tested;
+    its cut is the stop, or, at a finite state whose successor is not, a
+    NonFiniteStateError.  A stride block that takes fewer than
     RECORD_BATCH strides hands over to single steps from the start of the
-    first stride not taken, which the next block tests again.  So the
-    stop, the sample times and the errors stay those of one flat evaluate
-    per step, and only the states' last bits differ; s = 1 takes no
-    strides.
-
-    The batched and the flat evaluate round differently.  In the max-norm
-    they differ by at most (dim + 1) eps (||M|| ||y|| + ||c||), infinity
-    norms, with M the plan's operator and c = plan.shift.  A state whose
-    batched max-norm lies within the band, twice that bound, of the bound
-    it is tested against is decided by the flat evaluate.  The band also
-    adds 2 (dim + 1) eps (tol + tiny), with tiny the smallest normal
-    float, which keeps it wider than the rounding of tol +- band and than
-    the error of products that underflow: band(y) = slack (||M|| max|y|
-    + offset) with slack = 2 (dim + 1) eps and offset = max|c| + tol
-    + tiny.  So without strides the steps, stop, final state and samples
-    equal those of one flat evaluate per step, bit for bit.
+    first stride not taken, which the next block tests again.  So the stop
+    is the first tested state whose batched max-norm is below
+    stationarity_tol, the sample times and the errors are those of the
+    single steps, and only the states' last bits differ; s = 1 takes no
+    strides.  A flat evaluate of the same state rounds differently, so a
+    stationarity_tol within rounding of a state's derivative max-norm may
+    stop where one flat evaluate per step would not.
 
     A stride is judged by its ends' derivatives.  u_i is tested as a single
     step's state is.  For the states between, take the exact map
@@ -390,10 +382,15 @@ def integrate(
     each stepped state z_m of y_m, and max|z_m| <= Y = K N_i + S gamma
     + err(N_i).  S and G, read off the computed powers, are widened by
     their rounding, s K^3 u and u relative.  d(u_{i+1}) and d(y_s) differ
-    by at most ||M|| err(N_i), and so do d(z_m) and d(y_m); a flat max-norm
-    and the exact one differ by at most half the band.  So every z_m has a
-    derivative floor above 2 (tol + band(Y)), and is not stationary, once
-    the flat max-norm of u_{i+1} is not below
+    by at most ||M|| err(N_i), and so do d(z_m) and d(y_m).  An evaluate's
+    max-norm of d(y), flat or batched, and the exact one differ by at most
+    (dim + 1) eps (||M|| max|y| + max|c|), c = plan.shift, which is half
+    the band band(y) = slack (||M|| max|y| + offset), slack
+    = 2 (dim + 1) eps and offset = max|c| + tol + tiny, tiny the smallest
+    normal float; tol and tiny cover the rounding of tol and of products
+    that underflow.  So every z_m has a derivative floor above
+    2 (tol + band(Y)), and is not stationary, once the evaluate's max-norm
+    of u_{i+1}'s derivative is not below
 
         T_i = band(N_{i+1}) / 2 + (1 + G) ||M|| err(N_i)
               + S (commute Y + lag) + 2 G (tol + band(Y)),
@@ -402,40 +399,39 @@ def integrate(
     below (max float / 2 - S gamma) / K and max float / (4 max(||M||, 1)),
     so that no state in between and no derivative of u_{i+1} overflows.
     One batched plan.evaluate of a block's n + 1 stride states gives both
-    max-norms of each of its n strides, and one within the band of tol or
-    of T_i is decided by the flat evaluate, so every stride is judged as by
-    one flat evaluate of each of its ends.  P is built in place before the
+    max-norms of each of its n strides.  P is built in place before the
     recording and step buffers, so R and P are the only dim x dim arrays
     at the build and beside a batch's flush, next to the plan's blocks.
 
-    initial_state is a flat [x; z] vector (copied, never modified); when it
-    is None the start is drawn by cfg.init_mode.  The flat evaluate tests
-    the start.  The result's final_state is flat too.  V is measured
-    against the minimum-norm least-squares solution of the reassembled
-    system.  Samples are evaluated from the flat state in batches of
-    RECORD_BATCH, so recording memory stays bounded.  A non-finite V raises
-    NonFiniteStateError with the time of the first such sample, also when
-    the state itself overflows later in the same batch; otherwise a
-    non-finite state raises it with that state's time.
+    initial_state is a flat [x; z] vector (copied, never modified), and a
+    non-finite one raises ValueError before anything is built; when it is
+    None the start is drawn by cfg.init_mode.  One flat evaluate tests the
+    start, which decides whether P is built.  The result's final_state is
+    flat too.  V is measured against the minimum-norm least-squares
+    solution of the reassembled system.  Samples are evaluated from the
+    flat state in batches of RECORD_BATCH, so recording memory stays
+    bounded.  A non-finite V raises NonFiniteStateError with the time of
+    the first such sample, also when the state itself overflows later in
+    the same batch; otherwise a non-finite state raises it with that
+    state's time.
     """
-    plan = DerivativePlan(part, topo)
-    # ||M||_inf: the Gershgorin bound of the auto step and the scale of the
-    # evaluate rounding bound
-    norm_m = plan.norm
-    h = cfg.step_size if cfg.step_size is not None else _auto_step(norm_m)
     if initial_state is not None:
         y = np.array(as_flat_state(part, initial_state))
+        if not np.all(np.isfinite(y)):
+            raise ValueError("initial_state must be finite")
     elif cfg.init_mode == "zeros":
-        y = np.zeros(plan.dim)
+        y = np.zeros(part.x_dim + part.z_dim)
     else:
         rng = np.random.default_rng(cfg.rng_seed)
-        y = rng.uniform(-cfg.init_amplitude, cfg.init_amplitude, size=plan.dim)
+        y = rng.uniform(-cfg.init_amplitude, cfg.init_amplitude, size=part.x_dim + part.z_dim)
+    plan = DerivativePlan(part, topo)
+    # ||M||_inf: the Gershgorin bound of the auto step and the scale of the
+    # stride floor's rounding band
+    norm_m = plan.norm
+    h = cfg.step_size if cfg.step_size is not None else _auto_step(norm_m)
     tiled = tiled_reference(part, solve_least_squares(*part.reassemble()))
     dim_x = tiled.shape[0]
     tol, every, max_time = cfg.stationarity_tol, cfg.record_every, cfg.max_time
-    # a state's rounding band is slack * (||M|| ||y|| + offset)
-    slack = 2.0 * (plan.dim + 1) * np.finfo(float).eps
-    offset = float(np.max(np.abs(plan.shift), initial=0.0)) + tol + np.finfo(float).tiny
 
     chunks, times = [], []
 
@@ -461,18 +457,6 @@ def integrate(
         if len(times) == RECORD_BATCH:
             flush()
 
-    def below(rows: np.ndarray, d_max: np.ndarray, bounds, state_norms: np.ndarray) -> np.ndarray:
-        """Whether the flat derivative max-norm of each states[rows[k]] is
-        below bounds[k], from the batched evaluate's max-norms d_max of those
-        states: it decides a state whose d_max is more than the rounding
-        band away from the bound, and the flat evaluate decides the others."""
-        band = slack * (norm_m * state_norms + offset)
-        low = d_max < bounds - band
-        for k in np.flatnonzero(~low & ~(d_max > bounds + band)):
-            bound = np.broadcast_to(bounds, d_max.shape)[k]
-            low[k] = float(np.max(np.abs(plan.evaluate(states[rows[k]])))) < bound
-        return low
-
     def batched_norms(block: np.ndarray) -> np.ndarray:
         # the derivatives are freed on return, before the next block's
         d = plan.evaluate(block)
@@ -495,6 +479,9 @@ def integrate(
             move, shift, powers = stride_propagator(propagator, gain, stride)
             s = stride
             gain_max = float(np.max(np.abs(gain), initial=0.0))
+            # a state's rounding band is slack * (||M|| max|y| + offset)
+            slack = 2.0 * (plan.dim + 1) * np.finfo(float).eps
+            offset = float(np.max(np.abs(plan.shift), initial=0.0)) + tol + np.finfo(float).tiny
             floors = _stride_floor(powers, len(gain), plan.inputs, gain_max, norm_m, h, tol, slack, offset)
         # the recording and step buffers are made after R and P, whose
         # builds peak higher.  states[0] is a block's start, states[1:] its
@@ -523,11 +510,10 @@ def integrate(
             d_max = batched_norms(states[: n + 1])
             # a move is taken when its start is not stationary and its end
             # is finite, and for a stride not below its floor
-            starts = np.arange(n)
-            low = below(starts, d_max[:-1], tol, norms[:-1])
+            low = d_max[:-1] < tol
             if s > 1:
                 ends = floors(norms)
-                cleared = np.isfinite(ends) & ~below(starts + 1, d_max[1:], ends, norms[1:])
+                cleared = np.isfinite(ends) & (d_max[1:] >= ends)
             else:
                 cleared = finite
             cleared &= ~low

@@ -14,8 +14,11 @@ package's stacked implementations are checked against them.
 
 stepwise_integrate is the integrator with one flat plan.evaluate and one
 finiteness test per step, after a stride phase of one stride per turn that
-judges each stride by the flat evaluates of its two ends; the
-block-stepping integrate must match it bit for bit.
+judges each stride by the flat evaluates of its two ends.  integrate tests
+on batched evaluates, which round differently, so it matches the oracle
+bit for bit when no tested state's derivative max-norm lies within
+rounding of its bound (stationarity_tol or a stride's floor); that holds
+on every draw the tests compare.
 
 scaled_instance and scaled_systems draw random_instance systems with A and
 b scaled by a power of ten, for the tests that must hold at every scale.
@@ -172,12 +175,10 @@ def oracle_closeness(y, x_star, part):
     return 0.5 * total
 
 
-def stepwise_integrate(part, topo, cfg, *, initial_state=None, flat_norms=None):
+def stepwise_integrate(part, topo, cfg, *, initial_state=None):
     """integrate with one stride, or one step, one finiteness test and one
     flat plan.evaluate, per loop turn: the same start, stride length,
-    strides, hand-over, stop tests, sample batches and errors.  A dict
-    flat_norms receives the flat derivative max-norm of each state the
-    one-step loop tests, by step."""
+    strides, hand-over, stop tests, sample batches and errors."""
     plan = DerivativePlan(part, topo)
     h = cfg.step_size
     if h is None:
@@ -246,8 +247,6 @@ def stepwise_integrate(part, topo, cfg, *, initial_state=None, flat_norms=None):
             d = plan.evaluate(y)
         stride_steps = steps
         while t < cfg.max_time:
-            if flat_norms is not None:
-                flat_norms[steps] = float(np.max(np.abs(d)))
             if float(np.max(np.abs(d))) < cfg.stationarity_tol:
                 stop_reason = "stationary"
                 break

@@ -286,6 +286,15 @@ def test_bundled_scenario_step_anchors(tmp_path, scheme, steps):
     assert summary["steps"] == steps
 
 
+@pytest.mark.parametrize("name", ["identity_pair", "three_cluster_5x5"])
+def test_benchmark_scenario_copies_match(name):
+    # the benchmark pins the step anchors on its own copies of the bundled
+    # scenarios, so a drift between the two would go unseen
+    root = Path(__file__).resolve().parent.parent
+    bundled = (root / "scenarios" / f"{name}.json").read_bytes()
+    assert (root / "perfbench" / "scenarios" / f"{name}.json").read_bytes() == bundled
+
+
 def test_run_parse_errors(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", str(missing)]) == EXIT_PARSE
@@ -519,6 +528,25 @@ def test_run_structure_failure_exits_invalid(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: structure: drift matrix fails")
     assert not (tmp_path / "run").exists()
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    # an --out that is a file, or lies under one, and an lnv.csv that is a
+    # directory: one "error: output:" line and exit 2, not a traceback
+    path = write_scenario(tmp_path, identity_scenario())
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "run"):
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: output: ") and err.count("\n") == 1, err
+    run_dir = tmp_path / "run"
+    assert main(["run", str(path), "--out", str(run_dir)]) == EXIT_OK
+    (run_dir / "lnv.csv").mkdir()
+    capsys.readouterr()
+    assert main(["plot", str(run_dir)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: output: ") and err.count("\n") == 1, err
 
 
 def test_plot_writes_lnv(tmp_path):

@@ -120,6 +120,22 @@ def test_state_shape_validation():
             integrate(part, topo, SimConfig(max_time=1.0), initial_state=wrong)
 
 
+def test_non_finite_initial_state_is_rejected_before_the_plan(monkeypatch):
+    # a NaN or infinite start is a bad input, not a divergence at t = 0, and
+    # is rejected before the plan, R or P is built
+    part, topo = make_row(np.eye(2), np.array([1.0, 2.0]), [2], [[1, 1]])
+
+    def unbuilt(*args):
+        raise AssertionError("plan built for a non-finite start")
+
+    monkeypatch.setattr("duolayer.simulator.DerivativePlan", unbuilt)
+    for bad in (np.nan, np.inf, -np.inf):
+        start = np.zeros(6)
+        start[3] = bad
+        with pytest.raises(ValueError, match="initial_state must be finite"):
+            integrate(part, topo, SimConfig(max_time=1.0), initial_state=start)
+
+
 def test_locality_of_non_neighbor_clusters():
     # path 0-1-2: cluster 2's states cannot influence cluster 0's derivative
     rng = np.random.default_rng(11)

@@ -319,78 +319,60 @@ def test_block_stepping_matches_stepwise_oracle(scheme, record_every):
     assert sum(step > 0 for step in stops[20:]) >= 7
 
 
-def count_evaluated_rows(monkeypatch) -> list:
-    """Rows each later plan.evaluate call receives: 0 for a flat state."""
+def count_evaluated_rows(monkeypatch, calls=None) -> list:
+    """Rows each later plan.evaluate call receives: 0 for a flat state.  A
+    list calls receives each call's states, as rows, and the max-norms of
+    their derivatives as that call computed them."""
     rows = []
     evaluate = DerivativePlan.evaluate
 
     def counted(plan, y):
         rows.append(0 if y.ndim == 1 else y.shape[0])
-        return evaluate(plan, y)
+        d = evaluate(plan, y)
+        if calls is not None:
+            calls.append((np.array(y, ndmin=2), np.max(np.abs(np.atleast_2d(d)), axis=1)))
+        return d
 
     monkeypatch.setattr(DerivativePlan, "evaluate", counted)
     return rows
 
 
-def test_stop_at_a_tie_is_decided_by_the_flat_evaluate(monkeypatch):
-    # tolerances one ulp above and below a state's derivative max-norm fall
-    # inside the batched evaluate's rounding band, so that state is decided
-    # by the flat evaluate, which the one-step loop uses
-    rows = count_evaluated_rows(monkeypatch)
-    # five draws as drawn, and two each with A and b scaled by 10^-3 and 10^3
-    draws = [(seed, 0) for seed in range(5)] + [(seed, k) for k in (-3, 3) for seed in range(2)]
-    for seed, k in draws:
+def test_stop_is_decided_by_the_batched_evaluate(monkeypatch):
+    # a run's one flat evaluate is the start's, and a stationary stop's
+    # final state is the first in the batched call that tested it whose
+    # derivative max-norm there is below tol.  Besides the bundled
+    # scenarios, the tolerance is set exactly at, and one ulp above, the
+    # flat max-norm of the state at step 150, where the batched and the
+    # flat evaluate may round to either side of it
+    calls = []
+    rows = count_evaluated_rows(monkeypatch, calls)
+
+    def check(part, topo, cfg):
+        rows.clear()
+        calls.clear()
+        res = integrate(part, topo, cfg)
+        assert rows[0] == 0 and rows.count(0) == 1, rows
+        assert res.stop_reason == "stationary" and res.steps > 0
+        states, norms = calls[-1]
+        at = next(k for k, state in enumerate(states) if state.tobytes() == res.final_state.tobytes())
+        assert norms[at] < cfg.stationarity_tol <= np.min(norms[:at], initial=math.inf)
+
+    for name in ("identity_pair", "three_cluster_5x5"):
+        for scheme in ("row", "column"):
+            part, topo, sim = stride_case(f"{name}-{scheme}")
+            check(part, topo, sim)
+    # two draws as drawn, and one each with A and b scaled by 10^-3 and 10^3
+    for seed, k in ((0, 0), (1, 0), (2, -3), (3, 3)):
         for scheme in ("row", "column"):
             inst, part = scaled_instance(seed, scheme, 12, k)
             topo = inst.topology
             base = {"init_mode": "random", "rng_seed": seed, "record_every": 3}
-            plan = DerivativePlan(part, topo)
-            h = integrate(part, topo, SimConfig(stationarity_tol=1e300, **base)).step_size
-            propagator, gain = rk4_propagator(plan, h)
-            y = integrate(part, topo, SimConfig(max_time=h, stationarity_tol=1e300, **base)).final_state
-            tol = math.inf
-            for _ in range(150):
-                tol = min(tol, float(np.max(np.abs(plan.evaluate(y)))))
-                y = propagator @ y + gain
-            # the tie is the last running minimum of the oracle's own flat
-            # max-norms before step 150, in its one-step loop and off that
-            # loop's block boundaries, so the tolerance just above it stops
-            # there first.  Strides hand over where the tolerance sets, so the
-            # tie is taken again until the run at the tie hands over where the
-            # run it came from did
-            handovers, step = [], 0
-            for _ in range(5):
-                norms = {}
-                cfg = SimConfig(max_time=200 * h, stationarity_tol=tol, **base)
-                handover = stepwise_integrate(part, topo, cfg, flat_norms=norms).stride_steps
-                if handovers and handover == handovers[-1]:
-                    break
-                handovers.append(handover)
-                lowest = math.inf
-                for at, norm in norms.items():
-                    if at < 150 and norm < lowest:
-                        lowest = norm
-                        if all((at - start) % RECORD_BATCH for start in handovers):
-                            step, tol = at, norm
-            else:
-                pytest.fail(f"no tie settles for draw {seed} at 10^{k}")
-            assert step > handover
-            at_step = tol
-            for direction in (math.inf, 0.0):
-                tol = float(np.nextafter(at_step, direction))
-                cfg = SimConfig(max_time=200 * h, stationarity_tol=tol, **base)
-                want = stepwise_integrate(part, topo, cfg)
-                assert want.stride_steps == handover
-                assert (want.steps == step) == (direction == math.inf)
-                rows.clear()
-                assert_same_run(integrate(part, topo, cfg), want)
-                # the start and at least the tied state went through the flat path
-                assert rows.count(0) >= 2
-            # a state that reaches max_time is not tested for stationarity
-            cfg = SimConfig(max_time=step * h, stationarity_tol=np.nextafter(at_step, math.inf), **base)
-            want = stepwise_integrate(part, topo, cfg)
-            assert (want.steps, want.stop_reason, want.stride_steps) == (step, "max_time", handover)
-            assert_same_run(integrate(part, topo, cfg), want)
+            h = stepwise_integrate(part, topo, SimConfig(stationarity_tol=1e300, **base)).step_size
+            late = stepwise_integrate(part, topo, SimConfig(max_time=149.5 * h, stationarity_tol=1e-300, **base))
+            assert late.steps == 150
+            at = float(np.max(np.abs(DerivativePlan(part, topo).evaluate(late.final_state))))
+            for tol in (at, float(np.nextafter(at, math.inf))):
+                check(part, topo, SimConfig(max_time=400 * h, stationarity_tol=tol, **base))
 
 
 @pytest.mark.parametrize("k", [-6, 0, 6])
